@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -37,9 +38,9 @@ EXIT_VERIFY = 3
 
 
 def load_config(path: str) -> FlowConfig:
-    with open(path) as fh:
-        raw = json.load(fh)
     try:
+        with open(path) as fh:
+            raw = json.load(fh)
         grid = Grid(
             length=float(raw["grid"]["length"]),
             n=int(raw["grid"]["n"]),
@@ -54,6 +55,7 @@ def load_config(path: str) -> FlowConfig:
             component=int(ini.get("component", 2)),
             max_mode=int(ini.get("max_mode", 2)),
             seed=int(ini.get("seed", 0)),
+            width=float(ini.get("width", 0.15)),
             checkpoint=ini.get("checkpoint"),
         )
         config = FlowConfig(
@@ -79,7 +81,7 @@ def load_config(path: str) -> FlowConfig:
             entropy_sigma=raw.get("entropy_sigma"),
         )
         config.validate()
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ConfigError(f"bad configuration {path}: {exc}") from exc
     return config
 
@@ -213,20 +215,21 @@ def cmd_rescale_check(args) -> int:
         print("rescale-check needs an fx trajectory", file=sys.stderr)
         return EXIT_CONFIG
     rescaled = parabolic_rescale(base.fx, c)
-    from dataclasses import replace
-
-    big = FlowConfig(
+    big = replace(
+        config,
         grid=replace(config.grid, length=c * config.grid.length),
-        initial=config.initial,
         dt=c * c * config.dt,
         t_end=c * c * config.t_end,
-        integrator=config.integrator,
         scheme="fx",
-        cfl_safety=config.cfl_safety,
-        diagnostics_every=config.diagnostics_every,
-        snapshot_every=config.snapshot_every,
     )
     second = run(big)
+    if len(second.fx.states) != len(rescaled.states):
+        print(
+            f"rescale-check c={c}: the rescaled run kept {len(second.fx.states)} "
+            f"of {len(rescaled.states)} snapshots",
+            file=sys.stderr,
+        )
+        return EXIT_VERIFY
     worst = 0.0
     for s_resc, s_big in zip(rescaled.states, second.fx.states):
         worst = max(worst, float(np.max(np.abs(s_resc.f - s_big.f))))

@@ -28,11 +28,10 @@ from .algebra import (
     sorted_components,
     star_sorted_3,
 )
-from .grid import Grid, div2, grad_scalar, grad_vector, laplacian, partial, save_checkpoint
+from .grid import Grid, div2, laplacian, partial, save_checkpoint
 from .states import (
     DegenerateFormError,
     IsometricState,
-    div_torsion_of_state,
     localized_state,
     metric_defect,
     phi_of_state,
@@ -172,37 +171,39 @@ def initial_state(config: FlowConfig) -> IsometricState:
     raise ConfigError(f"unknown initial family {spec.family!r}")
 
 
+def _harmonic_map(grid: Grid, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Laplacian and rates of the stacked field u = (f, X), shape (8, *grid):
+
+    df = (Lap f) |X|^2 - f <X, Lap X>,    dX = Lap X + |grad u|^2 X.
+    """
+    lu = laplacian(grid, u)
+    grad_sq = np.zeros(grid.shape)
+    for dim in grid.active_dims:
+        du = partial(grid, u, dim)
+        grad_sq += np.einsum("a...,a...->...", du, du)
+    f, x, lf, lx = u[0], u[1:], lu[0], lu[1:]
+    rates = np.empty_like(u)
+    rates[0] = lf * np.einsum("q...,q...->...", x, x) - f * np.einsum("q...,q...->...", x, lx)
+    rates[1:] = lx + grad_sq * x
+    return lu, rates
+
+
 def rhs_fx(
     tables: StructureTables, state: IsometricState
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rates (df/dt, dX/dt) of the parabolic system.
 
-    dX is the expanded strictly parabolic form; with a zero base torsion it
-    reduces to dX_q = Lap X_q + (|grad f|^2 + |grad X|^2) X_q.  df is
-    (1/2) <X, Div T~> with the divergence of the full state torsion.
+    On the flat torus it is the harmonic-map heat flow of u = (f, X) into
+    S^7, taken with one Laplacian of the stacked field:
+
+        df = (Lap f) |X|^2 - f <X, Lap X>    (= Lap f - f <u, Lap u> on S^7)
+        dX = Lap X + |grad u|^2 X
+
+    df equals (1/2) <X, Div T>: the cross-product term of Div T is
+    orthogonal to X.
     """
-    grid = state.grid
-    f, x = state.f, state.x
-    divt_state = div_torsion_of_state(tables, state)
-    df = 0.5 * np.einsum("q...,q...->...", x, divt_state)
-
-    gx = grad_vector(grid, x)
-    gf = grad_scalar(grid, f)
-    dx = laplacian(grid, x)
-    dx += (np.sum(gf * gf, axis=0) + np.einsum("pq...,pq...->...", gx, gx)) * x
-
-    tb = state.torsion_base
-    if tb is not None:
-        dt_base = div2(grid, tb)
-        dx += f * np.einsum("m...,pm...,pq...->q...", x, gx, tb)
-        dx -= f * np.einsum("pm...,pm...->...", tb, gx) * x
-        dx -= np.einsum("pl...,pm...,lmq->q...", tb, gx, tables.phi)
-        dx -= np.sum(x * x, axis=0) * np.einsum("p...,pq...->q...", gf, tb)
-        dx += np.einsum("pl...,p...,l...->...", tb, gf, x) * x
-        dx += np.einsum("ps...,pl...,a...,sla->...", tb, gx, x, tables.phi) * x
-        dx -= 0.5 * f * dt_base
-        dx += 0.5 * cross(tables, x, dt_base)
-    return df, dx
+    _, rates = _harmonic_map(state.grid, np.concatenate((state.f[None], state.x)))
+    return rates[0], rates[1:]
 
 
 def _torsion_sorted(grid: Grid, s3: np.ndarray) -> np.ndarray:
@@ -241,14 +242,15 @@ def rhs_direct(
 
 
 def _fx_rates(tables, state, iota, beta):
-    df, dx = rhs_fx(tables, state)
     if iota is None:
-        return df, dx, None
-    # gauge flow uses the evolving structure's own cross product
-    divt = div_torsion_of_state(tables, state)
+        return (*rhs_fx(tables, state), None)
+    lu, rates = _harmonic_map(state.grid, np.concatenate((state.f[None], state.x)))
+    # Div T = 2 (Lap f) X - 2 f Lap X - 2 Lap X x X, from the same Laplacians;
+    # the gauge flow uses the evolving structure's own cross product
+    divt = 2.0 * lu[0] * state.x - 2.0 * state.f * lu[1:] - 2.0 * cross(tables, lu[1:], state.x)
     phi3 = phi_of_state(tables, state, check=False)
     diota = beta * np.einsum("mlp...,m...,la...->pa...", phi3, divt, iota)
-    return df, dx, diota
+    return rates[0], rates[1:], diota
 
 
 def step_fx(
@@ -267,37 +269,24 @@ def step_fx(
     for order studies.
     """
 
-    def rates(f, x, io):
+    def rates(y):
+        f, x, io = y
         return _fx_rates(tables, replace(state, f=f, x=x), io, beta)
 
-    f0, x0 = state.f, state.x
+    def shift(y, c, k):
+        return tuple(None if a is None else a + c * b for a, b in zip(y, k))
+
+    y0 = (state.f, state.x, iota)
     if integrator == "euler":
-        df, dx, dio = rates(f0, x0, iota)
-        f1, x1 = f0 + dt * df, x0 + dt * dx
-        io1 = None if iota is None else iota + dt * dio
+        f1, x1, io1 = shift(y0, dt, rates(y0))
     elif integrator == "rk4":
-        k1 = rates(f0, x0, iota)
-        k2 = rates(
-            f0 + 0.5 * dt * k1[0],
-            x0 + 0.5 * dt * k1[1],
-            None if iota is None else iota + 0.5 * dt * k1[2],
-        )
-        k3 = rates(
-            f0 + 0.5 * dt * k2[0],
-            x0 + 0.5 * dt * k2[1],
-            None if iota is None else iota + 0.5 * dt * k2[2],
-        )
-        k4 = rates(
-            f0 + dt * k3[0],
-            x0 + dt * k3[1],
-            None if iota is None else iota + dt * k3[2],
-        )
-        f1 = f0 + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        x1 = x0 + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        io1 = (
-            None
-            if iota is None
-            else iota + dt / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        k1 = rates(y0)
+        k2 = rates(shift(y0, 0.5 * dt, k1))
+        k3 = rates(shift(y0, 0.5 * dt, k2))
+        k4 = rates(shift(y0, dt, k3))
+        f1, x1, io1 = (
+            None if a is None else a + dt / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)
         )
     else:
         raise ConfigError(f"unknown integrator {integrator!r}")

@@ -7,9 +7,10 @@ state, its torsion 2-tensor and torsion divergence directly from (f, X),
 and provides the independent route that recovers torsion and metric from
 an arbitrary 3-form field.
 
-A base torsion field for the reference structure is carried through every
-formula in full generality; on the flat torus it is identically zero and
-those terms drop out.
+The reference structure is the flat, torsion-free one, so every formula
+here is its flat-torus form.  The flow evolves (f, X) as a harmonic map
+into S^7 (see ``flow.rhs_fx``); the closed-form torsion divergence here is
+a test oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algebra import StructureTables, hodge_star_3
-from .grid import Grid, div2, grad_scalar, grad_vector, laplacian, partial
+from .grid import Grid, grad_scalar, grad_vector, laplacian, partial
 
 __all__ = [
     "IsometricState",
@@ -50,16 +51,11 @@ class DegenerateFormError(ValueError):
 
 @dataclass(frozen=True)
 class IsometricState:
-    """A point of the isometric class: fields (f, X) with f^2 + |X|^2 = 1.
-
-    ``torsion_base`` is the torsion of the reference structure (None means
-    identically zero, the flat-torus value).
-    """
+    """A point of the isometric class: fields (f, X) with f^2 + |X|^2 = 1."""
 
     grid: Grid
     f: np.ndarray
     x: np.ndarray
-    torsion_base: np.ndarray | None = None
     t: float = 0.0
 
     def constraint_defect(self) -> float:
@@ -195,8 +191,7 @@ def psi_of_state(
 def torsion_of_state(tables: StructureTables, state: IsometricState) -> np.ndarray:
     """Torsion 2-tensor of the state, evaluated directly from (f, X):
 
-    (1 - 2|X|^2) T_pq + 2 T_pm X_m X_q + 2 f T_pm X_l phi_mlq
-        - 2 d_p X_m X_l phi_mlq + 2 d_p f X_q - 2 f d_p X_q
+    -2 d_p X_m X_l phi_mlq + 2 d_p f X_q - 2 f d_p X_q
     """
     grid = state.grid
     f, x = state.f, state.x
@@ -206,25 +201,16 @@ def torsion_of_state(tables: StructureTables, state: IsometricState) -> np.ndarr
     out = -2.0 * np.einsum("pm...,mq...->pq...", gx, cxq)
     out += 2.0 * np.einsum("p...,q...->pq...", gf, x)
     out -= 2.0 * f * gx
-    tb = state.torsion_base
-    if tb is not None:
-        xsq = np.sum(x * x, axis=0)
-        out += (1.0 - 2.0 * xsq) * tb
-        out += 2.0 * np.einsum("pm...,m...,q...->pq...", tb, x, x)
-        out += 2.0 * f * np.einsum("pm...,mq...->pq...", tb, cxq)
     return out
 
 
 def div_torsion_of_state(tables: StructureTables, state: IsometricState) -> np.ndarray:
     """Divergence of the state's torsion, from the closed-form expression:
 
-    (1 - 2|X|^2)(Div T)_q - 4 X_m d_p X_m T_pq + 2 (Div T)_m X_m X_q
-      + 2 T_pm d_p X_m X_q + 2 T_pm X_m d_p X_q + 2 d_p f T_pl X_m phi_lmq
-      + 2 f (Div T)_l X_m phi_lmq + 2 f T_pl d_p X_m phi_lmq
-      - 2 (Lap X)_l X_m phi_lmq - 2 d_p X_l X_m T_ps psi_slmq
-      + 2 (Lap f) X_q - 2 f (Lap X)_q
+    2 (Lap f) X_q - 2 f (Lap X)_q - 2 (Lap X)_l X_m phi_lmq
 
-    With a zero base torsion only the Laplacian terms survive.
+    The flow does not call it; it is the oracle the stencil divergence of
+    ``torsion_of_state`` and the (f, X) rates are tested against.
     """
     grid = state.grid
     f, x = state.f, state.x
@@ -233,21 +219,6 @@ def div_torsion_of_state(tables: StructureTables, state: IsometricState) -> np.n
     out = -2.0 * np.einsum("l...,m...,lmq->q...", lx, x, tables.phi)
     out += 2.0 * lf * x
     out -= 2.0 * f * lx
-    tb = state.torsion_base
-    if tb is not None:
-        gx = grad_vector(grid, x)
-        gf = grad_scalar(grid, f)
-        dt = div2(grid, tb)
-        xsq = np.sum(x * x, axis=0)
-        out += (1.0 - 2.0 * xsq) * dt
-        out -= 4.0 * np.einsum("m...,pm...,pq...->q...", x, gx, tb)
-        out += 2.0 * np.einsum("m...,m...->...", dt, x) * x
-        out += 2.0 * np.einsum("pm...,pm...->...", tb, gx) * x
-        out += 2.0 * np.einsum("pm...,m...,pq...->q...", tb, x, gx)
-        out += 2.0 * np.einsum("p...,pl...,m...,lmq->q...", gf, tb, x, tables.phi)
-        out += 2.0 * f * np.einsum("l...,m...,lmq->q...", dt, x, tables.phi)
-        out += 2.0 * f * np.einsum("pl...,pm...,lmq->q...", tb, gx, tables.phi)
-        out -= 2.0 * np.einsum("pl...,m...,ps...,slmq->q...", gx, x, tb, tables.psi)
     return out
 
 

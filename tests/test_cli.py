@@ -2,11 +2,13 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from g2flow.cli import main
+from g2flow import cli
+from g2flow.cli import load_config, main
 from g2flow.grid import load_checkpoint
 
 
@@ -87,6 +89,20 @@ def test_config_error_exit_codes(tmp_path, capsys):
     garbage = tmp_path / "garbage.json"
     garbage.write_text('{"grid": {}}')
     assert main(["run", "--config", str(garbage)]) == 1
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"grid": ')
+    assert main(["run", "--config", str(truncated)]) == 1
+    not_an_object = write_config(tmp_path / "list.json", initial=[])
+    assert main(["run", "--config", str(not_an_object)]) == 1
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_load_config_reads_localized_width(tmp_path):
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        initial={"family": "localized", "amplitude": 0.3, "width": 0.05},
+    )
+    assert load_config(str(cfg)).initial.width == 0.05
 
 
 def test_numerical_abort_exit_code(tmp_path, capsys):
@@ -132,6 +148,39 @@ def test_rescale_check_subcommand(tmp_path, capsys):
     assert main(["rescale-check", "--config", str(cfg), "--c", "2.0"]) == 0
     out = capsys.readouterr().out
     assert "max state discrepancy" in out
+
+
+def test_rescale_check_keeps_config_fields(tmp_path, capsys, monkeypatch):
+    overrides = dict(
+        initial={"family": "random_band", "amplitude": 0.3, "seed": 2},
+        grid={"length": 1.0, "n": 32, "active_dims": [0, 1]},
+        dt=5e-5,
+        t_end=1e-3,
+        snapshot_every=5,
+    )
+    # at the default constraint_abort_tol the run aborts on drift alone
+    strict = write_config(tmp_path / "strict.json", **overrides)
+    assert main(["run", "--config", str(strict)]) == 2
+    cfg = write_config(tmp_path / "cfg.json", constraint_abort_tol=1e-3, **overrides)
+    configs = []
+    real_run = cli.run
+
+    def recording_run(config):
+        configs.append(config)
+        return real_run(config)
+
+    monkeypatch.setattr(cli, "run", recording_run)
+    capsys.readouterr()
+    assert main(["rescale-check", "--config", str(cfg), "--c", "2.0"]) == 0
+    assert "max state discrepancy 0.000e+00" in capsys.readouterr().out
+    base, big = configs
+    assert big == replace(
+        base,
+        grid=replace(base.grid, length=2.0),
+        dt=4.0 * base.dt,
+        t_end=4.0 * base.t_end,
+        scheme="fx",
+    )
 
 
 def test_checkpoint_resume_round_trip(tmp_path, capsys):

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from g2flow import flow
 from g2flow.diagnostics import doubling_monitor, energy, sup_norm
 from g2flow.flow import (
     ConfigError,
@@ -18,9 +19,10 @@ from g2flow.flow import (
     step_direct,
     step_fx,
 )
-from g2flow.grid import Grid, integrate, laplacian
+from g2flow.grid import Grid, grad_scalar, grad_vector, integrate, laplacian
 from g2flow.states import (
     IsometricState,
+    div_torsion_of_state,
     phi_of_state,
     psi_of_state,
     random_band_state,
@@ -73,6 +75,67 @@ def test_small_amplitude_rhs_is_heat_equation(tables, grid32):
     _, dx = rhs_fx(tables, s)
     lx = laplacian(grid32, s.x)
     assert np.max(np.abs(dx - lx)) <= 1e-6 * np.max(np.abs(lx))
+
+
+def _divergence_form_rhs_fx(tables, state):
+    # the (f, X) rates written through the torsion divergence:
+    # df = (1/2) <X, Div T>, dX = Lap X + (|grad f|^2 + |grad X|^2) X
+    grid, f, x = state.grid, state.f, state.x
+    df = 0.5 * np.einsum("q...,q...->...", x, div_torsion_of_state(tables, state))
+    gf, gx = grad_scalar(grid, f), grad_vector(grid, x)
+    grad_sq = np.sum(gf * gf, axis=0) + np.einsum("pq...,pq...->...", gx, gx)
+    return df, laplacian(grid, x) + grad_sq * x
+
+
+def _divergence_form_fx_rates(tables, state, iota, beta):
+    df, dx = _divergence_form_rhs_fx(tables, state)
+    if iota is None:
+        return df, dx, None
+    divt = div_torsion_of_state(tables, state)
+    phi3 = phi_of_state(tables, state, check=False)
+    return df, dx, beta * np.einsum("mlp...,m...,la...->pa...", phi3, divt, iota)
+
+
+@pytest.mark.parametrize(
+    "n,dims,order", [(32, (0, 1), 2), (32, (0, 1), 4), (8, (0, 1, 2), 2)]
+)
+def test_rhs_fx_matches_divergence_form(tables, n, dims, order):
+    g = Grid(length=1.0, n=n, active_dims=dims, stencil_order=order)
+    s = random_band_state(g, 0.3, seed=9)
+    got = rhs_fx(tables, s)
+    ref = _divergence_form_rhs_fx(tables, s)
+    for a, b in zip(got, ref):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("track_frame", [False, True])
+def test_fx_run_matches_divergence_form_run(tables, monkeypatch, track_frame):
+    cfg = FlowConfig(
+        grid=Grid(length=1.0, n=16, active_dims=(0, 1)),
+        initial=InitialSpec(family="random_band", amplitude=0.3, seed=5),
+        dt=2e-4,
+        t_end=4e-3,
+        scheme="fx",
+        cfl_safety=0.9,
+        snapshot_every=5,
+        diagnostics_every=5,
+        track_frame=track_frame,
+        constraint_abort_tol=1e-3,
+    )
+    assert cfg.n_steps == 20
+    new = run(cfg, tables).fx
+    monkeypatch.setattr(flow, "_fx_rates", _divergence_form_fx_rates)
+    ref = run(cfg, tables).fx
+    assert not new.events and not ref.events
+    assert len(new.states) == len(ref.states) == 5
+    for a, b in zip(new.states, ref.states):
+        assert np.max(np.abs(a.f - b.f)) <= 1e-12
+        assert np.max(np.abs(a.x - b.x)) <= 1e-12
+    if track_frame:
+        for a, b in zip(new.frames, ref.frames):
+            assert np.max(np.abs(a - b)) <= 1e-12
+    for a, b in zip(new.records, ref.records):
+        assert a["energy"] == pytest.approx(b["energy"], rel=1e-12)
 
 
 def test_rhs_direct_lies_in_vector_component(tables, grid16, rng):

@@ -207,20 +207,6 @@ def test_constant_state_divergence_zero(tables, grid16):
     assert np.all(div_torsion_of_state(tables, s) == 0.0)
 
 
-def test_base_torsion_terms_exercised(tables, grid16, rng):
-    # with a synthetic base torsion every term of the closed-form expressions
-    # contributes; smoke-check shapes and finiteness
-    s = random_band_state(grid16, 0.3, seed=3)
-    tb = rng.standard_normal((7, 7, 1, 1)) * np.ones((7, 7) + grid16.shape)
-    s_tb = IsometricState(grid=grid16, f=s.f, x=s.x, torsion_base=tb)
-    from g2flow.states import div_torsion_of_state
-
-    t_full = torsion_of_state(tables, s_tb)
-    d_full = div_torsion_of_state(tables, s_tb)
-    assert np.isfinite(t_full).all() and np.isfinite(d_full).all()
-    assert np.max(np.abs(t_full - torsion_of_state(tables, s))) > 0.1
-
-
 def test_bianchi_on_flat_background(tables):
     from g2flow.connection import bianchi_residual
 
