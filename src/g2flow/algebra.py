@@ -214,16 +214,12 @@ def build_standard_tables() -> StructureTables:
 
 def hodge_star_3(alpha: np.ndarray) -> np.ndarray:
     """Flat Hodge star of a 3-form (dense components), giving a 4-form."""
-    s3 = sorted_components(alpha, 3)
-    s4 = _STAR34_SGN.reshape((-1,) + (1,) * (s3.ndim - 1)) * s3[_STAR34_SRC]
-    return dense_from_sorted(s4, 4)
+    return dense_from_sorted(star_sorted_3(sorted_components(alpha, 3)), 4)
 
 
 def hodge_star_4(beta: np.ndarray) -> np.ndarray:
     """Flat Hodge star of a 4-form, giving a 3-form; inverse of hodge_star_3."""
-    s4 = sorted_components(beta, 4)
-    s3 = _STAR43_SGN.reshape((-1,) + (1,) * (s4.ndim - 1)) * s4[_STAR43_SRC]
-    return dense_from_sorted(s3, 3)
+    return dense_from_sorted(star_sorted_4(sorted_components(beta, 4)), 3)
 
 
 _FACT = {1: 1.0, 2: 2.0, 3: 6.0, 4: 24.0}

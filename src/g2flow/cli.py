@@ -139,6 +139,8 @@ def cmd_run(args) -> int:
         if manifest_path:
             with open(manifest_path, "w") as fh:
                 json.dump(manifest, fh, sort_keys=True, indent=1)
+        if isinstance(exc, ConfigError):
+            raise
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     events = result.events
@@ -180,7 +182,10 @@ def cmd_verify(args) -> int:
 
 def cmd_diagnose(args) -> int:
     tables = build_standard_tables()
-    grid, f, x = load_checkpoint(args.checkpoint)
+    try:
+        grid, f, x = load_checkpoint(args.checkpoint)
+    except ValueError as exc:
+        raise ConfigError(f"bad checkpoint {args.checkpoint}: {exc}") from exc
     state = IsometricState(grid=grid, f=f, x=x)
     torsion = torsion_of_state(tables, state)
     divt = div2(grid, torsion)

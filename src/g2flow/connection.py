@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import StructureTables, diamond
+from .flow import _rk
 from .grid import Grid, div2, grad_scalar, grad_vector, laplacian, partial
 from .states import (
     IsometricState,
@@ -215,17 +216,7 @@ def evolve_frame(
             "mlp...,m...,la...->pa...", phi, div_torsion, io
         )
 
-    io = frame.iota
-    if integrator == "euler":
-        io1 = io + dt * rate(io)
-    elif integrator == "rk4":
-        k1 = rate(io)
-        k2 = rate(io + 0.5 * dt * k1)
-        k3 = rate(io + 0.5 * dt * k2)
-        k4 = rate(io + dt * k3)
-        io1 = io + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    else:
-        raise ValueError(f"unknown integrator {integrator!r}")
+    (io1,) = _rk(lambda y: (rate(*y),), (frame.iota,), dt, integrator)
     out = FrameField(iota=io1, alpha=frame.alpha, beta=frame.beta)
     defect = out.orthogonality_defect()
     if defect > 1e-6:

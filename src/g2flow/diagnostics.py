@@ -338,11 +338,18 @@ def interpolation_monitor(grid: Grid, torsion: np.ndarray, grad_torsion: np.ndar
     }
 
 
-def _grad_tensor(grid: Grid, tensor: np.ndarray) -> np.ndarray:
-    out = np.zeros((len(grid.active_dims),) + tensor.shape)
-    for pos, dim in enumerate(grid.active_dims):
-        out[pos] = partial(grid, tensor, dim)
-    return out
+def _shi_sups(grid: Grid, torsion: np.ndarray) -> tuple[float, float]:
+    """(sup|grad T|, sup|grad^2 T|), summing |d_a T|^2 and |d_b d_a T|^2 one
+    derivative at a time so that no stacked gradient is held."""
+    sq1 = np.zeros(grid.shape)
+    sq2 = np.zeros(grid.shape)
+    for a in grid.active_dims:
+        da = partial(grid, torsion, a)
+        sq1 += np.einsum("pq...,pq...->...", da, da)
+        for b in grid.active_dims:
+            dba = partial(grid, da, b)
+            sq2 += np.einsum("pq...,pq...->...", dba, dba)
+    return float(np.sqrt(np.max(sq1))), float(np.sqrt(np.max(sq2)))
 
 
 def shi_monitor(tables: StructureTables, traj) -> list[dict]:
@@ -354,10 +361,7 @@ def shi_monitor(tables: StructureTables, traj) -> list[dict]:
         torsion = torsion_of_state(tables, state)
         if t0_sup is None:
             t0_sup = max(sup_norm(torsion), 1e-300)
-        g1 = _grad_tensor(grid, torsion)
-        g2 = _grad_tensor(grid, g1)
-        m1 = float(np.sqrt(np.max(np.sum(g1 * g1, axis=(0, 1, 2)))))
-        m2 = float(np.sqrt(np.max(np.sum(g2 * g2, axis=(0, 1, 2, 3)))))
+        m1, m2 = _shi_sups(grid, torsion)
         out.append(
             {
                 "t": tm,
@@ -414,15 +418,10 @@ def record_for_torsion(
             grid, torsion, entropy_sigma, sample_stride=max(1, grid.n // 8)
         ).value
     if sup_t_reference and sup_t_reference > 0 and t > 0:
-        g1 = _grad_tensor(grid, torsion)
-        g2 = _grad_tensor(grid, g1)
+        m1, m2 = _shi_sups(grid, torsion)
         rec["shi_quantities"] = {
-            "m1": float(np.sqrt(np.max(np.sum(g1 * g1, axis=(0, 1, 2)))))
-            * math.sqrt(t)
-            / sup_t_reference,
-            "m2": float(np.sqrt(np.max(np.sum(g2 * g2, axis=(0, 1, 2, 3)))))
-            * t
-            / sup_t_reference,
+            "m1": m1 * math.sqrt(t) / sup_t_reference,
+            "m2": m2 * t / sup_t_reference,
         }
     return rec
 

@@ -2,10 +2,11 @@
 
 Two independent routes integrate the same evolution: the parabolic system
 for the pair (f, X), and the direct 3-form flow  d(phi)/dt = Div T -| psi.
-Both use explicit method-of-lines stepping (Euler or classical RK4) under
-a conservative parabolic CFL bound.  The (f, X) route re-normalizes the
-pointwise constraint f^2 + |X|^2 = 1 after every step; the continuous flow
-preserves it, so projection only removes discretization drift.
+Both share one explicit method-of-lines stepper (Euler or classical RK4)
+under a conservative parabolic CFL bound, and one snapshot, record and
+event loop.  The (f, X) route re-normalizes the pointwise constraint
+f^2 + |X|^2 = 1 after every step; the continuous flow preserves it, so
+projection only removes discretization drift.
 
 A trajectory optionally co-evolves a gauge frame iota on an auxiliary
 bundle (d iota / dt = beta (Div T) x iota, columnwise) so that connection
@@ -24,7 +25,6 @@ from .algebra import (
     cross,
     dense_from_sorted,
     first_slot_slices_4,
-    hodge_star_3,
     sorted_components,
     star_sorted_3,
 )
@@ -37,8 +37,6 @@ from .states import (
     phi_of_state,
     random_band_state,
     single_mode_state,
-    torsion_from_phi,
-    torsion_of_state,
 )
 
 __all__ = [
@@ -115,6 +113,13 @@ class FlowConfig:
             raise ConfigError("diagnostics_every must be positive")
         if self.initial.family not in ("single_mode", "random_band", "checkpoint", "localized"):
             raise ConfigError(f"unknown initial family {self.initial.family!r}")
+        if not 0 <= self.initial.amplitude <= 0.9:
+            raise ConfigError("initial amplitude must lie in [0, 0.9] to stay inside the chart")
+        sigma = self.entropy_sigma
+        if sigma is not None and (
+            isinstance(sigma, bool) or not isinstance(sigma, (int, float)) or not sigma > 0
+        ):
+            raise ConfigError(f"entropy_sigma must be a positive number, got {sigma!r}")
 
     @property
     def n_steps(self) -> int:
@@ -164,7 +169,10 @@ def initial_state(config: FlowConfig) -> IsometricState:
 
         if spec.checkpoint is None:
             raise ConfigError("checkpoint family needs a checkpoint path")
-        grid, f, x = load_checkpoint(spec.checkpoint)
+        try:
+            grid, f, x = load_checkpoint(spec.checkpoint)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read checkpoint {spec.checkpoint}: {exc}") from exc
         if grid != config.grid:
             raise ConfigError("checkpoint grid does not match the configured grid")
         return IsometricState(grid=grid, f=f, x=x)
@@ -206,12 +214,12 @@ def rhs_fx(
     return rates[0], rates[1:]
 
 
-def _torsion_sorted(grid: Grid, s3: np.ndarray) -> np.ndarray:
-    """Torsion from sorted 3-form components:
+def _torsion_sorted(grid: Grid, s3: np.ndarray, psi_slices: np.ndarray) -> np.ndarray:
+    """Torsion from sorted 3-form components and the first-slot slices
+    (7, 35) + grid of psi = *phi:
 
     T_pq = (1/24) (d_p phi)_ijk psi_qijk = (1/4) sum over sorted triples.
     """
-    psi_slices = first_slot_slices_4(star_sorted_3(s3))  # (7, 35) + grid
     out = np.zeros((7, 7) + s3.shape[1:])
     for dim in grid.active_dims:
         ds3 = partial(grid, s3, dim)
@@ -220,10 +228,20 @@ def _torsion_sorted(grid: Grid, s3: np.ndarray) -> np.ndarray:
 
 
 def _rhs_direct_sorted(grid: Grid, s3: np.ndarray) -> np.ndarray:
-    torsion = _torsion_sorted(grid, s3)
-    divt = div2(grid, torsion)
     psi_slices = first_slot_slices_4(star_sorted_3(s3))
+    divt = div2(grid, _torsion_sorted(grid, s3, psi_slices))
     return np.einsum("p...,ps...->s...", divt, psi_slices)
+
+
+def _require_isometric(
+    tables: StructureTables, grid: Grid, phi: np.ndarray, metric_tol: float | None
+) -> None:
+    if metric_tol is not None:
+        defect = metric_defect(tables, grid, phi)
+        if defect > metric_tol:
+            raise DegenerateFormError(
+                f"3-form metric defect {defect:g} exceeds {metric_tol:g}"
+            )
 
 
 def rhs_direct(
@@ -233,12 +251,29 @@ def rhs_direct(
     metric_tol: float | None = 1e-6,
 ) -> np.ndarray:
     """Right-hand side (Div T) -| psi of the direct 3-form flow."""
-    if metric_tol is not None:
-        t = torsion_from_phi(tables, grid, phi, metric_tol=metric_tol)
-        divt = div2(grid, t)
-        psi = hodge_star_3(phi)
-        return np.einsum("p...,pijk...->ijk...", divt, psi)
+    _require_isometric(tables, grid, phi, metric_tol)
     return dense_from_sorted(_rhs_direct_sorted(grid, sorted_components(phi, 3)), 3)
+
+
+def _rk(rates, y: tuple, dt: float, integrator: str) -> tuple:
+    """One explicit Euler or classical RK4 step of dy/dt = rates(y) for a
+    tuple of arrays; None entries pass through."""
+
+    def shift(c, k):
+        return tuple(None if a is None else a + c * b for a, b in zip(y, k))
+
+    if integrator == "euler":
+        return shift(dt, rates(y))
+    if integrator == "rk4":
+        k1 = rates(y)
+        k2 = rates(shift(0.5 * dt, k1))
+        k3 = rates(shift(0.5 * dt, k2))
+        k4 = rates(shift(dt, k3))
+        return tuple(
+            None if a is None else a + dt / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+        )
+    raise ConfigError(f"unknown integrator {integrator!r}")
 
 
 def _fx_rates(tables, state, iota, beta):
@@ -273,39 +308,10 @@ def step_fx(
         f, x, io = y
         return _fx_rates(tables, replace(state, f=f, x=x), io, beta)
 
-    def shift(y, c, k):
-        return tuple(None if a is None else a + c * b for a, b in zip(y, k))
-
-    y0 = (state.f, state.x, iota)
-    if integrator == "euler":
-        f1, x1, io1 = shift(y0, dt, rates(y0))
-    elif integrator == "rk4":
-        k1 = rates(y0)
-        k2 = rates(shift(y0, 0.5 * dt, k1))
-        k3 = rates(shift(y0, 0.5 * dt, k2))
-        k4 = rates(shift(y0, dt, k3))
-        f1, x1, io1 = (
-            None if a is None else a + dt / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)
-        )
-    else:
-        raise ConfigError(f"unknown integrator {integrator!r}")
-
+    f1, x1, io1 = _rk(rates, (state.f, state.x, iota), dt, integrator)
     raw = replace(state, f=f1, x=x1, t=state.t + dt)
     defect = raw.constraint_defect()
     return (raw.project() if project else raw), io1, defect
-
-
-def _step_direct_sorted(grid: Grid, s3: np.ndarray, dt: float, integrator: str) -> np.ndarray:
-    if integrator == "euler":
-        return s3 + dt * _rhs_direct_sorted(grid, s3)
-    if integrator == "rk4":
-        k1 = _rhs_direct_sorted(grid, s3)
-        k2 = _rhs_direct_sorted(grid, s3 + 0.5 * dt * k1)
-        k3 = _rhs_direct_sorted(grid, s3 + 0.5 * dt * k2)
-        k4 = _rhs_direct_sorted(grid, s3 + dt * k3)
-        return s3 + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    raise ConfigError(f"unknown integrator {integrator!r}")
 
 
 def step_direct(
@@ -317,13 +323,10 @@ def step_direct(
     metric_tol: float | None = None,
 ) -> np.ndarray:
     """One explicit step of the direct 3-form flow."""
-    if metric_tol is not None:
-        defect = metric_defect(tables, grid, phi)
-        if defect > metric_tol:
-            raise DegenerateFormError(
-                f"3-form metric defect {defect:g} exceeds {metric_tol:g}"
-            )
-    s3 = _step_direct_sorted(grid, sorted_components(phi, 3), dt, integrator)
+    _require_isometric(tables, grid, phi, metric_tol)
+    (s3,) = _rk(
+        lambda y: (_rhs_direct_sorted(grid, *y),), (sorted_components(phi, 3),), dt, integrator
+    )
     return dense_from_sorted(s3, 3)
 
 
@@ -333,131 +336,137 @@ def _should_snapshot(step: int, n_steps: int, every: int) -> bool:
     return every > 0 and step % every == 0
 
 
+def _run_scheme(config: FlowConfig, traj: Trajectory, y, advance, measure, keep, min_f=None):
+    """Snapshot, record and event loop shared by both schemes, from t = 0.
+
+    ``advance(y, t, step)`` returns the stepped fields and None, or None and
+    the event that ends the run; ``measure(y, t, **options)`` builds a
+    diagnostics record; ``keep(y)`` stores a snapshot; ``min_f(y)``, given
+    for the (f, X) chart, is the least f for the chart-exit event.
+    """
+
+    def emit(y, t, events, sup_t_reference=None):
+        rec = measure(
+            y,
+            t,
+            theta_probes=config.theta_probes,
+            entropy_sigma=config.entropy_sigma,
+            sup_t_reference=sup_t_reference,
+        )
+        rec["events"] = events
+        traj.records.append(rec)
+        return rec
+
+    t = 0.0
+    sup_t0 = emit(y, t, [])["sup_T"]
+    doubling_seen = False
+    chart_seen = False
+    pending_events: list[dict] = []
+    n_steps = config.n_steps
+    for step in range(n_steps + 1):
+        if _should_snapshot(step, n_steps, config.snapshot_every):
+            traj.times.append(t)
+            keep(y)
+        if step == n_steps:
+            break
+        y_new, ev = advance(y, t, step)
+        if ev is not None:
+            traj.events.append(ev)
+            traj.records.append({"t": ev["t"], "events": [ev]})
+            break
+        y, t = y_new, t + config.dt
+        if config.chart_positive and min_f is not None and not chart_seen and min_f(y) < 0.0:
+            chart_seen = True
+            ev = {"type": "chart_exit", "t": t}
+            traj.events.append(ev)
+            pending_events.append(ev)
+        if (step + 1) % config.diagnostics_every == 0 or step + 1 == n_steps:
+            rec = emit(y, t, pending_events, sup_t0)
+            pending_events = []
+            if sup_t0 > 0 and not doubling_seen and rec["sup_T"] > 2.0 * sup_t0:
+                doubling_seen = True
+                ev = {"type": "doubling_time", "t": t, "empirical_C": 1.0 / (t * sup_t0 * sup_t0)}
+                traj.events.append(ev)
+            if rec["sup_T"] > config.torsion_ceiling:
+                ev = {"type": "singularity_suspected", "t": t, "sup_T": rec["sup_T"]}
+                traj.events.append(ev)
+                if not _should_snapshot(step + 1, n_steps, config.snapshot_every):
+                    traj.times.append(t)
+                    keep(y)
+                break
+    return traj
+
+
 def _run_fx(tables: StructureTables, config: FlowConfig, state0: IsometricState) -> Trajectory:
     grid = config.grid
     traj = Trajectory(scheme="fx", grid=grid, times=[], states=[], frames=[] if config.track_frame else None)
-    state = state0.project()
     iota = None
     if config.track_frame:
         iota = np.zeros((7, 7) + grid.shape)
         iota[np.arange(7), np.arange(7)] = 1.0
-    sup_t0 = diag.sup_norm(torsion_of_state(tables, state))
-    doubling_seen = False
-    chart_seen = False
-    pending_events: list[dict] = []
 
-    def emit(state, extra_events):
-        rec = diag.record_for_state(
-            tables,
-            state,
-            theta_probes=config.theta_probes,
-            entropy_sigma=config.entropy_sigma,
-            sup_t_reference=sup_t0,
+    def advance(y, t, step):
+        state, io = y
+        new, io, defect = step_fx(
+            tables, state, config.dt, config.integrator, io, config.frame_beta
         )
-        rec["events"] = extra_events
-        traj.records.append(rec)
-        return rec
-
-    emit(state, [])
-    n_steps = config.n_steps
-    for step in range(n_steps + 1):
-        if _should_snapshot(step, n_steps, config.snapshot_every):
-            traj.times.append(state.t)
-            traj.states.append(state)
-            if config.track_frame:
-                traj.frames.append(iota.copy())
-        if step == n_steps:
-            break
-        state_new, iota, defect = step_fx(
-            tables, state, config.dt, config.integrator, iota, config.frame_beta
-        )
-        if not (np.isfinite(state_new.f).all() and np.isfinite(state_new.x).all()):
-            ev = {"type": "blow_up", "t": state.t, "detail": "non-finite state"}
-            traj.events.append(ev)
-            traj.records.append({"t": state.t, "events": [ev]})
-            break
+        if not (np.isfinite(new.f).all() and np.isfinite(new.x).all()):
+            return None, {"type": "blow_up", "t": t, "detail": "non-finite state"}
         if defect > config.constraint_abort_tol:
-            ev = {"type": "constraint_abort", "t": state_new.t, "defect": defect}
-            traj.events.append(ev)
-            traj.records.append({"t": state_new.t, "events": [ev]})
-            break
-        state = state_new
-        if config.chart_positive and not chart_seen and float(np.min(state.f)) < 0.0:
-            chart_seen = True
-            ev = {"type": "chart_exit", "t": state.t}
-            traj.events.append(ev)
-            pending_events.append(ev)
-        if (step + 1) % config.diagnostics_every == 0 or step + 1 == n_steps:
-            rec = emit(state, pending_events)
-            pending_events = []
-            if sup_t0 > 0 and not doubling_seen and rec["sup_T"] > 2.0 * sup_t0:
-                doubling_seen = True
-                ev = {
-                    "type": "doubling_time",
-                    "t": state.t,
-                    "empirical_C": 1.0 / (state.t * sup_t0 * sup_t0),
-                }
-                traj.events.append(ev)
-            if rec["sup_T"] > config.torsion_ceiling:
-                ev = {"type": "singularity_suspected", "t": state.t, "sup_T": rec["sup_T"]}
-                traj.events.append(ev)
-                if not _should_snapshot(step + 1, n_steps, config.snapshot_every):
-                    traj.times.append(state.t)
-                    traj.states.append(state)
-                    if config.track_frame:
-                        traj.frames.append(iota.copy())
-                break
-    return traj
+            return None, {"type": "constraint_abort", "t": new.t, "defect": defect}
+        return (new, io), None
+
+    def keep(y):
+        traj.states.append(y[0])
+        if config.track_frame:
+            traj.frames.append(y[1].copy())
+
+    return _run_scheme(
+        config,
+        traj,
+        (state0.project(), iota),
+        advance,
+        lambda y, t, **options: diag.record_for_state(tables, y[0], **options),
+        keep,
+        min_f=lambda y: float(np.min(y[0].f)),
+    )
 
 
 def _run_direct(tables: StructureTables, config: FlowConfig, phi0: np.ndarray) -> Trajectory:
     grid = config.grid
     traj = Trajectory(scheme="direct", grid=grid, times=[], phis=[])
-    s3 = sorted_components(phi0, 3).astype(float)
-    t = 0.0
-    sup_t0 = diag.sup_norm(_torsion_sorted(grid, s3))
 
-    def emit(s3, t):
-        torsion = _torsion_sorted(grid, s3)
-        rec = diag.record_for_torsion(
-            grid,
-            torsion,
-            t=t,
-            constraint_defect=metric_defect(tables, grid, dense_from_sorted(s3, 3)),
-            sup_t_reference=sup_t0,
-        )
-        rec["events"] = []
-        traj.records.append(rec)
-        return rec
-
-    emit(s3, t)
-    n_steps = config.n_steps
-    for step in range(n_steps + 1):
-        if _should_snapshot(step, n_steps, config.snapshot_every):
-            traj.times.append(t)
-            traj.phis.append(dense_from_sorted(s3, 3))
-        if step == n_steps:
-            break
+    def advance(s3, t, step):
         if step % max(1, config.metric_check_every) == 0:
             defect = metric_defect(tables, grid, dense_from_sorted(s3, 3))
             if defect > config.metric_tol:
                 raise DegenerateFormError(
                     f"metric defect {defect:g} exceeded {config.metric_tol:g} at t={t:g}"
                 )
-        s3_new = _step_direct_sorted(grid, s3, config.dt, config.integrator)
+        (s3_new,) = _rk(
+            lambda y: (_rhs_direct_sorted(grid, *y),), (s3,), config.dt, config.integrator
+        )
         if not np.isfinite(s3_new).all():
-            ev = {"type": "blow_up", "t": t, "detail": "non-finite 3-form"}
-            traj.events.append(ev)
-            traj.records.append({"t": t, "events": [ev]})
-            break
-        s3, t = s3_new, t + config.dt
-        if (step + 1) % config.diagnostics_every == 0 or step + 1 == n_steps:
-            rec = emit(s3, t)
-            if rec["sup_T"] > config.torsion_ceiling:
-                ev = {"type": "singularity_suspected", "t": t, "sup_T": rec["sup_T"]}
-                traj.events.append(ev)
-                break
-    return traj
+            return None, {"type": "blow_up", "t": t, "detail": "non-finite 3-form"}
+        return s3_new, None
+
+    def measure(s3, t, **options):
+        return diag.record_for_torsion(
+            grid,
+            _torsion_sorted(grid, s3, first_slot_slices_4(star_sorted_3(s3))),
+            t=t,
+            constraint_defect=metric_defect(tables, grid, dense_from_sorted(s3, 3)),
+            **options,
+        )
+
+    return _run_scheme(
+        config,
+        traj,
+        sorted_components(phi0, 3).astype(float),
+        advance,
+        measure,
+        lambda s3: traj.phis.append(dense_from_sorted(s3, 3)),
+    )
 
 
 def run(config: FlowConfig, tables: StructureTables | None = None) -> RunResult:

@@ -32,6 +32,7 @@ __all__ = [
 
 CHECKPOINT_MAGIC = b"G2FL"
 CHECKPOINT_VERSION = 1
+_CHECKPOINT_HEADER = "<IIdBB"  # version, N, L, active-dims bitmask, stencil order
 
 
 @dataclass(frozen=True)
@@ -182,7 +183,7 @@ def save_checkpoint(path, grid: Grid, f: np.ndarray, x: np.ndarray) -> None:
     for d in grid.active_dims:
         bitmask |= 1 << d
     header = CHECKPOINT_MAGIC + struct.pack(
-        "<IIdBB", CHECKPOINT_VERSION, grid.n, grid.length, bitmask, grid.stencil_order
+        _CHECKPOINT_HEADER, CHECKPOINT_VERSION, grid.n, grid.length, bitmask, grid.stencil_order
     )
     with open(path, "wb") as fh:
         fh.write(header)
@@ -191,21 +192,28 @@ def save_checkpoint(path, grid: Grid, f: np.ndarray, x: np.ndarray) -> None:
 
 
 def load_checkpoint(path) -> tuple[Grid, np.ndarray, np.ndarray]:
-    """Read a checkpoint written by :func:`save_checkpoint`."""
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    Raises ValueError for a file that is not a complete checkpoint.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"not a state checkpoint (magic {magic!r})")
-        version, n = struct.unpack("<II", fh.read(8))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        (length,) = struct.unpack("<d", fh.read(8))
-        bitmask, order = struct.unpack("<BB", fh.read(2))
-        dims = tuple(d for d in range(7) if bitmask & (1 << d))
-        grid = Grid(length=length, n=n, active_dims=dims, stencil_order=order)
-        npts = n ** grid.k
-        raw = fh.read(8 * npts)
-        f = np.frombuffer(raw, dtype="<f8").reshape(grid.shape).copy()
-        raw = fh.read(8 * 7 * npts)
-        x = np.frombuffer(raw, dtype="<f8").reshape((7,) + grid.shape).copy()
+        header = fh.read(struct.calcsize(_CHECKPOINT_HEADER))
+        payload = fh.read()
+    if len(header) < struct.calcsize(_CHECKPOINT_HEADER):
+        raise ValueError("truncated checkpoint header")
+    version, n, length, bitmask, order = struct.unpack(_CHECKPOINT_HEADER, header)
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version}")
+    dims = tuple(d for d in range(7) if bitmask & (1 << d))
+    grid = Grid(length=length, n=n, active_dims=dims, stencil_order=order)
+    npts = n ** grid.k
+    if len(payload) != 8 * 8 * npts:
+        raise ValueError(
+            f"checkpoint payload has {len(payload)} bytes, a {n}^{grid.k} grid needs {8 * 8 * npts}"
+        )
+    f = np.frombuffer(payload, dtype="<f8", count=npts).reshape(grid.shape).copy()
+    x = np.frombuffer(payload, dtype="<f8", offset=8 * npts).reshape((7,) + grid.shape).copy()
     return grid, f, x

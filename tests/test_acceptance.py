@@ -36,31 +36,13 @@ from g2flow.states import (
     torsion_from_phi,
     torsion_of_state,
 )
+from g2flow.verify import residual_trajectory
 
 TABLES = build_standard_tables()
 
 
 def report(line):
     print(line)
-
-
-def residual_trajectory(n, dt, steps, amplitude=0.3, seed=7, track_frame=False):
-    grid = Grid(length=1.0, n=n, active_dims=(0, 1))
-    cfg = FlowConfig(
-        grid=grid,
-        initial=InitialSpec(family="random_band", amplitude=amplitude, seed=seed),
-        dt=dt,
-        t_end=steps * dt,
-        scheme="fx",
-        cfl_safety=1.0,
-        snapshot_every=1,
-        diagnostics_every=steps,
-        track_frame=track_frame,
-        constraint_abort_tol=1e-3,
-    )
-    traj = run(cfg, TABLES).fx
-    assert not traj.events, traj.events
-    return traj
 
 
 def test_criterion_01_identity_suite():
@@ -208,8 +190,8 @@ def test_criterion_06_decay_rate():
 
 
 def test_criterion_07_reaction_diffusion_verification():
-    coarse = residual_trajectory(16, 2e-4, 8, track_frame=True)
-    fine = residual_trajectory(32, 1e-4, 16, track_frame=True)
+    coarse = residual_trajectory(16, 2e-4, 8)
+    fine = residual_trajectory(32, 1e-4, 16)
     r_coarse = sup_norm(reaction_diffusion_residual(TABLES, coarse, index=4))
     r_fine = sup_norm(reaction_diffusion_residual(TABLES, fine, index=8))
     ratio = r_coarse / r_fine

@@ -9,7 +9,7 @@ import pytest
 
 from g2flow import cli
 from g2flow.cli import load_config, main
-from g2flow.grid import load_checkpoint
+from g2flow.grid import Grid, load_checkpoint, save_checkpoint
 
 
 def write_config(path, **overrides):
@@ -94,6 +94,21 @@ def test_config_error_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", str(truncated)]) == 1
     not_an_object = write_config(tmp_path / "list.json", initial=[])
     assert main(["run", "--config", str(not_an_object)]) == 1
+    outside_chart = write_config(
+        tmp_path / "amplitude.json", initial={"family": "single_mode", "amplitude": 0.95}
+    )
+    assert main(["run", "--config", str(outside_chart)]) == 1
+    sigma_text = write_config(tmp_path / "sigma.json", entropy_sigma="0.01")
+    assert main(["run", "--config", str(sigma_text)]) == 1
+    # a checkpoint on a 16^2 grid named by a config for 32^2
+    small = Grid(length=1.0, n=16)
+    save_checkpoint(tmp_path / "small.g2fl", small, np.ones(small.shape), small.zeros(1))
+    mismatch = write_config(
+        tmp_path / "mismatch.json",
+        grid={"length": 1.0, "n": 32, "active_dims": [0, 1]},
+        initial={"family": "checkpoint", "checkpoint": str(tmp_path / "small.g2fl")},
+    )
+    assert main(["run", "--config", str(mismatch)]) == 1
     assert "configuration error" in capsys.readouterr().err
 
 
@@ -135,6 +150,28 @@ def test_diagnose_checkpoint(tmp_path, capsys):
     for key in ("energy", "sup_T", "div_T_l2", "constraint_defect", "entropy_estimate", "theta"):
         assert key in rec
     assert rec["constraint_defect"] <= 1e-10
+
+
+@pytest.mark.parametrize("command", ["diagnose", "run"])
+@pytest.mark.parametrize("nbytes", [10, 200])
+def test_truncated_checkpoint_exit_code(tmp_path, capsys, command, nbytes):
+    cfg = write_config(tmp_path / "cfg.json", t_end=4e-4)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
+    truncated = tmp_path / "truncated.g2fl"
+    truncated.write_bytes((out_dir / "final_fx.g2fl").read_bytes()[:nbytes])
+    capsys.readouterr()
+    if command == "diagnose":
+        argv = ["diagnose", "--checkpoint", str(truncated)]
+    else:
+        resumed = write_config(
+            tmp_path / "resume.json",
+            initial={"family": "checkpoint", "checkpoint": str(truncated)},
+        )
+        argv = ["run", "--config", str(resumed)]
+    assert main(argv) == 1
+    expected = "truncated checkpoint header" if nbytes == 10 else "payload has 178 bytes"
+    assert expected in capsys.readouterr().err
 
 
 def test_rescale_check_subcommand(tmp_path, capsys):

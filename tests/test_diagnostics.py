@@ -298,6 +298,24 @@ def test_shi_monitor_bounded_along_run(tables, grid32):
     assert max(r["m2"] for r in rows) < 10.0
 
 
+def test_shi_sups_match_stacked_gradients(tables):
+    from g2flow.diagnostics import _shi_sups
+
+    for grid in (
+        Grid(length=1.0, n=8, active_dims=(0, 2, 5)),
+        Grid(length=1.0, n=16, active_dims=(0, 1), stencil_order=4),
+    ):
+        torsion = torsion_of_state(tables, random_band_state(grid, 0.4, seed=3))
+        g1 = np.stack([partial(grid, torsion, d) for d in grid.active_dims])
+        g2 = np.stack([partial(grid, g1, d) for d in grid.active_dims])
+        m1 = float(np.sqrt(np.max(np.sum(g1 * g1, axis=(0, 1, 2)))))
+        m2 = float(np.sqrt(np.max(np.sum(g2 * g2, axis=(0, 1, 2, 3)))))
+        got1, got2 = _shi_sups(grid, torsion)
+        assert m1 > 0 and m2 > 0
+        assert abs(got1 - m1) <= 1e-12 * m1
+        assert abs(got2 - m2) <= 1e-12 * m2
+
+
 def test_records_have_contracted_keys(tables, grid16):
     cfg = FlowConfig(
         grid=grid16,

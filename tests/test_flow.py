@@ -397,6 +397,58 @@ def test_direct_blow_up_event(tables, grid16):
     assert traj.events[0]["t"] == 0.0
 
 
+def test_direct_records_carry_theta_entropy_and_ceiling_snapshot(tables, grid16):
+    cfg = FlowConfig(
+        grid=grid16,
+        initial=InitialSpec(family="single_mode", amplitude=0.2),
+        dt=2e-4,
+        t_end=2e-3,
+        scheme="direct",
+        cfl_safety=0.9,
+        diagnostics_every=2,
+        torsion_ceiling=1e-6,
+        theta_probes=(((8, 8), 0.5),),
+        entropy_sigma=0.01,
+    )
+    traj = run(cfg, tables).direct
+    assert len(traj.records) == 2
+    for rec in traj.records:
+        assert rec["theta"][0][0] == [8, 8]
+        assert rec["entropy_estimate"] > 0.0
+    assert [ev["type"] for ev in traj.events] == ["singularity_suspected"]
+    # the run stops at its step-2 record and keeps that state as a snapshot
+    assert traj.times == [0.0, 2 * cfg.dt]
+    phi0 = phi_of_state(tables, single_mode_state(grid16, 0.2).project())
+    stepped = step_direct(tables, grid16, step_direct(tables, grid16, phi0, cfg.dt), cfg.dt)
+    assert np.array_equal(traj.phis[-1], stepped)
+
+
+def test_fx_run_evaluates_torsion_once_per_record(tables, grid16, monkeypatch):
+    from g2flow import diagnostics, states
+
+    calls = []
+    real = states.torsion_of_state
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (states, diagnostics, flow):
+        monkeypatch.setattr(module, "torsion_of_state", counting, raising=False)
+    cfg = FlowConfig(
+        grid=grid16,
+        initial=InitialSpec(family="single_mode", amplitude=0.1),
+        dt=2e-4,
+        t_end=2e-3,
+        scheme="fx",
+        cfl_safety=0.9,
+        diagnostics_every=5,
+    )
+    traj = run(cfg, tables).fx
+    assert len(traj.records) == 3
+    assert len(calls) == 3
+
+
 def test_chart_exit_event(tables, grid16, tmp_path):
     from g2flow.grid import save_checkpoint
 
