@@ -11,7 +11,8 @@ Conventions:
 * indices run 0..6; repeated indices are summed,
 * the reference 3-form is
   phi = e012 + e034 + e056 + e135 - e146 - e236 - e245,
-* forms are stored with dense, totally antisymmetric components; the
+* forms are stored with dense, totally antisymmetric components, or by
+  their 35 sorted components (the 3-form route computes on these); the
   inner product of k-forms is (1/k!) * (full component sum),
 * 2-tensors use the plain full sum T_pq T_pq with no factor.
 
@@ -58,8 +59,8 @@ ORIENTATION = -1
 
 _SORTED3 = tuple(itertools.combinations(range(7), 3))
 _SORTED4 = tuple(itertools.combinations(range(7), 4))
-_IDX3 = {t: i for i, t in enumerate(_SORTED3)}
-_IDX4 = {t: i for i, t in enumerate(_SORTED4)}
+_PAIRS = tuple(itertools.combinations(range(7), 2))
+_INDEX = {3: {t: i for i, t in enumerate(_SORTED3)}, 4: {t: i for i, t in enumerate(_SORTED4)}}
 
 
 def _parity(seq) -> int:
@@ -72,102 +73,65 @@ def _parity(seq) -> int:
     return sign
 
 
-def _perm_scatter(rank: int):
-    """Index arrays that rebuild a dense antisymmetric array from sorted
-    components: (target index arrays, source sorted index, sign)."""
-    combos = _SORTED3 if rank == 3 else _SORTED4
-    tgt = [[] for _ in range(rank)]
-    src, sgn = [], []
-    for ci, combo in enumerate(combos):
-        for perm in itertools.permutations(range(rank)):
-            for ax in range(rank):
-                tgt[ax].append(combo[perm[ax]])
-            src.append(ci)
-            sgn.append(_parity(perm))
-    return (
-        tuple(np.array(t) for t in tgt),
-        np.array(src),
-        np.array(sgn, dtype=np.int64),
-    )
-
-_SCATTER3 = _perm_scatter(3)
-_SCATTER4 = _perm_scatter(4)
-
-# Complement maps for the Hodge star: for each sorted 4-tuple J the sorted
-# complementary triple I and the parity of (I, J) as a permutation of 0..6.
-_STAR34_SRC = np.array([_IDX3[tuple(sorted(set(range(7)) - set(J)))] for J in _SORTED4])
-_STAR34_SGN = np.array(
-    [
-        ORIENTATION * _parity(tuple(sorted(set(range(7)) - set(J))) + J)
-        for J in _SORTED4
-    ],
-    dtype=np.int64,
-)
-_STAR43_SRC = np.array([_IDX4[tuple(sorted(set(range(7)) - set(I)))] for I in _SORTED3])
-_STAR43_SGN = np.array(
-    [
-        ORIENTATION * _parity(tuple(sorted(set(range(7)) - set(I))) + I)
-        for I in _SORTED3
-    ],
-    dtype=np.int64,
-)
-
-_GATHER3 = tuple(np.array([t[ax] for t in _SORTED3]) for ax in range(3))
-_GATHER4 = tuple(np.array([t[ax] for t in _SORTED4]) for ax in range(4))
+def _index_table(rank: int, heads, tails) -> tuple[np.ndarray, np.ndarray]:
+    """Gather table (index, sign), of shape (len(heads), len(tails)), with
+    alpha_{h t} = sign * s[index] for a rank-form alpha of sorted components
+    s, index tuples h in heads and t in tails; sign is 0 where an index repeats."""
+    index = np.zeros((len(heads), len(tails)), dtype=np.intp)
+    sign = np.zeros((len(heads), len(tails)), dtype=np.int64)
+    for a, head in enumerate(heads):
+        for b, tail in enumerate(tails):
+            seq = tuple(head) + tuple(tail)
+            if len(set(seq)) == rank:
+                index[a, b] = _INDEX[rank][tuple(sorted(seq))]
+                sign[a, b] = _parity(seq)
+    return index, sign
 
 
-def _expand_matrix(rank: int) -> np.ndarray:
-    """Dense (7**rank, 35) matrix mapping sorted components to the dense
-    antisymmetric layout; applied as one matmul for speed."""
-    tgt, src, sgn = _SCATTER3 if rank == 3 else _SCATTER4
-    m = np.zeros((7,) * rank + (35,))
-    m[tgt + (src,)] = sgn
-    return m.reshape(-1, 35)
+def _gather(s: np.ndarray, table) -> np.ndarray:
+    """sign * s[index] over the leading (component) axis of s."""
+    index, sign = table
+    return sign.reshape(sign.shape + (1,) * (s.ndim - 1)) * s[index]
 
-_EXPAND3 = _expand_matrix(3)
-_EXPAND4 = _expand_matrix(4)
+
+def _star_table(rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather table of the Hodge star of a rank-form: for each sorted
+    (7 - rank)-tuple J, the sorted complement I and the sign of (I, J) as a
+    permutation of 0..6."""
+    targets = _SORTED4 if rank == 3 else _SORTED3
+    comps = [tuple(sorted(set(range(7)) - set(j))) for j in targets]
+    index = np.array([_INDEX[rank][c] for c in comps])
+    sign = np.array([ORIENTATION * _parity(c + j) for c, j in zip(comps, targets)])
+    return index, sign
+
+
+_DENSE = {r: _index_table(r, list(itertools.product(range(7), repeat=r)), [()]) for r in (3, 4)}
+_AXES = {r: tuple(np.array(a) for a in zip(*combos)) for r, combos in ((3, _SORTED3), (4, _SORTED4))}
+_STAR = {r: _star_table(r) for r in (3, 4)}
+_SLICE4 = _index_table(4, [(q,) for q in range(7)], _SORTED3)
+_PAIRS3 = _index_table(3, [(u,) for u in range(7)], _PAIRS)
+_PAIRS4 = _index_table(4, _PAIRS, _PAIRS)
 
 
 def sorted_components(alpha: np.ndarray, rank: int) -> np.ndarray:
     """Components of a dense antisymmetric array on sorted index tuples."""
-    gather = _GATHER3 if rank == 3 else _GATHER4
-    return alpha[gather]
+    return alpha[_AXES[rank]]
 
 
 def dense_from_sorted(svals: np.ndarray, rank: int) -> np.ndarray:
     """Dense totally antisymmetric array from 35 sorted components."""
-    mat = _EXPAND3 if rank == 3 else _EXPAND4
-    batch = svals.shape[1:]
-    out = mat @ svals.reshape(35, -1).astype(float, copy=False)
-    return out.reshape((7,) * rank + batch)
+    dense = _gather(np.asarray(svals, dtype=float), _DENSE[rank])
+    return dense.reshape((7,) * rank + svals.shape[1:])
 
 
 def star_sorted_3(s3: np.ndarray) -> np.ndarray:
     """Hodge star in the sorted representation: 3-form -> 4-form components."""
-    return _STAR34_SGN.reshape((-1,) + (1,) * (s3.ndim - 1)) * s3[_STAR34_SRC]
+    return _gather(s3, _STAR[3])
 
 
 def star_sorted_4(s4: np.ndarray) -> np.ndarray:
     """Hodge star in the sorted representation: 4-form -> 3-form components."""
-    return _STAR43_SGN.reshape((-1,) + (1,) * (s4.ndim - 1)) * s4[_STAR43_SRC]
-
-
-def _slice4_tables():
-    """For each first index q and sorted triple (i<j<k): the sorted-quad
-    index and sign with beta_{q i j k} = sign * s4[index] (0 when q repeats)."""
-    idx = np.zeros((7, 35), dtype=np.intp)
-    sgn = np.zeros((7, 35), dtype=np.int64)
-    for q in range(7):
-        for s, trip in enumerate(_SORTED3):
-            if q in trip:
-                continue
-            quad = tuple(sorted((q,) + trip))
-            idx[q, s] = _IDX4[quad]
-            # parity of (q, i, j, k) relative to the sorted quad
-            sgn[q, s] = _parity(tuple(np.argsort((q,) + trip)))
-    return idx, sgn
-
-_SLICE4_IDX, _SLICE4_SGN = _slice4_tables()
+    return _gather(s4, _STAR[4])
 
 
 def first_slot_slices_4(s4: np.ndarray) -> np.ndarray:
@@ -176,8 +140,19 @@ def first_slot_slices_4(s4: np.ndarray) -> np.ndarray:
     Returns shape (7, 35) + batch; the q-slices of a 4-form are themselves
     antisymmetric 3-index arrays.
     """
-    vals = s4[_SLICE4_IDX]  # (7, 35) + batch
-    return _SLICE4_SGN.reshape((7, 35) + (1,) * (s4.ndim - 1)) * vals
+    return _gather(s4, _SLICE4)
+
+
+def first_slot_pairs_3(s3: np.ndarray) -> np.ndarray:
+    """(e_u -| alpha)_(ab) = alpha_{u a b} for sorted pairs (ab), from sorted
+    3-form components; shape (7, 21) + batch."""
+    return _gather(s3, _PAIRS3)
+
+
+def pair_slices_4(s4: np.ndarray) -> np.ndarray:
+    """beta_{(ab)(cd)} for sorted pairs (ab), (cd), from sorted 4-form
+    components; shape (21, 21) + batch."""
+    return _gather(s4, _PAIRS4)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -37,17 +37,26 @@ EXIT_NUMERIC = 2
 EXIT_VERIFY = 3
 
 
+def _reject_unknown_keys(section, cls, where: str) -> None:
+    unknown = sorted(set(section) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown key(s) {', '.join(map(repr, unknown))} in {where}")
+
+
 def load_config(path: str) -> FlowConfig:
     try:
         with open(path) as fh:
             raw = json.load(fh)
+        ini = raw.get("initial", {})
+        _reject_unknown_keys(raw, FlowConfig, "the config")
+        _reject_unknown_keys(raw["grid"], Grid, "grid")
+        _reject_unknown_keys(ini, InitialSpec, "initial")
         grid = Grid(
             length=float(raw["grid"]["length"]),
             n=int(raw["grid"]["n"]),
             active_dims=tuple(raw["grid"].get("active_dims", (0, 1))),
             stencil_order=int(raw["grid"].get("stencil_order", 2)),
         )
-        ini = raw.get("initial", {})
         initial = InitialSpec(
             family=ini.get("family", "single_mode"),
             amplitude=float(ini.get("amplitude", 0.1)),

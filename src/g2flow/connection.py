@@ -225,7 +225,7 @@ def evolve_frame(
 
 
 def _require_snapshots(traj, minimum: int = 3) -> None:
-    count = len(traj.states if traj.states is not None else traj.phis or [])
+    count = len(traj.states if traj.states is not None else traj.sorted_phis or [])
     if count < minimum:
         raise ValueError(f"need at least {minimum} stored snapshots, have {count}")
 

@@ -30,13 +30,14 @@ from .algebra import (
 )
 from .grid import Grid, div2, laplacian, partial, save_checkpoint
 from .states import (
-    DegenerateFormError,
     IsometricState,
     localized_state,
-    metric_defect,
+    metric_defect_sorted,
     phi_of_state,
     random_band_state,
+    require_isometric,
     single_mode_state,
+    torsion_from_sorted,
 )
 
 __all__ = [
@@ -134,10 +135,17 @@ class Trajectory:
     grid: Grid
     times: list
     states: list | None = None  # fx scheme
-    phis: list | None = None  # direct scheme
+    sorted_phis: list | None = None  # direct scheme: sorted 3-form components
     frames: list | None = None
     records: list = field(default_factory=list)
     events: list = field(default_factory=list)
+
+    @property
+    def phis(self) -> list | None:
+        """Dense 3-forms of the direct scheme's snapshots."""
+        if self.sorted_phis is None:
+            return None
+        return [dense_from_sorted(s3, 3) for s3 in self.sorted_phis]
 
 
 @dataclass
@@ -214,34 +222,10 @@ def rhs_fx(
     return rates[0], rates[1:]
 
 
-def _torsion_sorted(grid: Grid, s3: np.ndarray, psi_slices: np.ndarray) -> np.ndarray:
-    """Torsion from sorted 3-form components and the first-slot slices
-    (7, 35) + grid of psi = *phi:
-
-    T_pq = (1/24) (d_p phi)_ijk psi_qijk = (1/4) sum over sorted triples.
-    """
-    out = np.zeros((7, 7) + s3.shape[1:])
-    for dim in grid.active_dims:
-        ds3 = partial(grid, s3, dim)
-        out[dim] = 0.25 * np.einsum("s...,qs...->q...", ds3, psi_slices)
-    return out
-
-
 def _rhs_direct_sorted(grid: Grid, s3: np.ndarray) -> np.ndarray:
     psi_slices = first_slot_slices_4(star_sorted_3(s3))
-    divt = div2(grid, _torsion_sorted(grid, s3, psi_slices))
+    divt = div2(grid, torsion_from_sorted(grid, s3, psi_slices))
     return np.einsum("p...,ps...->s...", divt, psi_slices)
-
-
-def _require_isometric(
-    tables: StructureTables, grid: Grid, phi: np.ndarray, metric_tol: float | None
-) -> None:
-    if metric_tol is not None:
-        defect = metric_defect(tables, grid, phi)
-        if defect > metric_tol:
-            raise DegenerateFormError(
-                f"3-form metric defect {defect:g} exceeds {metric_tol:g}"
-            )
 
 
 def rhs_direct(
@@ -251,8 +235,9 @@ def rhs_direct(
     metric_tol: float | None = 1e-6,
 ) -> np.ndarray:
     """Right-hand side (Div T) -| psi of the direct 3-form flow."""
-    _require_isometric(tables, grid, phi, metric_tol)
-    return dense_from_sorted(_rhs_direct_sorted(grid, sorted_components(phi, 3)), 3)
+    s3 = sorted_components(phi, 3)
+    require_isometric(grid, s3, metric_tol)
+    return dense_from_sorted(_rhs_direct_sorted(grid, s3), 3)
 
 
 def _rk(rates, y: tuple, dt: float, integrator: str) -> tuple:
@@ -323,10 +308,9 @@ def step_direct(
     metric_tol: float | None = None,
 ) -> np.ndarray:
     """One explicit step of the direct 3-form flow."""
-    _require_isometric(tables, grid, phi, metric_tol)
-    (s3,) = _rk(
-        lambda y: (_rhs_direct_sorted(grid, *y),), (sorted_components(phi, 3),), dt, integrator
-    )
+    s3 = sorted_components(phi, 3)
+    require_isometric(grid, s3, metric_tol)
+    (s3,) = _rk(lambda y: (_rhs_direct_sorted(grid, *y),), (s3,), dt, integrator)
     return dense_from_sorted(s3, 3)
 
 
@@ -434,15 +418,17 @@ def _run_fx(tables: StructureTables, config: FlowConfig, state0: IsometricState)
 
 def _run_direct(tables: StructureTables, config: FlowConfig, phi0: np.ndarray) -> Trajectory:
     grid = config.grid
-    traj = Trajectory(scheme="direct", grid=grid, times=[], phis=[])
+    traj = Trajectory(scheme="direct", grid=grid, times=[], sorted_phis=[])
+    measured = [None, None]  # (t, metric defect): a record and a check at one t share it
+
+    def defect_at(s3, t):
+        if measured[0] != t:
+            measured[:] = t, metric_defect_sorted(grid, s3)
+        return measured[1]
 
     def advance(s3, t, step):
         if step % max(1, config.metric_check_every) == 0:
-            defect = metric_defect(tables, grid, dense_from_sorted(s3, 3))
-            if defect > config.metric_tol:
-                raise DegenerateFormError(
-                    f"metric defect {defect:g} exceeded {config.metric_tol:g} at t={t:g}"
-                )
+            require_isometric(grid, s3, config.metric_tol, t, defect_at(s3, t))
         (s3_new,) = _rk(
             lambda y: (_rhs_direct_sorted(grid, *y),), (s3,), config.dt, config.integrator
         )
@@ -453,9 +439,9 @@ def _run_direct(tables: StructureTables, config: FlowConfig, phi0: np.ndarray) -
     def measure(s3, t, **options):
         return diag.record_for_torsion(
             grid,
-            _torsion_sorted(grid, s3, first_slot_slices_4(star_sorted_3(s3))),
+            torsion_from_sorted(grid, s3),
             t=t,
-            constraint_defect=metric_defect(tables, grid, dense_from_sorted(s3, 3)),
+            constraint_defect=defect_at(s3, t),
             **options,
         )
 
@@ -465,7 +451,7 @@ def _run_direct(tables: StructureTables, config: FlowConfig, phi0: np.ndarray) -
         sorted_components(phi0, 3).astype(float),
         advance,
         measure,
-        lambda s3: traj.phis.append(dense_from_sorted(s3, 3)),
+        traj.sorted_phis.append,
     )
 
 
@@ -506,8 +492,8 @@ def parabolic_rescale(traj: Trajectory, c: float) -> Trajectory:
         out.states = [
             replace(s, grid=new_grid, t=c * c * s.t) for s in traj.states
         ]
-    if traj.phis is not None:
-        out.phis = [p.copy() for p in traj.phis]
+    if traj.sorted_phis is not None:
+        out.sorted_phis = [p.copy() for p in traj.sorted_phis]
     if traj.frames is not None:
         out.frames = [f.copy() for f in traj.frames]
     return out

@@ -5,7 +5,7 @@ and a vector field X with f^2 + |X|^2 = 1 pointwise; (f, X) and (-f, -X)
 encode the same structure.  This module builds the 3-form and 4-form of a
 state, its torsion 2-tensor and torsion divergence directly from (f, X),
 and provides the independent route that recovers torsion and metric from
-an arbitrary 3-form field.
+an arbitrary 3-form field, computed on its 35 sorted components.
 
 The reference structure is the flat, torsion-free one, so every formula
 here is its flat-torus form.  The flow evolves (f, X) as a harmonic map
@@ -19,7 +19,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import StructureTables, hodge_star_3
+from .algebra import (
+    StructureTables,
+    first_slot_pairs_3,
+    first_slot_slices_4,
+    pair_slices_4,
+    sorted_components,
+    star_sorted_3,
+)
 from .grid import Grid, grad_scalar, grad_vector, laplacian, partial
 
 __all__ = [
@@ -34,8 +41,12 @@ __all__ = [
     "torsion_of_state",
     "div_torsion_of_state",
     "torsion_from_phi",
+    "torsion_from_sorted",
     "metric_from_phi",
+    "metric_from_sorted",
     "metric_defect",
+    "metric_defect_sorted",
+    "require_isometric",
 ]
 
 CONSTRAINT_TOL = 1e-8
@@ -222,17 +233,17 @@ def div_torsion_of_state(tables: StructureTables, state: IsometricState) -> np.n
     return out
 
 
-def metric_from_phi(tables: StructureTables, grid: Grid, phi: np.ndarray) -> np.ndarray:
-    """Metric induced by a 3-form field, via the 7-form pairing
+def metric_from_sorted(grid: Grid, s3: np.ndarray) -> np.ndarray:
+    """Metric induced by a 3-form field, given by its sorted components, via
+    B_uv * vol = -(1/6) (e_u -| phi) ^ (e_v -| phi) ^ phi and g = B / (det B)^(1/9).
 
-        B_uv * vol = -(1/6) (e_u -| phi) ^ (e_v -| phi) ^ phi,
-        g = B / (det B)^(1/9).
-
+    Over sorted pairs p, q the pairing reads B_uv = -(1/6) w_up P_pq w_vq,
+    with w = e_u -| phi and P the pair-pair slices of psi = *phi.
     Raises DegenerateFormError when B fails to be positive definite.
     """
-    psi = hodge_star_3(phi)
-    c = np.einsum("vcd...,abcd...->vab...", phi, psi)
-    b = -(1.0 / 24.0) * np.einsum("uab...,vab...->uv...", phi, c)
+    w = first_slot_pairs_3(s3)
+    pw = np.einsum("pq...,vq...->vp...", pair_slices_4(star_sorted_3(s3)), w)
+    b = -(1.0 / 6.0) * np.einsum("up...,vp...->uv...", w, pw)
     bp = np.moveaxis(b.reshape(7, 7, -1), -1, 0)
     try:
         np.linalg.cholesky(bp)
@@ -242,11 +253,51 @@ def metric_from_phi(tables: StructureTables, grid: Grid, phi: np.ndarray) -> np.
     return b / det ** (1.0 / 9.0)
 
 
-def metric_defect(tables: StructureTables, grid: Grid, phi: np.ndarray) -> float:
+def metric_defect_sorted(grid: Grid, s3: np.ndarray) -> float:
     """Sup-norm deviation of the induced metric from the flat identity."""
-    g = metric_from_phi(tables, grid, phi)
+    g = metric_from_sorted(grid, s3)
     eye = np.eye(7).reshape((7, 7) + (1,) * grid.k)
     return float(np.max(np.abs(g - eye)))
+
+
+def require_isometric(
+    grid: Grid, s3: np.ndarray, metric_tol: float | None, t: float | None = None, defect=None
+) -> None:
+    """Raise DegenerateFormError when the metric defect of the sorted 3-form
+    s3 (``defect``, if already measured) exceeds ``metric_tol``; None skips
+    the check.  A given ``t`` is named in the message."""
+    if metric_tol is None:
+        return
+    if defect is None:
+        defect = metric_defect_sorted(grid, s3)
+    if defect > metric_tol:
+        at = "" if t is None else f" at t={t:g}"
+        raise DegenerateFormError(f"3-form metric defect {defect:g} exceeds {metric_tol:g}{at}")
+
+
+def torsion_from_sorted(
+    grid: Grid, s3: np.ndarray, psi_slices: np.ndarray | None = None
+) -> np.ndarray:
+    """Torsion T_pq = (1/24) (d_p phi)_ijk psi_qijk with psi = *phi, from the
+    sorted components of phi: (1/4) times the sum over sorted triples.
+    ``psi_slices``, the first-slot slices (7, 35) + grid of psi, are built
+    here when not given."""
+    if psi_slices is None:
+        psi_slices = first_slot_slices_4(star_sorted_3(s3))
+    out = np.zeros((7, 7) + s3.shape[1:])
+    for dim in grid.active_dims:
+        out[dim] = 0.25 * np.einsum("s...,qs...->q...", partial(grid, s3, dim), psi_slices)
+    return out
+
+
+def metric_from_phi(tables: StructureTables, grid: Grid, phi: np.ndarray) -> np.ndarray:
+    """Metric induced by a dense 3-form field; see ``metric_from_sorted``."""
+    return metric_from_sorted(grid, sorted_components(phi, 3))
+
+
+def metric_defect(tables: StructureTables, grid: Grid, phi: np.ndarray) -> float:
+    """Sup-norm deviation of the metric of a dense 3-form from the identity."""
+    return metric_defect_sorted(grid, sorted_components(phi, 3))
 
 
 def torsion_from_phi(
@@ -255,20 +306,11 @@ def torsion_from_phi(
     phi: np.ndarray,
     metric_tol: float | None = 1e-6,
 ) -> np.ndarray:
-    """Torsion T_pq = (1/24) (d_p phi_ijk) psi_qijk with psi = *phi.
+    """Torsion of a dense 3-form field; see ``torsion_from_sorted``.
 
     ``metric_tol`` gates the flat-isometry precondition; pass None to skip
     the check (for callers that already track the metric drift).
     """
-    if metric_tol is not None:
-        defect = metric_defect(tables, grid, phi)
-        if defect > metric_tol:
-            raise DegenerateFormError(
-                f"3-form metric defect {defect:g} exceeds {metric_tol:g}; not isometric to flat"
-            )
-    psi = hodge_star_3(phi)
-    out = grid.zeros(2)
-    for dim in grid.active_dims:
-        dphi = partial(grid, phi, dim)
-        out[dim] = np.einsum("ijk...,qijk...->q...", dphi, psi) / 24.0
-    return out
+    s3 = sorted_components(phi, 3)
+    require_isometric(grid, s3, metric_tol)
+    return torsion_from_sorted(grid, s3)

@@ -19,11 +19,13 @@ from g2flow.algebra import (
     cross,
     dense_from_sorted,
     diamond,
+    first_slot_pairs_3,
     first_slot_slices_4,
     form_inner,
     hodge_star_3,
     hodge_star_4,
     interior_psi,
+    pair_slices_4,
     sorted_components,
     star_sorted_3,
     validate_tables,
@@ -210,3 +212,26 @@ def test_sorted_roundtrip_and_slices(tables, rng):
     for q in range(7):
         for si, trip in enumerate(_SORTED3):
             assert np.allclose(slices[q, si], dense4[(q,) + trip])
+
+
+def test_sorted_gathers_are_exact(rng):
+    svals = rng.standard_normal((35, 3))
+    for rank in (3, 4):
+        # the permutation scatter: every ordering of each sorted tuple, signed
+        scatter = np.zeros((7,) * rank + (3,))
+        for ci, combo in enumerate(itertools.combinations(range(7), rank)):
+            for perm in itertools.permutations(combo):
+                scatter[perm] = brute_parity(perm) * svals[ci]
+        assert np.array_equal(dense_from_sorted(svals, rank), scatter)
+    s4 = star_sorted_3(svals)
+    dense3, dense4 = dense_from_sorted(svals, 3), dense_from_sorted(s4, 4)
+    pairs = list(itertools.combinations(range(7), 2))
+    w, p, q = first_slot_pairs_3(svals), pair_slices_4(s4), first_slot_slices_4(s4)
+    for u in range(7):
+        for i, pair in enumerate(pairs):
+            assert np.array_equal(w[u, i], dense3[(u,) + pair])
+        for i, trip in enumerate(itertools.combinations(range(7), 3)):
+            assert np.array_equal(q[u, i], dense4[(u,) + trip])
+    for i, ab in enumerate(pairs):
+        for j, cd in enumerate(pairs):
+            assert np.array_equal(p[i, j], dense4[ab + cd])

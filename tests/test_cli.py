@@ -72,13 +72,15 @@ def test_run_determinism_bit_identical(tmp_path):
         tmp_path / "cfg.json",
         initial={"family": "random_band", "amplitude": 0.2, "seed": 11},
         constraint_abort_tol=1e-4,
+        scheme="both",
     )
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["run", "--config", str(cfg), "--out-dir", str(out1)]) == 0
     assert main(["run", "--config", str(cfg), "--out-dir", str(out2)]) == 0
-    nd1 = (out1 / "diagnostics_fx.ndjson").read_bytes()
-    nd2 = (out2 / "diagnostics_fx.ndjson").read_bytes()
-    assert nd1 == nd2
+    for scheme in ("fx", "direct"):
+        nd1 = (out1 / f"diagnostics_{scheme}.ndjson").read_bytes()
+        nd2 = (out2 / f"diagnostics_{scheme}.ndjson").read_bytes()
+        assert nd1 and nd1 == nd2
     assert (out1 / "final_fx.g2fl").read_bytes() == (out2 / "final_fx.g2fl").read_bytes()
 
 
@@ -110,6 +112,28 @@ def test_config_error_exit_codes(tmp_path, capsys):
     )
     assert main(["run", "--config", str(mismatch)]) == 1
     assert "configuration error" in capsys.readouterr().err
+    # a misspelt key is named, not silently replaced by its default
+    for key, overrides in (
+        ("diagnostic_every", {"diagnostic_every": 2}),
+        ("stencl_order", {"grid": {"length": 1.0, "n": 16, "stencl_order": 4}}),
+        ("amplitud", {"initial": {"family": "single_mode", "amplitud": 0.2}}),
+    ):
+        typo = write_config(tmp_path / f"{key}.json", **overrides)
+        assert main(["run", "--config", str(typo)]) == 1
+        assert repr(key) in capsys.readouterr().err
+
+
+def test_direct_metric_gate_exit_code(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        initial={"family": "random_band", "amplitude": 0.3, "seed": 11},
+        scheme="direct",
+        metric_tol=0.0,
+    )
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
+    status = json.loads((out_dir / "manifest.json").read_text())["status"]
+    assert "metric defect" in status and "at t=0" in status
 
 
 def test_load_config_reads_localized_width(tmp_path):

@@ -449,6 +449,31 @@ def test_fx_run_evaluates_torsion_once_per_record(tables, grid16, monkeypatch):
     assert len(calls) == 3
 
 
+def test_direct_run_measures_metric_once_per_state(tables, grid16, monkeypatch):
+    calls = []
+    real = flow.metric_defect_sorted
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "metric_defect_sorted", counting)
+    cfg = FlowConfig(
+        grid=grid16,
+        initial=InitialSpec(family="random_band", amplitude=0.3, seed=11),
+        dt=1e-4,
+        t_end=1.2e-3,
+        scheme="direct",
+        diagnostics_every=6,
+        metric_check_every=4,
+    )
+    traj = run(cfg, tables).direct
+    # records at steps 0, 6, 12 and checks at steps 0, 4, 8; the step-0
+    # record and the step-0 check share one evaluation
+    assert len(traj.records) == 3
+    assert len(calls) == 5
+
+
 def test_chart_exit_event(tables, grid16, tmp_path):
     from g2flow.grid import save_checkpoint
 

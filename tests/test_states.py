@@ -97,6 +97,19 @@ def test_metric_scaling_and_reference(tables, grid16):
     assert np.max(np.abs(g_scaled - 4.0 * eye)) <= 1e-12
 
 
+def test_metric_of_pullback_is_gram_matrix(tables, rng):
+    # phi = A* phi_0, i.e. phi_ijk = A_ai A_bj A_ck phi0_abc, induces
+    # g = A^T A when det A > 0, pointwise
+    grid = Grid(length=1.0, n=4, active_dims=(0, 1))
+    eye = np.eye(7).reshape(7, 7, 1, 1)
+    a = eye + 0.2 * rng.standard_normal((7, 7) + grid.shape)
+    assert np.all(np.linalg.det(np.moveaxis(a, (0, 1), (-2, -1))) > 0)
+    phi = np.einsum("ai...,bj...,ck...,abc->ijk...", a, a, a, tables.phi)
+    gram = np.einsum("ai...,aj...->ij...", a, a)
+    assert np.max(np.abs(metric_from_phi(tables, grid, phi) - gram)) <= 1e-12
+    assert abs(metric_defect(tables, grid, phi) - np.max(np.abs(gram - eye))) <= 1e-12
+
+
 def test_metric_rejects_degenerate(tables, grid16):
     with pytest.raises(DegenerateFormError):
         metric_from_phi(tables, grid16, np.zeros((7, 7, 7) + grid16.shape))
