@@ -29,12 +29,17 @@ from .algebra import build_standard_tables, validate_tables
 from .diagnostics import HeatKernelSpec, energy, entropy, sup_norm, theta
 from .flow import ConfigError, FlowConfig, InitialSpec, parabolic_rescale, run, write_run_outputs
 from .grid import Grid, div2, integrate, load_checkpoint
-from .states import IsometricState, torsion_of_state
+from .states import DegenerateFormError, InvalidStateError, IsometricState, torsion_of_state
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 EXIT_VERIFY = 3
+
+# the failures of a run that exit with EXIT_NUMERIC
+NUMERICAL_ERRORS = (
+    DegenerateFormError, InvalidStateError, FloatingPointError, np.linalg.LinAlgError
+)
 
 
 def _reject_unknown_keys(section, cls, where: str) -> None:
@@ -142,14 +147,14 @@ def cmd_run(args) -> int:
             json.dump(manifest, fh, sort_keys=True, indent=1)
     try:
         result = run(config)
-    except Exception as exc:  # numerical failure inside the run
+    except Exception as exc:
         manifest["status"] = f"error: {exc}"
         manifest["end_time"] = time.time()
         if manifest_path:
             with open(manifest_path, "w") as fh:
                 json.dump(manifest, fh, sort_keys=True, indent=1)
-        if isinstance(exc, ConfigError):
-            raise
+        if not isinstance(exc, NUMERICAL_ERRORS):
+            raise  # a ConfigError exits 1; anything else is a bug, with its traceback
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     events = result.events

@@ -340,11 +340,13 @@ def interpolation_monitor(grid: Grid, torsion: np.ndarray, grad_torsion: np.ndar
 
 def _shi_sups(grid: Grid, torsion: np.ndarray) -> tuple[float, float]:
     """(sup|grad T|, sup|grad^2 T|), summing |d_a T|^2 and |d_b d_a T|^2 one
-    derivative at a time so that no stacked gradient is held."""
+    derivative at a time so that no stacked gradient is held.  Only the rows
+    T_p. of active p enter: the others vanish, since d_p does there."""
+    rows = torsion[list(grid.active_dims)]
     sq1 = np.zeros(grid.shape)
     sq2 = np.zeros(grid.shape)
     for a in grid.active_dims:
-        da = partial(grid, torsion, a)
+        da = partial(grid, rows, a)
         sq1 += np.einsum("pq...,pq...->...", da, da)
         for b in grid.active_dims:
             dba = partial(grid, da, b)

@@ -114,8 +114,22 @@ class FlowConfig:
             raise ConfigError("diagnostics_every must be positive")
         if self.initial.family not in ("single_mode", "random_band", "checkpoint", "localized"):
             raise ConfigError(f"unknown initial family {self.initial.family!r}")
-        if not 0 <= self.initial.amplitude <= 0.9:
+        ini = self.initial
+        if not 0 <= ini.amplitude <= 0.9:
             raise ConfigError("initial amplitude must lie in [0, 0.9] to stay inside the chart")
+        if ini.wave_dim is not None and ini.wave_dim not in g.active_dims:
+            raise ConfigError(f"initial wave_dim {ini.wave_dim!r} is not an active direction")
+        if ini.component not in range(7):
+            raise ConfigError(f"initial component {ini.component!r} must lie in 0..6")
+        if ini.seed < 0:
+            raise ConfigError(f"initial seed {ini.seed} must be non-negative")
+        for center, _ in self.theta_probes:
+            if len(center) != g.k or not all(
+                isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in center
+            ):
+                raise ConfigError(
+                    f"theta probe center {list(center)!r} needs {g.k} integer grid indices"
+                )
         sigma = self.entropy_sigma
         if sigma is not None and (
             isinstance(sigma, bool) or not isinstance(sigma, (int, float)) or not sigma > 0
@@ -240,12 +254,31 @@ def rhs_direct(
     return dense_from_sorted(_rhs_direct_sorted(grid, s3), 3)
 
 
+def _shifted(a: np.ndarray, c: float, k: np.ndarray) -> np.ndarray:
+    """a + c k, summed in place into one fresh array."""
+    out = np.multiply(k, c)
+    out += a
+    return out
+
+
+def _rk4_sum(a, dt: float, k1, k2, k3, k4) -> np.ndarray:
+    """a + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed in place into one fresh
+    array in that operation order."""
+    out = np.multiply(k2, 2)
+    out += k1
+    out += 2 * k3
+    out += k4
+    out *= dt / 6.0
+    out += a
+    return out
+
+
 def _rk(rates, y: tuple, dt: float, integrator: str) -> tuple:
     """One explicit Euler or classical RK4 step of dy/dt = rates(y) for a
     tuple of arrays; None entries pass through."""
 
     def shift(c, k):
-        return tuple(None if a is None else a + c * b for a, b in zip(y, k))
+        return tuple(None if a is None else _shifted(a, c, b) for a, b in zip(y, k))
 
     if integrator == "euler":
         return shift(dt, rates(y))
@@ -255,8 +288,8 @@ def _rk(rates, y: tuple, dt: float, integrator: str) -> tuple:
         k3 = rates(shift(0.5 * dt, k2))
         k4 = rates(shift(dt, k3))
         return tuple(
-            None if a is None else a + dt / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+            None if a is None else _rk4_sum(a, dt, *k)
+            for a, *k in zip(y, k1, k2, k3, k4)
         )
     raise ConfigError(f"unknown integrator {integrator!r}")
 

@@ -13,6 +13,7 @@ identities rely on.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -108,38 +109,92 @@ class Grid:
         return np.zeros((7,) * rank + self.shape)
 
 
+def _periodic(arr: np.ndarray, ax: int, shifts: tuple, kernel, out: np.ndarray) -> np.ndarray:
+    """Evaluate a stencil without copying the field.
+
+    Each periodic shift u[i + s] along axis ``ax`` (``np.roll(arr, -s, ax)``)
+    is read as slices of ``arr``.  ``kernel(o, *views)`` writes the stencil
+    into the part ``o`` of ``out``, one view per shift.  The interior is one
+    pass over the flattened field: the flat offset of a shift is s times the
+    size of the axes after ``ax``.  That pass also writes, wrongly, the rows
+    near the ends of ``ax``; the wrapped edges are then rewritten run by run,
+    each run one slice per shift.
+    """
+    n, before, after = arr.shape[ax], -min(shifts), max(shifts)
+    inner = math.prod(arr.shape[ax + 1:])
+    flat, flat_out = np.ascontiguousarray(arr).reshape(-1), out.reshape(-1)
+    lo, hi = before * inner, flat.size - after * inner
+    if lo < hi:
+        kernel(flat_out[lo:hi], *(flat[lo + s * inner:hi + s * inner] for s in shifts))
+    lead = (slice(None),) * ax
+    cuts = sorted({0, n} | {-s % n for s in shifts})
+    for a, b in zip(cuts, cuts[1:]):
+        if a >= before and b <= n - after:
+            continue  # interior, done above
+        views = [arr[lead + (slice((a + s) % n, (a + s) % n + b - a),)] for s in shifts]
+        kernel(out[lead + (slice(a, b),)], *views)
+    return out
+
+
 def partial(grid: Grid, arr: np.ndarray, dim: int) -> np.ndarray:
     """Central difference along ``dim``; zero when the direction is inactive."""
     if dim not in grid.active_dims:
         return np.zeros_like(arr)
     ax = grid.axis_of(dim, arr.ndim)
     h = grid.h
+    out = np.empty(arr.shape, np.result_type(arr, 1.0))
+    # each kernel sums left to right, as the expression in its comment reads
     if grid.stencil_order == 2:
-        return (np.roll(arr, -1, axis=ax) - np.roll(arr, 1, axis=ax)) / (2.0 * h)
-    return (
-        -np.roll(arr, -2, axis=ax)
-        + 8.0 * np.roll(arr, -1, axis=ax)
-        - 8.0 * np.roll(arr, 1, axis=ax)
-        + np.roll(arr, 2, axis=ax)
-    ) / (12.0 * h)
+
+        def kernel(o, p1, m1):  # (u[i+1] - u[i-1]) / 2h
+            np.subtract(p1, m1, out=o)
+            o /= 2.0 * h
+
+        return _periodic(arr, ax, (1, -1), kernel, out)
+
+    def kernel(o, p2, p1, m1, m2):  # (-u[i+2] + 8 u[i+1] - 8 u[i-1] + u[i-2]) / 12h
+        np.multiply(p1, 8.0, out=o)
+        o -= p2  # 8 u[i+1] - u[i+2] is -u[i+2] + 8 u[i+1] exactly
+        o -= 8.0 * m1
+        o += m2
+        o /= 12.0 * h
+
+    return _periodic(arr, ax, (2, 1, -1, -2), kernel, out)
 
 
 def laplacian(grid: Grid, arr: np.ndarray) -> np.ndarray:
     """Compact central Laplacian, summed over active directions."""
     h2 = grid.h * grid.h
-    out = np.zeros_like(arr, dtype=float)
-    for dim in grid.active_dims:
+    if grid.stencil_order == 2:
+        shifts = (1, 0, -1)
+
+        def kernel(o, p1, c, m1):  # (u[i+1] - 2 u[i] + u[i-1]) / h^2
+            np.multiply(c, 2.0, out=o)
+            np.subtract(p1, o, out=o)
+            o += m1
+            o /= h2
+
+    else:
+        shifts = (2, 1, 0, -1, -2)
+
+        def kernel(o, p2, p1, c, m1, m2):
+            # (-u[i+2] + 16 u[i+1] - 30 u[i] + 16 u[i-1] - u[i-2]) / 12h^2
+            np.multiply(p1, 16.0, out=o)
+            o -= p2
+            o -= 30.0 * c
+            o += 16.0 * m1
+            o -= m2
+            o /= 12.0 * h2
+
+    out = np.empty(arr.shape, np.result_type(arr, 1.0))
+    term = np.empty_like(out) if grid.k > 1 else None
+    for i, dim in enumerate(grid.active_dims):
         ax = grid.axis_of(dim, arr.ndim)
-        if grid.stencil_order == 2:
-            out += (np.roll(arr, -1, axis=ax) - 2.0 * arr + np.roll(arr, 1, axis=ax)) / h2
+        if i == 0:
+            _periodic(arr, ax, shifts, kernel, out)
+            out += 0.0  # the sum starts from +0.0, which turns a -0.0 term into +0.0
         else:
-            out += (
-                -np.roll(arr, -2, axis=ax)
-                + 16.0 * np.roll(arr, -1, axis=ax)
-                - 30.0 * arr
-                + 16.0 * np.roll(arr, 1, axis=ax)
-                - np.roll(arr, 2, axis=ax)
-            ) / (12.0 * h2)
+            out += _periodic(arr, ax, shifts, kernel, term)
     return out
 
 

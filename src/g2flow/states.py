@@ -27,7 +27,7 @@ from .algebra import (
     sorted_components,
     star_sorted_3,
 )
-from .grid import Grid, grad_scalar, grad_vector, laplacian, partial
+from .grid import Grid, laplacian, partial
 
 __all__ = [
     "IsometricState",
@@ -203,15 +203,21 @@ def torsion_of_state(tables: StructureTables, state: IsometricState) -> np.ndarr
     """Torsion 2-tensor of the state, evaluated directly from (f, X):
 
     -2 d_p X_m X_l phi_mlq + 2 d_p f X_q - 2 f d_p X_q
+
+    Only the rows p of active directions are computed; the other rows are
+    exact zeros, since d_p vanishes there.
     """
     grid = state.grid
     f, x = state.f, state.x
-    gx = grad_vector(grid, x)          # gx[p, m] = d_p X_m
-    gf = grad_scalar(grid, f)
+    u = np.concatenate((f[None], x))
+    du = np.stack([partial(grid, u, dim) for dim in grid.active_dims])
+    gf, gx = du[:, 0], du[:, 1:]       # gx[p, m] = d_p X_m over active p
     cxq = np.einsum("l...,mlq->mq...", x, tables.phi)   # X_l phi_mlq
-    out = -2.0 * np.einsum("pm...,mq...->pq...", gx, cxq)
-    out += 2.0 * np.einsum("p...,q...->pq...", gf, x)
-    out -= 2.0 * f * gx
+    rows = -2.0 * np.einsum("pm...,mq...->pq...", gx, cxq)
+    rows += 2.0 * np.einsum("p...,q...->pq...", gf, x)
+    rows -= 2.0 * f * gx
+    out = np.zeros((7, 7) + grid.shape)
+    out[list(grid.active_dims)] = rows
     return out
 
 

@@ -123,6 +123,33 @@ def test_config_error_exit_codes(tmp_path, capsys):
         assert repr(key) in capsys.readouterr().err
 
 
+def test_unvalidated_run_inputs_exit_1(tmp_path, capsys):
+    # config values that pass the JSON checks but would otherwise fail inside the run
+    for name, overrides in (
+        ("wave_dim", {"initial": {"family": "single_mode", "wave_dim": 4}}),
+        ("component", {"initial": {"family": "single_mode", "component": 9}}),
+        ("seed", {"initial": {"family": "random_band", "seed": -1}}),
+        ("center", {"theta_probes": [[[8], 0.05]]}),
+        ("index", {"theta_probes": [[["a", 1], 0.05]]}),
+    ):
+        cfg = write_config(tmp_path / f"{name}.json", **overrides)
+        assert main(["run", "--config", str(cfg)]) == 1, name
+        assert "configuration error" in capsys.readouterr().err
+
+
+def test_programming_error_in_run_is_raised_not_exit_2(tmp_path, monkeypatch):
+    def broken(config):
+        raise TypeError("a bug, not a numerical failure")
+
+    monkeypatch.setattr(cli, "run", broken)
+    cfg = write_config(tmp_path / "cfg.json")
+    out_dir = tmp_path / "out"
+    with pytest.raises(TypeError):
+        main(["run", "--config", str(cfg), "--out-dir", str(out_dir)])
+    status = json.loads((out_dir / "manifest.json").read_text())["status"]
+    assert status == "error: a bug, not a numerical failure"
+
+
 def test_direct_metric_gate_exit_code(tmp_path, capsys):
     cfg = write_config(
         tmp_path / "cfg.json",

@@ -316,6 +316,33 @@ def test_shi_sups_match_stacked_gradients(tables):
         assert abs(got2 - m2) <= 1e-12 * m2
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        Grid(length=1.0, n=16, active_dims=(3,)),
+        Grid(length=1.0, n=32, active_dims=(0, 1)),
+        Grid(length=1.0, n=16, active_dims=(1, 4), stencil_order=4),
+        Grid(length=1.0, n=8, active_dims=(0, 2, 5)),
+    ],
+)
+def test_shi_sups_equal_all_rows_sums(tables, grid):
+    from g2flow.diagnostics import _shi_sups
+
+    torsion = torsion_of_state(tables, random_band_state(grid, 0.4, seed=5))
+    # the same sums over all seven rows p, zero rows included
+    sq1 = np.zeros(grid.shape)
+    sq2 = np.zeros(grid.shape)
+    for a in grid.active_dims:
+        da = partial(grid, torsion, a)
+        sq1 += np.einsum("pq...,pq...->...", da, da)
+        for b in grid.active_dims:
+            dba = partial(grid, da, b)
+            sq2 += np.einsum("pq...,pq...->...", dba, dba)
+    want = (float(np.sqrt(np.max(sq1))), float(np.sqrt(np.max(sq2))))
+    assert _shi_sups(grid, torsion) == want
+    assert want[0] > 0 and want[1] > 0
+
+
 def test_records_have_contracted_keys(tables, grid16):
     cfg = FlowConfig(
         grid=grid16,

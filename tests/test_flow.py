@@ -517,3 +517,19 @@ def test_snapshot_cadence(tables, grid16):
     assert len(traj.states) == 6  # steps 0,2,4,6,8,10
     assert traj.times == sorted(traj.times)
     assert all(b > a for a, b in zip(traj.times, traj.times[1:]))
+
+
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+def test_steppers_leave_their_inputs_unmodified(tables, grid16, integrator):
+    state = random_band_state(grid16, 0.4, seed=9)
+    iota = np.broadcast_to(np.eye(7).reshape(7, 7, 1, 1), (7, 7) + grid16.shape).copy()
+    kept = (state.f.copy(), state.x.copy(), iota.copy())
+    new, new_iota, _ = step_fx(tables, state, 1e-4, integrator, iota=iota)
+    for before, after in zip(kept, (state.f, state.x, iota)):
+        assert after.tobytes() == before.tobytes()
+    assert not np.shares_memory(new.x, state.x) and not np.shares_memory(new_iota, iota)
+    phi = phi_of_state(tables, state)
+    phi_kept = phi.copy()
+    stepped = step_direct(tables, grid16, phi, 1e-4, integrator)
+    assert phi.tobytes() == phi_kept.tobytes()
+    assert not np.array_equal(stepped, phi)

@@ -166,3 +166,55 @@ def test_lifted_displacement_range():
     assert d.max() == pytest.approx(0.5)  # endpoint +L/2 kept
     assert d.min() > -0.5
     assert d.reshape(-1)[3] == 0.0
+
+
+def roll_partial(grid, arr, dim):
+    """The np.roll form of ``partial`` that the slice stencils replaced."""
+    if dim not in grid.active_dims:
+        return np.zeros_like(arr)
+    ax, h = grid.axis_of(dim, arr.ndim), grid.h
+    if grid.stencil_order == 2:
+        return (np.roll(arr, -1, axis=ax) - np.roll(arr, 1, axis=ax)) / (2.0 * h)
+    return (
+        -np.roll(arr, -2, axis=ax)
+        + 8.0 * np.roll(arr, -1, axis=ax)
+        - 8.0 * np.roll(arr, 1, axis=ax)
+        + np.roll(arr, 2, axis=ax)
+    ) / (12.0 * h)
+
+
+def roll_laplacian(grid, arr):
+    """The np.roll form of ``laplacian`` that the slice stencils replaced."""
+    h2 = grid.h * grid.h
+    out = np.zeros_like(arr, dtype=float)
+    for dim in grid.active_dims:
+        ax = grid.axis_of(dim, arr.ndim)
+        if grid.stencil_order == 2:
+            out += (np.roll(arr, -1, axis=ax) - 2.0 * arr + np.roll(arr, 1, axis=ax)) / h2
+        else:
+            out += (
+                -np.roll(arr, -2, axis=ax)
+                + 16.0 * np.roll(arr, -1, axis=ax)
+                - 30.0 * arr
+                + 16.0 * np.roll(arr, 1, axis=ax)
+                - np.roll(arr, 2, axis=ax)
+            ) / (12.0 * h2)
+    return out
+
+
+@pytest.mark.parametrize("order, n", [(2, 2), (2, 8), (4, 6), (4, 10)])
+@pytest.mark.parametrize("dims", [(3,), (0, 1), (0, 2, 5)])
+def test_slice_stencils_equal_roll_stencils(order, n, dims, rng):
+    g = Grid(length=1.3, n=n, active_dims=dims, stencil_order=order)
+    for rank in range(4):
+        arr = rng.standard_normal((7,) * rank + g.shape)
+        # signed zeros must come out as the roll forms give them
+        arr[arr > 1.0], arr[arr < -1.0] = -0.0, 0.0
+        for field in (arr, np.swapaxes(arr, -1, 0)):  # contiguous and strided input
+            for dim in range(7):  # active and inactive directions
+                got, want = partial(g, field, dim), roll_partial(g, field, dim)
+                assert np.array_equal(got, want), (rank, dim)
+                assert got.tobytes() == want.tobytes(), (rank, dim)
+            got, want = laplacian(g, field), roll_laplacian(g, field)
+            assert np.array_equal(got, want), rank
+            assert got.tobytes() == want.tobytes(), rank

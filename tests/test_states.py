@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from g2flow.algebra import antisymmetry_defect, hodge_star_3
-from g2flow.grid import Grid, div2, laplacian
+from g2flow.grid import Grid, div2, grad_scalar, grad_vector, laplacian
 from g2flow.states import (
     DegenerateFormError,
     InvalidStateError,
@@ -258,3 +258,28 @@ def test_localized_state_profile(grid32):
     center = grid32.n // 2
     assert mag[center, center] == pytest.approx(0.4)
     assert mag[0, 0] < 0.02
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        Grid(length=1.0, n=16, active_dims=(3,)),
+        Grid(length=1.0, n=32, active_dims=(0, 1)),
+        Grid(length=1.0, n=16, active_dims=(1, 4), stencil_order=4),
+        Grid(length=1.0, n=8, active_dims=(0, 2, 5)),
+    ],
+)
+def test_torsion_of_state_equals_seven_row_formula(tables, grid):
+    s = random_band_state(grid, 0.5, seed=6)
+    # every row p, built from the full (7, ...) gradients
+    gx, gf = grad_vector(grid, s.x), grad_scalar(grid, s.f)
+    cxq = np.einsum("l...,mlq->mq...", s.x, tables.phi)
+    want = -2.0 * np.einsum("pm...,mq...->pq...", gx, cxq)
+    want += 2.0 * np.einsum("p...,q...->pq...", gf, s.x)
+    want -= 2.0 * s.f * gx
+    got = torsion_of_state(tables, s)
+    assert np.array_equal(got, want)
+    active = list(grid.active_dims)
+    assert got[active].tobytes() == want[active].tobytes()
+    inactive = [p for p in range(7) if p not in grid.active_dims]
+    assert np.all(got[inactive] == 0.0) and not np.signbit(got[inactive]).any()
