@@ -23,7 +23,7 @@ last, so every function here broadcasts over trailing axes unchanged.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -129,11 +129,6 @@ def star_sorted_3(s3: np.ndarray) -> np.ndarray:
     return _gather(s3, _STAR[3])
 
 
-def star_sorted_4(s4: np.ndarray) -> np.ndarray:
-    """Hodge star in the sorted representation: 4-form -> 3-form components."""
-    return _gather(s4, _STAR[4])
-
-
 def first_slot_slices_4(s4: np.ndarray) -> np.ndarray:
     """beta_{q,(ijk)} for sorted triples (ijk), from sorted 4-form components.
 
@@ -155,6 +150,52 @@ def pair_slices_4(s4: np.ndarray) -> np.ndarray:
     return _gather(s4, _PAIRS4)
 
 
+def _on_s3(table) -> tuple[np.ndarray, np.ndarray]:
+    """A gather table on sorted components of psi = *phi, rewritten on phi's."""
+    index, sign = table
+    return _STAR[3][0][index], sign * _STAR[3][1][index]
+
+
+def _entries(a_table, b_table) -> tuple[int, tuple]:
+    """Entry list of out[o] = sum_c A[o, c] B[o, c] for signed gather tables
+    A = (index, sign) into rows of a and B into rows of b, broadcast to output
+    axes + (contracted axis,): the number of output rows and one (o, i, j, sign)
+    per nonzero product, by o, then by ascending c (np.einsum's sum order)."""
+    ia, sa, ib, sb = np.broadcast_arrays(*a_table, *b_table)
+    sign = sa * sb
+    rows = sign.size // sign.shape[-1]
+    o, c = np.nonzero(sign.reshape(rows, -1))
+    take = lambda x: x.reshape(rows, -1)[o, c].tolist()
+    return rows, tuple(zip(o.tolist(), take(ia), take(ib), take(sign)))
+
+
+def contract(entries, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """out[o] = sum of sign * a[i] * b[j] over the entries (o, i, j, sign),
+    summed from +0 in their order with one scratch row, as np.einsum sums.
+    a and b hold rows first, then one trailing shape, which out keeps."""
+    rows, terms = entries
+    a2, b2 = a.reshape(len(a), -1), b.reshape(len(b), -1)
+    out, scratch = np.zeros((rows, a2.shape[1])), np.empty(a2.shape[1])
+    # row views and positional out: call overhead is a large share at ~4k points
+    a_rows, b_rows, out_rows = list(a2), list(b2), list(out)
+    for o, i, j, sign in terms:
+        np.multiply(a_rows[i], b_rows[j], scratch)
+        (np.add if sign > 0 else np.subtract)(out_rows[o], scratch, out_rows[o])
+    return out.reshape((rows,) + a.shape[1:])
+
+
+# The direct route's psi contractions, on the sorted components s3 of phi:
+# T_pq = (1/4) (d_p phi)_s psi_qs over triples s: (d_p s3, s3) -> q;
+# (Div T -| psi)_s = (Div T)_p psi_ps: (Div T, s3) -> s;
+# pw_vp = psi_pq w_vq with w_vq = (e_v -| phi)_q over pairs: (s3, s3) -> (v, p);
+# B_uv = -(1/6) w_up pw_vp: (s3, pw) -> (u, v).
+_PSI_Q, _PSI_PQ, _W = _on_s3(_SLICE4), _on_s3(_PAIRS4), _PAIRS3
+TORSION_ENTRIES = _entries((np.arange(35), 1), _PSI_Q)
+DIV_PSI_ENTRIES = _entries((np.arange(7), 1), (_PSI_Q[0].T, _PSI_Q[1].T))
+METRIC_PW_ENTRIES = _entries((_PSI_PQ[0][None], _PSI_PQ[1][None]), (_W[0][:, None], _W[1][:, None]))
+METRIC_B_ENTRIES = _entries((_W[0][:, None], _W[1][:, None]), (np.arange(147).reshape(1, 7, 21), 1))
+
+
 @dataclass(frozen=True)
 class StructureTables:
     """Integer structure constants of the reference G2-structure.
@@ -167,10 +208,6 @@ class StructureTables:
     phi: np.ndarray
     psi: np.ndarray
 
-    # nonzero entries as (index tuples, values), for hot pointwise kernels
-    phi_nonzero: tuple = field(repr=False, default=())
-    psi_nonzero: tuple = field(repr=False, default=())
-
 
 @lru_cache(maxsize=1)
 def build_standard_tables() -> StructureTables:
@@ -182,9 +219,7 @@ def build_standard_tables() -> StructureTables:
     psi = np.rint(hodge_star_3(phi)).astype(np.int64)
     phi.setflags(write=False)
     psi.setflags(write=False)
-    phi_nz = tuple(zip(map(tuple, np.argwhere(phi)), phi[phi != 0]))
-    psi_nz = tuple(zip(map(tuple, np.argwhere(psi)), psi[psi != 0]))
-    return StructureTables(phi=phi, psi=psi, phi_nonzero=phi_nz, psi_nonzero=psi_nz)
+    return StructureTables(phi=phi, psi=psi)
 
 
 def hodge_star_3(alpha: np.ndarray) -> np.ndarray:
@@ -194,7 +229,7 @@ def hodge_star_3(alpha: np.ndarray) -> np.ndarray:
 
 def hodge_star_4(beta: np.ndarray) -> np.ndarray:
     """Flat Hodge star of a 4-form, giving a 3-form; inverse of hodge_star_3."""
-    return dense_from_sorted(star_sorted_4(sorted_components(beta, 4)), 3)
+    return dense_from_sorted(_gather(sorted_components(beta, 4), _STAR[4]), 3)
 
 
 _FACT = {1: 1.0, 2: 2.0, 3: 6.0, 4: 24.0}

@@ -21,6 +21,7 @@ import os
 import sys
 import time
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -100,11 +101,6 @@ def load_config(path: str) -> FlowConfig:
     return config
 
 
-def _config_hash(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
 def cmd_validate_tables(args) -> int:
     tables = build_standard_tables()
     report = validate_tables(tables)
@@ -121,7 +117,7 @@ def cmd_run(args) -> int:
     config = load_config(args.config)
     manifest = {
         "code_version": __version__,
-        "config_hash": _config_hash(args.config),
+        "config_hash": hashlib.sha256(Path(args.config).read_bytes()).hexdigest(),
         "grid": {
             "length": config.grid.length,
             "n": config.grid.n,
@@ -177,15 +173,10 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _verify_rows(suite: str) -> list[tuple[str, float, float, bool]]:
-    # imported lazily: the suites pull in most of the package
-    from .verify import run_suite
-
-    return run_suite(suite)
-
-
 def cmd_verify(args) -> int:
-    rows = _verify_rows(args.suite)
+    from .verify import run_suite  # imported lazily: the suites pull in most of the package
+
+    rows = run_suite(args.suite)
     print("suite,check,value,threshold,pass")
     ok = True
     for name, value, threshold, passed in rows:
@@ -293,10 +284,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

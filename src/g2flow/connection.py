@@ -78,11 +78,6 @@ class FrameField:
         eye = np.eye(7).reshape((7, 7) + (1,) * (gram.ndim - 2))
         return float(np.max(np.abs(gram - eye)))
 
-    def require_orthogonal(self, tol: float = 1e-8) -> None:
-        defect = self.orthogonality_defect()
-        if defect > tol:
-            raise GaugeDriftError(f"frame orthogonality defect {defect:g} exceeds {tol:g}")
-
 
 def identity_frame(grid: Grid, alpha: float = -0.5, beta: float = 0.5) -> FrameField:
     iota = np.zeros((7, 7) + grid.shape)
@@ -224,10 +219,17 @@ def evolve_frame(
     return out
 
 
-def _require_snapshots(traj, minimum: int = 3) -> None:
+def _interior_index(traj, index: int | None) -> int:
+    """``index``, by default the middle snapshot, checked to have a stored
+    snapshot on each side."""
     count = len(traj.states if traj.states is not None else traj.sorted_phis or [])
-    if count < minimum:
-        raise ValueError(f"need at least {minimum} stored snapshots, have {count}")
+    if count < 3:
+        raise ValueError(f"need at least 3 stored snapshots, have {count}")
+    if index is None:
+        index = count // 2
+    if not 0 < index < count - 1:
+        raise ValueError("index must be interior for centered differences")
+    return index
 
 
 def reaction_diffusion_residual(
@@ -244,13 +246,9 @@ def reaction_diffusion_residual(
     The time derivative is a centered difference of stored snapshots; the
     trajectory must carry co-evolved frames.
     """
-    _require_snapshots(traj)
+    index = _interior_index(traj, index)
     if traj.frames is None:
         raise ValueError("trajectory has no co-evolved frames (set track_frame)")
-    if index is None:
-        index = len(traj.states) // 2
-    if not 0 < index < len(traj.states) - 1:
-        raise ValueError("index must be interior for centered differences")
     grid = traj.grid
 
     def mixed(j):
@@ -284,11 +282,7 @@ def torsion_evolution_residual(
 
     Dropping the gradient term is the negative control.
     """
-    _require_snapshots(traj)
-    if index is None:
-        index = len(traj.states) // 2
-    if not 0 < index < len(traj.states) - 1:
-        raise ValueError("index must be interior for centered differences")
+    index = _interior_index(traj, index)
     grid = traj.grid
     t_prev = torsion_of_state(tables, traj.states[index - 1])
     t_mid = torsion_of_state(tables, traj.states[index])

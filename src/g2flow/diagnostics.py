@@ -354,23 +354,19 @@ def _shi_sups(grid: Grid, torsion: np.ndarray) -> tuple[float, float]:
     return float(np.sqrt(np.max(sq1))), float(np.sqrt(np.max(sq2)))
 
 
-def shi_monitor(tables: StructureTables, traj) -> list[dict]:
+def _shi_quantities(grid: Grid, torsion: np.ndarray, t: float, sup_t0: float) -> dict:
     """Scale-invariant derivative quantities sup|grad^m T| t^(m/2) / sup|T(0)|."""
-    grid = traj.grid
-    t0_sup = None
-    out = []
+    m1, m2 = _shi_sups(grid, torsion)
+    return {"m1": m1 * math.sqrt(t) / sup_t0, "m2": m2 * t / sup_t0}
+
+
+def shi_monitor(tables: StructureTables, traj) -> list[dict]:
+    """The Shi quantities of every snapshot of a trajectory."""
+    out, sup_t0 = [], None
     for state, tm in zip(traj.states, traj.times):
         torsion = torsion_of_state(tables, state)
-        if t0_sup is None:
-            t0_sup = max(sup_norm(torsion), 1e-300)
-        m1, m2 = _shi_sups(grid, torsion)
-        out.append(
-            {
-                "t": tm,
-                "m1": m1 * math.sqrt(max(tm, 0.0)) / t0_sup,
-                "m2": m2 * max(tm, 0.0) / t0_sup,
-            }
-        )
+        sup_t0 = sup_t0 or max(sup_norm(torsion), 1e-300)
+        out.append({"t": tm, **_shi_quantities(traj.grid, torsion, max(tm, 0.0), sup_t0)})
     return out
 
 
@@ -420,11 +416,7 @@ def record_for_torsion(
             grid, torsion, entropy_sigma, sample_stride=max(1, grid.n // 8)
         ).value
     if sup_t_reference and sup_t_reference > 0 and t > 0:
-        m1, m2 = _shi_sups(grid, torsion)
-        rec["shi_quantities"] = {
-            "m1": m1 * math.sqrt(t) / sup_t_reference,
-            "m2": m2 * t / sup_t_reference,
-        }
+        rec["shi_quantities"] = _shi_quantities(grid, torsion, t, sup_t_reference)
     return rec
 
 

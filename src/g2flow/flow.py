@@ -21,14 +21,14 @@ import numpy as np
 
 from . import diagnostics as diag
 from .algebra import (
+    DIV_PSI_ENTRIES,
     StructureTables,
+    contract,
     cross,
     dense_from_sorted,
-    first_slot_slices_4,
     sorted_components,
-    star_sorted_3,
 )
-from .grid import Grid, div2, laplacian, partial, save_checkpoint
+from .grid import Grid, div2, laplacian, load_checkpoint, partial, save_checkpoint
 from .states import (
     IsometricState,
     localized_state,
@@ -123,6 +123,8 @@ class FlowConfig:
             raise ConfigError(f"initial component {ini.component!r} must lie in 0..6")
         if ini.seed < 0:
             raise ConfigError(f"initial seed {ini.seed} must be non-negative")
+        if ini.family == "localized" and not ini.width > 0:
+            raise ConfigError(f"initial width {ini.width!r} must be positive")
         for center, _ in self.theta_probes:
             if len(center) != g.k or not all(
                 isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in center
@@ -169,11 +171,7 @@ class RunResult:
 
     @property
     def events(self) -> list:
-        out = []
-        for traj in (self.fx, self.direct):
-            if traj is not None:
-                out.extend(traj.events)
-        return out
+        return [ev for traj in (self.fx, self.direct) if traj is not None for ev in traj.events]
 
 
 def initial_state(config: FlowConfig) -> IsometricState:
@@ -187,8 +185,6 @@ def initial_state(config: FlowConfig) -> IsometricState:
             config.grid, spec.amplitude, spec.component, width=spec.width
         )
     if spec.family == "checkpoint":
-        from .grid import load_checkpoint
-
         if spec.checkpoint is None:
             raise ConfigError("checkpoint family needs a checkpoint path")
         try:
@@ -237,9 +233,7 @@ def rhs_fx(
 
 
 def _rhs_direct_sorted(grid: Grid, s3: np.ndarray) -> np.ndarray:
-    psi_slices = first_slot_slices_4(star_sorted_3(s3))
-    divt = div2(grid, torsion_from_sorted(grid, s3, psi_slices))
-    return np.einsum("p...,ps...->s...", divt, psi_slices)
+    return contract(DIV_PSI_ENTRIES, div2(grid, torsion_from_sorted(grid, s3)), s3)
 
 
 def rhs_direct(

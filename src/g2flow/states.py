@@ -20,12 +20,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algebra import (
+    METRIC_B_ENTRIES,
+    METRIC_PW_ENTRIES,
+    TORSION_ENTRIES,
     StructureTables,
-    first_slot_pairs_3,
-    first_slot_slices_4,
-    pair_slices_4,
+    contract,
     sorted_components,
-    star_sorted_3,
 )
 from .grid import Grid, laplacian, partial
 
@@ -243,13 +243,14 @@ def metric_from_sorted(grid: Grid, s3: np.ndarray) -> np.ndarray:
     """Metric induced by a 3-form field, given by its sorted components, via
     B_uv * vol = -(1/6) (e_u -| phi) ^ (e_v -| phi) ^ phi and g = B / (det B)^(1/9).
 
-    Over sorted pairs p, q the pairing reads B_uv = -(1/6) w_up P_pq w_vq,
-    with w = e_u -| phi and P the pair-pair slices of psi = *phi.
+    Over sorted pairs p, q the pairing reads B_uv = -(1/6) w_up pw_vp with
+    pw_vp = P_pq w_vq, w = e_u -| phi and P the pair-pair slices of
+    psi = *phi.  Both sums run over their nonzero products only, as signed
+    products of two sorted components (``algebra.contract``).
     Raises DegenerateFormError when B fails to be positive definite.
     """
-    w = first_slot_pairs_3(s3)
-    pw = np.einsum("pq...,vq...->vp...", pair_slices_4(star_sorted_3(s3)), w)
-    b = -(1.0 / 6.0) * np.einsum("up...,vp...->uv...", w, pw)
+    pw = contract(METRIC_PW_ENTRIES, s3, s3)
+    b = -(1.0 / 6.0) * contract(METRIC_B_ENTRIES, s3, pw).reshape((7, 7) + s3.shape[1:])
     bp = np.moveaxis(b.reshape(7, 7, -1), -1, 0)
     try:
         np.linalg.cholesky(bp)
@@ -281,18 +282,14 @@ def require_isometric(
         raise DegenerateFormError(f"3-form metric defect {defect:g} exceeds {metric_tol:g}{at}")
 
 
-def torsion_from_sorted(
-    grid: Grid, s3: np.ndarray, psi_slices: np.ndarray | None = None
-) -> np.ndarray:
+def torsion_from_sorted(grid: Grid, s3: np.ndarray) -> np.ndarray:
     """Torsion T_pq = (1/24) (d_p phi)_ijk psi_qijk with psi = *phi, from the
-    sorted components of phi: (1/4) times the sum over sorted triples.
-    ``psi_slices``, the first-slot slices (7, 35) + grid of psi, are built
-    here when not given."""
-    if psi_slices is None:
-        psi_slices = first_slot_slices_4(star_sorted_3(s3))
+    sorted components of phi: (1/4) times the sum over sorted triples, of
+    the 20 nonzero products per q (``algebra.contract``).  Rows p of
+    inactive directions are exact zeros."""
     out = np.zeros((7, 7) + s3.shape[1:])
     for dim in grid.active_dims:
-        out[dim] = 0.25 * np.einsum("s...,qs...->q...", partial(grid, s3, dim), psi_slices)
+        out[dim] = 0.25 * contract(TORSION_ENTRIES, partial(grid, s3, dim), s3)
     return out
 
 

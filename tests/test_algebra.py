@@ -13,9 +13,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from g2flow.algebra import (
+    DIV_PSI_ENTRIES,
+    METRIC_B_ENTRIES,
+    METRIC_PW_ENTRIES,
     ORIENTATION,
+    TORSION_ENTRIES,
     antisymmetry_defect,
     build_standard_tables,
+    contract,
     cross,
     dense_from_sorted,
     diamond,
@@ -100,8 +105,8 @@ def test_cross_basis_vectors(tables):
 
 def brute_cross(tables, x, y):
     out = np.zeros(7)
-    for (a, b, k), v in tables.phi_nonzero:
-        out[k] += x[a] * y[b] * v
+    for a, b, k in np.argwhere(tables.phi):
+        out[k] += x[a] * y[b] * tables.phi[a, b, k]
     return out
 
 
@@ -235,3 +240,33 @@ def test_sorted_gathers_are_exact(rng):
     for i, ab in enumerate(pairs):
         for j, cd in enumerate(pairs):
             assert np.array_equal(p[i, j], dense4[ab + cd])
+
+
+def test_sparse_entry_lists_hold_exactly_the_nonzero_products():
+    # (output rows, entries): 20 triples per q, 4 directions per triple,
+    # 50 pairs per pair p over v, 15 pairs per (u, v)
+    counts = [(7, 140), (35, 140), (147, 1050), (49, 735)]
+    lists = (TORSION_ENTRIES, DIV_PSI_ENTRIES, METRIC_PW_ENTRIES, METRIC_B_ENTRIES)
+    for (rows, n), (got_rows, terms) in zip(counts, lists):
+        assert (got_rows, len(terms)) == (rows, n)
+        assert all(sign in (-1, 1) for *_, sign in terms)
+        rows_seen = [o for o, *_ in terms]
+        assert rows_seen == sorted(rows_seen) and set(rows_seen) == set(range(rows))
+    # a-side rows are the contracted index itself: ascending within each row
+    for terms in (TORSION_ENTRIES[1], DIV_PSI_ENTRIES[1]):
+        assert [(o, i) for o, i, *_ in terms] == sorted((o, i) for o, i, *_ in terms)
+
+
+def test_contract_matches_dense_slices_at_a_single_point(rng):
+    svals = rng.standard_normal(35)
+    ds = rng.standard_normal(35)
+    slices = first_slot_slices_4(star_sorted_3(svals))
+    assert np.allclose(contract(TORSION_ENTRIES, ds, svals), slices @ ds, rtol=0, atol=1e-13)
+    divt = rng.standard_normal(7)
+    assert np.allclose(contract(DIV_PSI_ENTRIES, divt, svals), divt @ slices, rtol=0, atol=1e-13)
+    w, p = first_slot_pairs_3(svals), pair_slices_4(star_sorted_3(svals))
+    pw = contract(METRIC_PW_ENTRIES, svals, svals)
+    assert pw.shape == (147,)
+    assert np.allclose(pw.reshape(7, 21), w @ p.T, rtol=0, atol=1e-13)
+    b = contract(METRIC_B_ENTRIES, svals, pw).reshape(7, 7)
+    assert np.allclose(b, w @ (w @ p.T).T, rtol=0, atol=1e-12)

@@ -129,6 +129,8 @@ def test_unvalidated_run_inputs_exit_1(tmp_path, capsys):
         ("wave_dim", {"initial": {"family": "single_mode", "wave_dim": 4}}),
         ("component", {"initial": {"family": "single_mode", "component": 9}}),
         ("seed", {"initial": {"family": "random_band", "seed": -1}}),
+        ("width", {"initial": {"family": "localized", "amplitude": 0.2, "width": 0.0}}),
+        ("negative_width", {"initial": {"family": "localized", "amplitude": 0.2, "width": -0.1}}),
         ("center", {"theta_probes": [[[8], 0.05]]}),
         ("index", {"theta_probes": [[["a", 1], 0.05]]}),
     ):

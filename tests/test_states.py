@@ -5,8 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from g2flow.algebra import antisymmetry_defect, hodge_star_3
-from g2flow.grid import Grid, div2, grad_scalar, grad_vector, laplacian
+from g2flow import algebra
+from g2flow.algebra import (
+    antisymmetry_defect,
+    first_slot_pairs_3,
+    first_slot_slices_4,
+    hodge_star_3,
+    pair_slices_4,
+    sorted_components,
+    star_sorted_3,
+)
+from g2flow.flow import _rhs_direct_sorted
+from g2flow.grid import Grid, div2, grad_scalar, grad_vector, laplacian, partial
 from g2flow.states import (
     DegenerateFormError,
     InvalidStateError,
@@ -14,11 +24,13 @@ from g2flow.states import (
     localized_state,
     metric_defect,
     metric_from_phi,
+    metric_from_sorted,
     phi_of_state,
     psi_of_state,
     random_band_state,
     single_mode_state,
     torsion_from_phi,
+    torsion_from_sorted,
     torsion_of_state,
 )
 
@@ -283,3 +295,70 @@ def test_torsion_of_state_equals_seven_row_formula(tables, grid):
     assert got[active].tobytes() == want[active].tobytes()
     inactive = [p for p in range(7) if p not in grid.active_dims]
     assert np.all(got[inactive] == 0.0) and not np.signbit(got[inactive]).any()
+
+
+# The direct route contracts psi on its nonzero entries only; the dense
+# einsum forms over the gathered slices, which it replaced, are the oracles.
+
+
+def dense_torsion(grid, s3):
+    slices = first_slot_slices_4(star_sorted_3(s3))
+    out = np.zeros((7, 7) + s3.shape[1:])
+    for dim in grid.active_dims:
+        out[dim] = 0.25 * np.einsum("s...,qs...->q...", partial(grid, s3, dim), slices)
+    return out
+
+
+def dense_rhs(grid, s3):
+    slices = first_slot_slices_4(star_sorted_3(s3))
+    return np.einsum("p...,ps...->s...", div2(grid, dense_torsion(grid, s3)), slices)
+
+
+def dense_metric(grid, s3):
+    w = first_slot_pairs_3(s3)
+    pw = np.einsum("pq...,vq...->vp...", pair_slices_4(star_sorted_3(s3)), w)
+    b = -(1.0 / 6.0) * np.einsum("up...,vp...->uv...", w, pw)
+    det = np.linalg.det(np.moveaxis(b.reshape(7, 7, -1), -1, 0)).reshape(grid.shape)
+    return b / det ** (1.0 / 9.0)
+
+
+def assert_identical(got, want):
+    # equal values and equal signs of zero
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+SPARSE_GRIDS = [
+    Grid(length=1.0, n=32, active_dims=(3,)),
+    Grid(length=1.0, n=16, active_dims=(0, 1)),
+    Grid(length=1.0, n=16, active_dims=(2, 5), stencil_order=4),
+    Grid(length=1.0, n=8, active_dims=(0, 1, 2), stencil_order=4),
+    Grid(length=1.0, n=8, active_dims=(1, 3, 6)),
+]
+
+
+@pytest.mark.parametrize("grid", SPARSE_GRIDS, ids=lambda g: f"{g.active_dims}-order{g.stencil_order}")
+def test_sparse_psi_contractions_equal_dense_einsum(tables, grid):
+    rng = np.random.default_rng(17)
+    fields = []
+    for state in (random_band_state(grid, 0.4, seed=5), single_mode_state(grid, 0.2)):
+        fields.append(sorted_components(phi_of_state(tables, state), 3))
+    # a 3-form off the isometric class, with no zero component
+    fields.append(fields[0] + 0.05 * rng.standard_normal(fields[0].shape))
+    for s3 in fields:
+        assert_identical(torsion_from_sorted(grid, s3), dense_torsion(grid, s3))
+        assert_identical(_rhs_direct_sorted(grid, s3), dense_rhs(grid, s3))
+        assert_identical(metric_from_sorted(grid, s3), dense_metric(grid, s3))
+
+
+def test_sparse_psi_contractions_use_no_einsum_or_gather(tables, grid16, monkeypatch):
+    s3 = sorted_components(phi_of_state(tables, random_band_state(grid16, 0.3, seed=2)), 3)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense contraction called")
+
+    monkeypatch.setattr(np, "einsum", forbidden)
+    monkeypatch.setattr(algebra, "_gather", forbidden)
+    torsion_from_sorted(grid16, s3)
+    _rhs_direct_sorted(grid16, s3)
+    metric_from_sorted(grid16, s3)
