@@ -49,6 +49,12 @@ def _reject_unknown_keys(section, cls, where: str) -> None:
         raise ConfigError(f"unknown key(s) {', '.join(map(repr, unknown))} in {where}")
 
 
+def _theta_probe(entry) -> tuple:
+    if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], list)):
+        raise ConfigError(f"theta probe {entry!r} is not a [center, t0] pair")
+    return tuple(entry[0]), float(entry[1])
+
+
 def load_config(path: str) -> FlowConfig:
     try:
         with open(path) as fh:
@@ -90,13 +96,11 @@ def load_config(path: str) -> FlowConfig:
             track_frame=bool(raw.get("track_frame", False)),
             frame_beta=float(raw.get("frame_beta", 0.5)),
             constraint_abort_tol=float(raw.get("constraint_abort_tol", 1e-6)),
-            theta_probes=tuple(
-                (tuple(p[0]), float(p[1])) for p in raw.get("theta_probes", ())
-            ),
+            theta_probes=tuple(_theta_probe(p) for p in raw.get("theta_probes", ())),
             entropy_sigma=raw.get("entropy_sigma"),
         )
         config.validate()
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ConfigError(f"bad configuration {path}: {exc}") from exc
     return config
 

@@ -14,6 +14,7 @@ exponentially small Hessian correction handled in closed form).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -128,13 +129,19 @@ def _broadcast_axis(grid: Grid, pos: int, arr1d: np.ndarray) -> np.ndarray:
     return arr1d.reshape(shape)
 
 
-def heat_kernel(grid: Grid, spec: HeatKernelSpec, t: float) -> np.ndarray:
-    """Kernel values on the grid; mass-normalized to 1 over the torus."""
-    tau, axes = _kernel_axes(grid, spec, t)
+def _product_kernel(grid: Grid, tables) -> np.ndarray:
+    """L^-(7-k) times the outer product of one 1-D table per active axis,
+    multiplied in axis order; heat_kernel and entropy share this arithmetic."""
     u = np.full(grid.shape, grid.length ** -(7 - grid.k))
-    for pos, (w, _, _) in enumerate(axes):
+    for pos, w in enumerate(tables):
         u = u * _broadcast_axis(grid, pos, w)
     return u
+
+
+def heat_kernel(grid: Grid, spec: HeatKernelSpec, t: float) -> np.ndarray:
+    """Kernel values on the grid; mass-normalized to 1 over the torus."""
+    _, axes = _kernel_axes(grid, spec, t)
+    return _product_kernel(grid, [w for w, _, _ in axes])
 
 
 def grad_log_kernel(grid: Grid, spec: HeatKernelSpec, t: float) -> np.ndarray:
@@ -270,23 +277,29 @@ def entropy(
     scales t in (0, sigma].
 
     The returned value is a lower bound for the true maximum; the argmax is
-    reported so callers can refine locally.
+    reported so callers can refine locally.  Every axis has the same 1-D
+    grid, so the wrapped Gaussian of each (scale, sampled index) pair is
+    built once and serves every center and axis that uses it.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     tsq = np.einsum("pq...,pq...->...", torsion, torsion)
-    scales = np.geomspace(scale_floor * sigma, sigma, n_scales)
-    best = EntropyResult(0.0, (0,) * grid.k, float(scales[-1]))
-    import itertools
-
-    centers = itertools.product(range(0, grid.n, sample_stride), repeat=grid.k)
-    for center in centers:
-        for tau in scales:
-            spec = HeatKernelSpec(center=center, t0=float(tau), image_radius=image_radius)
-            u = heat_kernel(grid, spec, 0.0)
-            val = float(tau) * integrate(grid, tsq * u)
+    scales = [float(tau) for tau in np.geomspace(scale_floor * sigma, sigma, n_scales)]
+    best = EntropyResult(0.0, (0,) * grid.k, scales[-1])
+    indices = range(0, grid.n, sample_stride)
+    tables = [
+        {
+            c: _wrapped_parts(grid.length, tau, _axis_displacement(grid, c), image_radius)[0]
+            for c in indices
+        }
+        for tau in scales
+    ]
+    for center in itertools.product(indices, repeat=grid.k):
+        for tau, table in zip(scales, tables):
+            u = _product_kernel(grid, [table[c] for c in center])
+            val = tau * integrate(grid, tsq * u)
             if val > best.value:
-                best = EntropyResult(val, tuple(center), float(tau))
+                best = EntropyResult(val, center, tau)
     return best
 
 

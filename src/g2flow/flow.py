@@ -15,6 +15,7 @@ residual diagnostics can difference the gauge-transported torsion in time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -125,18 +126,22 @@ class FlowConfig:
             raise ConfigError(f"initial seed {ini.seed} must be non-negative")
         if ini.family == "localized" and not ini.width > 0:
             raise ConfigError(f"initial width {ini.width!r} must be positive")
-        for center, _ in self.theta_probes:
+        for center, t0 in self.theta_probes:
             if len(center) != g.k or not all(
                 isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in center
             ):
                 raise ConfigError(
                     f"theta probe center {list(center)!r} needs {g.k} integer grid indices"
                 )
+            if not math.isfinite(t0):
+                raise ConfigError(f"theta probe t0 {t0!r} must be finite")
         sigma = self.entropy_sigma
         if sigma is not None and (
-            isinstance(sigma, bool) or not isinstance(sigma, (int, float)) or not sigma > 0
+            isinstance(sigma, bool)
+            or not isinstance(sigma, (int, float))
+            or not 0 < sigma <= np.finfo(float).max
         ):
-            raise ConfigError(f"entropy_sigma must be a positive number, got {sigma!r}")
+            raise ConfigError(f"entropy_sigma must be a finite positive number, got {sigma!r}")
 
     @property
     def n_steps(self) -> int:

@@ -139,6 +139,31 @@ def test_unvalidated_run_inputs_exit_1(tmp_path, capsys):
         assert "configuration error" in capsys.readouterr().err
 
 
+def test_nonfinite_config_values_exit_1(tmp_path, capsys):
+    # an infinite scale overflows the kernel's image count; a huge integer overflows float()
+    for name, overrides in (
+        ("sigma_inf", {"entropy_sigma": float("inf")}),
+        ("sigma_nan", {"entropy_sigma": float("nan")}),
+        ("t0_inf", {"theta_probes": [[[8, 4], float("inf")]]}),
+        ("t0_nan", {"theta_probes": [[[8, 4], float("nan")]]}),
+        # integers too large for a float
+        ("sigma_huge", {"entropy_sigma": 10**400}),
+        ("t0_huge", {"theta_probes": [[[8, 4], 10**400]]}),
+        ("dt_huge", {"dt": 10**400}),
+    ):
+        cfg = write_config(tmp_path / f"{name}.json", **overrides)
+        assert main(["run", "--config", str(cfg)]) == 1, name
+        assert "configuration error" in capsys.readouterr().err, name
+
+
+def test_malformed_theta_probe_is_named_and_exits_1(tmp_path, capsys):
+    for probe in ([[8, 4]], [], [8, 4], [[8, 4], 1e-3, 5]):
+        cfg = write_config(tmp_path / "probe.json", theta_probes=[probe])
+        assert main(["run", "--config", str(cfg)]) == 1, probe
+        err = capsys.readouterr().err
+        assert f"theta probe {probe!r} is not a [center, t0] pair" in err, err
+
+
 def test_programming_error_in_run_is_raised_not_exit_2(tmp_path, monkeypatch):
     def broken(config):
         raise TypeError("a bug, not a numerical failure")

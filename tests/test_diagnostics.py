@@ -1,10 +1,12 @@
 """Energy, heat kernel, localized energy, entropy, decay, monitors."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from g2flow import diagnostics
 from g2flow.diagnostics import (
     HeatKernelSpec,
     decay_rate,
@@ -176,6 +178,62 @@ def test_entropy_rescaling_invariance(tables, grid16):
     assert e2.value == pytest.approx(e1.value, rel=1e-6)
     assert e2.center == e1.center
     assert e2.scale == pytest.approx(4.0 * e1.scale, rel=1e-12)
+
+
+def _entropy_per_center_kernels(grid, torsion, sigma, sample_stride, n_scales=12):
+    """The entropy loop with a fresh heat_kernel at every (center, scale)."""
+    tsq = np.einsum("pq...,pq...->...", torsion, torsion)
+    scales = np.geomspace(0.01 * sigma, sigma, n_scales)
+    best = (0.0, (0,) * grid.k, float(scales[-1]))
+    for center in itertools.product(range(0, grid.n, sample_stride), repeat=grid.k):
+        for tau in scales:
+            u = heat_kernel(grid, HeatKernelSpec(center=center, t0=float(tau)), 0.0)
+            val = float(tau) * integrate(grid, tsq * u)
+            if val > best[0]:
+                best = (val, tuple(center), float(tau))
+    return best
+
+
+@pytest.mark.parametrize(
+    "n, dims, stride, sigma, uniform",
+    [
+        (16, (0,), 1, 0.01, False),
+        (32, (0, 1), 4, 0.01, False),  # a record's stride n/8
+        (32, (0, 1), 2, 0.01, False),
+        (16, (0, 1), 1, 0.01, False),
+        (8, (0, 2, 5), 2, 0.02, False),
+        (16, (0, 1), 2, 0.5, False),  # needs more images than image_radius
+        (16, (0, 1), 2, 0.01, True),  # every center ties up to round-off
+    ],
+)
+def test_entropy_tables_equal_per_center_kernels_bit_for_bit(n, dims, stride, sigma, uniform):
+    grid = Grid(length=1.0, n=n, active_dims=dims)
+    if uniform:
+        torsion = grid.zeros(2)
+        torsion[2, 3] = 0.7
+    else:
+        torsion = np.random.default_rng(n + stride).standard_normal((7, 7) + grid.shape)
+    if sigma > 0.1:
+        assert diagnostics._auto_radius(grid.length, sigma, 3) > 3
+    got = entropy(grid, torsion, sigma, sample_stride=stride)
+    want = _entropy_per_center_kernels(grid, torsion, sigma, stride)
+    assert repr((got.value, got.center, got.scale)) == repr(want)
+
+
+def test_entropy_builds_one_table_per_scale_and_sampled_index(monkeypatch, grid32):
+    calls = []
+    real = diagnostics._wrapped_parts
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(diagnostics, "_wrapped_parts", counted)
+    torsion = np.random.default_rng(3).standard_normal((7, 7) + grid32.shape)
+    entropy(grid32, torsion, 0.01, sample_stride=4)
+    # 12 scales x 8 sampled indices, not one table per center, scale and axis (1536)
+    assert len(calls) == 96
+    assert len({(args[1], float(args[2][0])) for args in calls}) == 96
 
 
 def test_monotonicity_residual_refines_and_sign(tables):
