@@ -192,10 +192,10 @@ def cmd_verify(args) -> int:
 def cmd_diagnose(args) -> int:
     tables = build_standard_tables()
     try:
-        grid, f, x = load_checkpoint(args.checkpoint)
+        grid, u = load_checkpoint(args.checkpoint)
     except ValueError as exc:
         raise ConfigError(f"bad checkpoint {args.checkpoint}: {exc}") from exc
-    state = IsometricState(grid=grid, f=f, x=x)
+    state = IsometricState(grid=grid, u=u)
     torsion = torsion_of_state(tables, state)
     divt = div2(grid, torsion)
     record = {
@@ -244,10 +244,10 @@ def cmd_rescale_check(args) -> int:
             file=sys.stderr,
         )
         return EXIT_VERIFY
-    worst = 0.0
-    for s_resc, s_big in zip(rescaled.states, second.fx.states):
-        worst = max(worst, float(np.max(np.abs(s_resc.f - s_big.f))))
-        worst = max(worst, float(np.max(np.abs(s_resc.x - s_big.x))))
+    worst = max(
+        float(np.max(np.abs(s_resc.u - s_big.u)))
+        for s_resc, s_big in zip(rescaled.states, second.fx.states)
+    )
     print(f"rescale-check c={c}: max state discrepancy {worst:.3e} (tolerance {args.tol:g})")
     return EXIT_OK if worst <= args.tol else EXIT_VERIFY
 

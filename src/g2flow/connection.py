@@ -310,9 +310,7 @@ def bianchi_residual(
     with phi the 3-form of the structure the torsion belongs to.
     """
     phi = _phi_field(tables, grid, phi3)
-    gt = np.zeros((7,) + torsion.shape)
-    for dim in grid.active_dims:
-        gt[dim] = partial(grid, torsion, dim)
+    gt = grad_vector(grid, torsion)
     resid = gt - np.swapaxes(gt, 0, 1)
     resid -= np.einsum("ia...,jb...,abk...->ijk...", torsion, torsion, phi)
     return resid

@@ -131,7 +131,7 @@ def _broadcast_axis(grid: Grid, pos: int, arr1d: np.ndarray) -> np.ndarray:
 
 def _product_kernel(grid: Grid, tables) -> np.ndarray:
     """L^-(7-k) times the outer product of one 1-D table per active axis,
-    multiplied in axis order; heat_kernel and entropy share this arithmetic."""
+    multiplied in axis order; every kernel of this module shares this arithmetic."""
     u = np.full(grid.shape, grid.length ** -(7 - grid.k))
     for pos, w in enumerate(tables):
         u = u * _broadcast_axis(grid, pos, w)
@@ -190,12 +190,11 @@ def monotonicity_terms(
     inactive directions contribute in closed form.
     """
     tau, axes = _kernel_axes(grid, spec, t)
-    u = np.full(grid.shape, grid.length ** -(7 - grid.k))
+    u = _product_kernel(grid, [w for w, _, _ in axes])
     eta = {}
     gradf = grid.zeros(1)
     for pos, (w, wp, wpp) in enumerate(axes):
         dim = grid.active_dims[pos]
-        u = u * _broadcast_axis(grid, pos, w)
         gradf[dim] = np.broadcast_to(_broadcast_axis(grid, pos, -wp / w), grid.shape)
         eta[dim] = _broadcast_axis(
             grid, pos, wpp / w - (wp / w) ** 2 + 1.0 / (2.0 * tau)

@@ -126,6 +126,8 @@ class FlowConfig:
             raise ConfigError(f"initial seed {ini.seed} must be non-negative")
         if ini.family == "localized" and not ini.width > 0:
             raise ConfigError(f"initial width {ini.width!r} must be positive")
+        # wider than L^2, a wrapped Gaussian is flat to ~exp(-4 pi^2) yet needs ~sqrt(scale) images
+        max_scale = min(g.length * g.length, np.finfo(float).max)
         for center, t0 in self.theta_probes:
             if len(center) != g.k or not all(
                 isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in center
@@ -133,15 +135,15 @@ class FlowConfig:
                 raise ConfigError(
                     f"theta probe center {list(center)!r} needs {g.k} integer grid indices"
                 )
-            if not math.isfinite(t0):
-                raise ConfigError(f"theta probe t0 {t0!r} must be finite")
+            if not (math.isfinite(t0) and t0 <= max_scale):
+                raise ConfigError(f"theta probe t0 {t0!r} must be finite and at most L^2")
         sigma = self.entropy_sigma
         if sigma is not None and (
             isinstance(sigma, bool)
             or not isinstance(sigma, (int, float))
-            or not 0 < sigma <= np.finfo(float).max
+            or not 0 < sigma <= max_scale
         ):
-            raise ConfigError(f"entropy_sigma must be a finite positive number, got {sigma!r}")
+            raise ConfigError(f"entropy_sigma must be a positive number at most L^2, got {sigma!r}")
 
     @property
     def n_steps(self) -> int:
@@ -193,17 +195,17 @@ def initial_state(config: FlowConfig) -> IsometricState:
         if spec.checkpoint is None:
             raise ConfigError("checkpoint family needs a checkpoint path")
         try:
-            grid, f, x = load_checkpoint(spec.checkpoint)
+            grid, u = load_checkpoint(spec.checkpoint)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read checkpoint {spec.checkpoint}: {exc}") from exc
         if grid != config.grid:
             raise ConfigError("checkpoint grid does not match the configured grid")
-        return IsometricState(grid=grid, f=f, x=x)
+        return IsometricState(grid=grid, u=u)
     raise ConfigError(f"unknown initial family {spec.family!r}")
 
 
 def _harmonic_map(grid: Grid, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Laplacian and rates of the stacked field u = (f, X), shape (8, *grid):
+    """Laplacian and rates of the state field u = (f, X), shape (8, *grid):
 
     df = (Lap f) |X|^2 - f <X, Lap X>,    dX = Lap X + |grad u|^2 X.
     """
@@ -219,13 +221,11 @@ def _harmonic_map(grid: Grid, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lu, rates
 
 
-def rhs_fx(
-    tables: StructureTables, state: IsometricState
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rates (df/dt, dX/dt) of the parabolic system.
+def rhs_fx(tables: StructureTables, state: IsometricState) -> np.ndarray:
+    """Rate du/dt = (df/dt, dX/dt) of the parabolic system, shape (8, *grid).
 
     On the flat torus it is the harmonic-map heat flow of u = (f, X) into
-    S^7, taken with one Laplacian of the stacked field:
+    S^7, taken with one Laplacian of u:
 
         df = (Lap f) |X|^2 - f <X, Lap X>    (= Lap f - f <u, Lap u> on S^7)
         dX = Lap X + |grad u|^2 X
@@ -233,8 +233,7 @@ def rhs_fx(
     df equals (1/2) <X, Div T>: the cross-product term of Div T is
     orthogonal to X.
     """
-    _, rates = _harmonic_map(state.grid, np.concatenate((state.f[None], state.x)))
-    return rates[0], rates[1:]
+    return _harmonic_map(state.grid, state.u)[1]
 
 
 def _rhs_direct_sorted(grid: Grid, s3: np.ndarray) -> np.ndarray:
@@ -295,14 +294,14 @@ def _rk(rates, y: tuple, dt: float, integrator: str) -> tuple:
 
 def _fx_rates(tables, state, iota, beta):
     if iota is None:
-        return (*rhs_fx(tables, state), None)
-    lu, rates = _harmonic_map(state.grid, np.concatenate((state.f[None], state.x)))
+        return rhs_fx(tables, state), None
+    lu, rates = _harmonic_map(state.grid, state.u)
     # Div T = 2 (Lap f) X - 2 f Lap X - 2 Lap X x X, from the same Laplacians;
     # the gauge flow uses the evolving structure's own cross product
     divt = 2.0 * lu[0] * state.x - 2.0 * state.f * lu[1:] - 2.0 * cross(tables, lu[1:], state.x)
     phi3 = phi_of_state(tables, state, check=False)
     diota = beta * np.einsum("mlp...,m...,la...->pa...", phi3, divt, iota)
-    return rates[0], rates[1:], diota
+    return rates, diota
 
 
 def step_fx(
@@ -322,11 +321,11 @@ def step_fx(
     """
 
     def rates(y):
-        f, x, io = y
-        return _fx_rates(tables, replace(state, f=f, x=x), io, beta)
+        u, io = y
+        return _fx_rates(tables, replace(state, u=u), io, beta)
 
-    f1, x1, io1 = _rk(rates, (state.f, state.x, iota), dt, integrator)
-    raw = replace(state, f=f1, x=x1, t=state.t + dt)
+    u1, io1 = _rk(rates, (state.u, iota), dt, integrator)
+    raw = replace(state, u=u1, t=state.t + dt)
     defect = raw.constraint_defect()
     return (raw.project() if project else raw), io1, defect
 
@@ -426,7 +425,7 @@ def _run_fx(tables: StructureTables, config: FlowConfig, state0: IsometricState)
         new, io, defect = step_fx(
             tables, state, config.dt, config.integrator, io, config.frame_beta
         )
-        if not (np.isfinite(new.f).all() and np.isfinite(new.x).all()):
+        if not np.isfinite(new.u).all():
             return None, {"type": "blow_up", "t": t, "detail": "non-finite state"}
         if defect > config.constraint_abort_tol:
             return None, {"type": "constraint_abort", "t": new.t, "defect": defect}
@@ -545,7 +544,4 @@ def write_run_outputs(result: RunResult, out_dir, config: FlowConfig) -> None:
             for rec in traj.records:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
         if traj.scheme == "fx" and traj.states:
-            final = traj.states[-1]
-            save_checkpoint(
-                os.path.join(out_dir, "final_fx.g2fl"), traj.grid, final.f, final.x
-            )
+            save_checkpoint(os.path.join(out_dir, "final_fx.g2fl"), traj.grid, traj.states[-1].u)

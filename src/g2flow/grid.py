@@ -207,7 +207,7 @@ def grad_scalar(grid: Grid, u: np.ndarray) -> np.ndarray:
 
 
 def grad_vector(grid: Grid, x: np.ndarray) -> np.ndarray:
-    """(grad X)_pq = d_p X_q as a rank-2 field (7, 7, *grid)."""
+    """d_p of a field of any rank in a new leading slot p: (grad X)_pq = d_p X_q."""
     out = np.zeros((7,) + x.shape)
     for dim in grid.active_dims:
         out[dim] = partial(grid, x, dim)
@@ -227,12 +227,12 @@ def integrate(grid: Grid, f: np.ndarray) -> float:
     return float(np.sum(f)) * grid.cell_weight
 
 
-def save_checkpoint(path, grid: Grid, f: np.ndarray, x: np.ndarray) -> None:
-    """Write a bit-exact state checkpoint.
+def save_checkpoint(path, grid: Grid, u: np.ndarray) -> None:
+    """Write a bit-exact checkpoint of the state field u = (f, X), shape (8, *grid).
 
     Layout: magic "G2FL", version u32, N u32, L float64, active-dims
-    bitmask u8, stencil order u8, then f then X as little-endian float64
-    in row-major order (X component-major).
+    bitmask u8, stencil order u8, then u as little-endian float64 in
+    row-major order: f, then X component-major.
     """
     bitmask = 0
     for d in grid.active_dims:
@@ -242,11 +242,10 @@ def save_checkpoint(path, grid: Grid, f: np.ndarray, x: np.ndarray) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(f, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(x, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(u, dtype="<f8").tobytes())
 
 
-def load_checkpoint(path) -> tuple[Grid, np.ndarray, np.ndarray]:
+def load_checkpoint(path) -> tuple[Grid, np.ndarray]:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
     Raises ValueError for a file that is not a complete checkpoint.
@@ -269,6 +268,4 @@ def load_checkpoint(path) -> tuple[Grid, np.ndarray, np.ndarray]:
         raise ValueError(
             f"checkpoint payload has {len(payload)} bytes, a {n}^{grid.k} grid needs {8 * 8 * npts}"
         )
-    f = np.frombuffer(payload, dtype="<f8", count=npts).reshape(grid.shape).copy()
-    x = np.frombuffer(payload, dtype="<f8", offset=8 * npts).reshape((7,) + grid.shape).copy()
-    return grid, f, x
+    return grid, np.frombuffer(payload, dtype="<f8").reshape((8,) + grid.shape).copy()

@@ -2,10 +2,12 @@
 
 Every G2-structure inducing the flat metric is encoded by a scalar field f
 and a vector field X with f^2 + |X|^2 = 1 pointwise; (f, X) and (-f, -X)
-encode the same structure.  This module builds the 3-form and 4-form of a
-state, its torsion 2-tensor and torsion divergence directly from (f, X),
-and provides the independent route that recovers torsion and metric from
-an arbitrary 3-form field, computed on its 35 sorted components.
+encode the same structure.  A state holds the pair as one 8-component
+field u = (f, X) of shape (8, *grid), a map into S^7.  This module builds
+the 3-form and 4-form of a state, its torsion 2-tensor and torsion
+divergence directly from (f, X), and provides the independent route that
+recovers torsion and metric from an arbitrary 3-form field, computed on
+its 35 sorted components.
 
 The reference structure is the flat, torsion-free one, so every formula
 here is its flat-torus form.  The flow evolves (f, X) as a harmonic map
@@ -62,20 +64,27 @@ class DegenerateFormError(ValueError):
 
 @dataclass(frozen=True)
 class IsometricState:
-    """A point of the isometric class: fields (f, X) with f^2 + |X|^2 = 1."""
+    """A point of the isometric class: u = (f, X), shape (8, *grid), with f^2 + |X|^2 = 1."""
 
     grid: Grid
-    f: np.ndarray
-    x: np.ndarray
+    u: np.ndarray
     t: float = 0.0
+
+    @property
+    def f(self) -> np.ndarray:
+        return self.u[0]
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.u[1:]
 
     def constraint_defect(self) -> float:
         return float(np.max(np.abs(self.f * self.f + np.sum(self.x * self.x, axis=0) - 1.0)))
 
     def project(self) -> "IsometricState":
-        """Normalize (f, X) pointwise back onto the unit sphere."""
+        """Normalize u pointwise back onto the unit sphere."""
         norm = np.sqrt(self.f * self.f + np.sum(self.x * self.x, axis=0))
-        return replace(self, f=self.f / norm, x=self.x / norm)
+        return replace(self, u=self.u / norm)
 
     def require_valid(self, tol: float = CONSTRAINT_TOL) -> None:
         defect = self.constraint_defect()
@@ -83,11 +92,11 @@ class IsometricState:
             raise InvalidStateError(f"constraint defect {defect:g} exceeds {tol:g}")
 
 
-def _state_from_x(grid: Grid, x: np.ndarray, t: float = 0.0) -> IsometricState:
+def _state_from_x(grid: Grid, x: np.ndarray) -> IsometricState:
     sq = np.sum(x * x, axis=0)
     if np.max(sq) >= 1.0:
         raise ValueError("|X| must stay below 1 so that f = sqrt(1 - |X|^2) exists")
-    return IsometricState(grid=grid, f=np.sqrt(1.0 - sq), x=x, t=t)
+    return IsometricState(grid=grid, u=np.concatenate((np.sqrt(1.0 - sq)[None], x)))
 
 
 def single_mode_state(
@@ -209,8 +218,7 @@ def torsion_of_state(tables: StructureTables, state: IsometricState) -> np.ndarr
     """
     grid = state.grid
     f, x = state.f, state.x
-    u = np.concatenate((f[None], x))
-    du = np.stack([partial(grid, u, dim) for dim in grid.active_dims])
+    du = np.stack([partial(grid, state.u, dim) for dim in grid.active_dims])
     gf, gx = du[:, 0], du[:, 1:]       # gx[p, m] = d_p X_m over active p
     cxq = np.einsum("l...,mlq->mq...", x, tables.phi)   # X_l phi_mlq
     rows = -2.0 * np.einsum("pm...,mq...->pq...", gx, cxq)

@@ -3,6 +3,12 @@ import pytest
 
 from g2flow.algebra import build_standard_tables
 from g2flow.grid import Grid
+from g2flow.states import IsometricState
+
+
+def fx_state(grid, f, x, t=0.0):
+    """The state with fields (f, X), held as the one field u = (f, X)."""
+    return IsometricState(grid=grid, u=np.concatenate((f[None], x)), t=t)
 
 
 @pytest.fixture(scope="session")

@@ -48,9 +48,9 @@ def test_run_writes_outputs_and_manifest(tmp_path, capsys):
     nd = (out_dir / "diagnostics_fx.ndjson").read_text().strip().splitlines()
     recs = [json.loads(line) for line in nd]
     assert all("energy" in r and "div_T_l2" in r for r in recs)
-    grid, f, x = load_checkpoint(out_dir / "final_fx.g2fl")
+    grid, u = load_checkpoint(out_dir / "final_fx.g2fl")
     assert grid.n == 16
-    assert np.isfinite(f).all() and np.isfinite(x).all()
+    assert u.shape == (8,) + grid.shape and np.isfinite(u).all()
 
 
 def test_run_stdout_when_no_out_dir(tmp_path, capsys):
@@ -104,7 +104,8 @@ def test_config_error_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", str(sigma_text)]) == 1
     # a checkpoint on a 16^2 grid named by a config for 32^2
     small = Grid(length=1.0, n=16)
-    save_checkpoint(tmp_path / "small.g2fl", small, np.ones(small.shape), small.zeros(1))
+    u = np.concatenate((np.ones((1,) + small.shape), small.zeros(1)))
+    save_checkpoint(tmp_path / "small.g2fl", small, u)
     mismatch = write_config(
         tmp_path / "mismatch.json",
         grid={"length": 1.0, "n": 32, "active_dims": [0, 1]},
@@ -154,6 +155,29 @@ def test_nonfinite_config_values_exit_1(tmp_path, capsys):
         cfg = write_config(tmp_path / f"{name}.json", **overrides)
         assert main(["run", "--config", str(cfg)]) == 1, name
         assert "configuration error" in capsys.readouterr().err, name
+
+
+def test_heat_kernel_scales_above_length_squared_are_config_errors(tmp_path):
+    # a wider kernel is flat to ~exp(-4 pi^2) but needs ~sqrt(scale) images:
+    # a 16^2 run with entropy_sigma 1e9 does not finish.  load_config rejects
+    # it before any run starts, so a regression fails here instead of hanging
+    for length in (1.0, 2.0):
+        grid = {"length": length, "n": 16, "active_dims": [0, 1]}
+        edge = length * length
+        for name, overrides in (
+            ("sigma", {"entropy_sigma": edge * (1 + 1e-12)}),
+            ("sigma_1e9", {"entropy_sigma": 1e9}),
+            ("t0", {"theta_probes": [[[8, 4], edge * (1 + 1e-12)]]}),
+            ("t0_1e9", {"theta_probes": [[[8, 4], 1e9]]}),
+        ):
+            cfg = write_config(tmp_path / f"{name}.json", grid=grid, **overrides)
+            with pytest.raises(cli.ConfigError, match="at most L\\^2"):
+                load_config(str(cfg))
+        at_edge = write_config(
+            tmp_path / "edge.json", grid=grid, entropy_sigma=edge, theta_probes=[[[8, 4], edge]]
+        )
+        config = load_config(str(at_edge))
+        assert config.entropy_sigma == edge and config.theta_probes[0][1] == edge
 
 
 def test_malformed_theta_probe_is_named_and_exits_1(tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import fx_state
 from g2flow.connection import (
     D_derivative,
     FrameField,
@@ -28,7 +29,6 @@ from g2flow.diagnostics import sup_norm
 from g2flow.flow import FlowConfig, InitialSpec, run
 from g2flow.grid import Grid, div2, laplacian, partial
 from g2flow.states import (
-    IsometricState,
     div_torsion_of_state,
     phi_of_state,
     random_band_state,
@@ -299,7 +299,7 @@ def test_lie_decomposition_trivial_cases(tables, grid16):
     s = random_band_state(grid16, 0.4, seed=5)
     assert sup_norm(lie_decomposition_residual(tables, s, grid16.zeros(1))) == 0.0
     # constant Y on the reference structure: translation invariance
-    ref = IsometricState(grid=grid16, f=np.ones(grid16.shape), x=grid16.zeros(1))
+    ref = fx_state(grid16, np.ones(grid16.shape), grid16.zeros(1))
     y = np.broadcast_to(np.arange(1.0, 8.0)[:, None, None], (7,) + grid16.shape).copy()
     assert sup_norm(lie_decomposition_residual(tables, ref, y)) <= 1e-14
 
@@ -336,7 +336,7 @@ def test_first_variation_trivial_and_refines(tables):
     s = random_band_state(g, 0.4, seed=5)
     assert sup_norm(first_variation_residual(tables, s, g.zeros(1))) == 0.0
     # constant V on the reference: both sides vanish
-    ref = IsometricState(grid=g, f=np.ones(g.shape), x=g.zeros(1))
+    ref = fx_state(g, np.ones(g.shape), g.zeros(1))
     v_const = np.broadcast_to(np.arange(1.0, 8.0)[:, None, None], (7,) + g.shape).copy()
     assert sup_norm(first_variation_residual(tables, ref, v_const)) <= 1e-12
 
@@ -364,14 +364,14 @@ def test_second_variation_identity_trivial_and_field(tables, grid16, rng):
 
 
 def test_soliton_residuals_trivial(tables, grid16):
-    ref = IsometricState(grid=grid16, f=np.ones(grid16.shape), x=grid16.zeros(1))
+    ref = fx_state(grid16, np.ones(grid16.shape), grid16.zeros(1))
     assert sup_norm(shrinker_soliton_residual(tables, ref, (8, 8), t0=1.0, t=0.0)) == 0.0
     x0 = grid16.zeros(1)
     assert sup_norm(soliton_residual(tables, ref, x0)) == 0.0
     # constant state with arbitrary center and time
     x = grid16.zeros(1)
     x[5] = 0.3
-    const = IsometricState(grid=grid16, f=np.sqrt(0.91) * np.ones(grid16.shape), x=x)
+    const = fx_state(grid16, np.sqrt(0.91) * np.ones(grid16.shape), x)
     assert sup_norm(shrinker_soliton_residual(tables, const, (3, 12), t0=0.7, t=0.2)) == 0.0
 
 

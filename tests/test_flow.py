@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import fx_state
 from g2flow import flow
 from g2flow.diagnostics import doubling_monitor, energy, sup_norm
 from g2flow.flow import (
@@ -21,7 +22,6 @@ from g2flow.flow import (
 )
 from g2flow.grid import Grid, grad_scalar, grad_vector, integrate, laplacian
 from g2flow.states import (
-    IsometricState,
     div_torsion_of_state,
     phi_of_state,
     psi_of_state,
@@ -43,16 +43,15 @@ def test_config_validation_cfl():
 def test_constant_state_is_fixed_point(tables, grid16):
     x = grid16.zeros(1)
     x[2] = 0.4
-    s = IsometricState(grid=grid16, f=np.sqrt(1 - 0.16) * np.ones(grid16.shape), x=x)
-    df, dx = rhs_fx(tables, s)
-    assert np.all(df == 0.0) and np.all(dx == 0.0)
+    s = fx_state(grid16, np.sqrt(1 - 0.16) * np.ones(grid16.shape), x)
+    assert np.all(rhs_fx(tables, s) == 0.0)
     stepped, _, defect = step_fx(tables, s, 1e-4)
     assert defect <= 1e-15
     assert np.allclose(stepped.f, s.f) and np.allclose(stepped.x, s.x)
 
 
 def test_reference_phi_is_fixed_point_direct(tables, grid16):
-    s = IsometricState(grid=grid16, f=np.ones(grid16.shape), x=grid16.zeros(1))
+    s = fx_state(grid16, np.ones(grid16.shape), grid16.zeros(1))
     phi = phi_of_state(tables, s)
     assert np.all(rhs_direct(tables, grid16, phi, metric_tol=None) == 0.0)
     stepped = step_direct(tables, grid16, phi, 1e-4)
@@ -64,15 +63,15 @@ def test_rhs_constraint_drift_vanishes_at_stencil_order(tables):
     for n in (16, 32):
         g = Grid(length=1.0, n=n, active_dims=(0, 1))
         s = random_band_state(g, 0.3, seed=2)
-        df, dx = rhs_fx(tables, s)
-        drift = s.f * df + np.einsum("q...,q...->...", s.x, dx)
+        du = rhs_fx(tables, s)
+        drift = s.f * du[0] + np.einsum("q...,q...->...", s.x, du[1:])
         errs.append(float(np.max(np.abs(drift))))
     assert errs[0] / errs[1] >= 3.0
 
 
 def test_small_amplitude_rhs_is_heat_equation(tables, grid32):
     s = single_mode_state(grid32, 1e-4)
-    _, dx = rhs_fx(tables, s)
+    dx = rhs_fx(tables, s)[1:]
     lx = laplacian(grid32, s.x)
     assert np.max(np.abs(dx - lx)) <= 1e-6 * np.max(np.abs(lx))
 
@@ -89,11 +88,12 @@ def _divergence_form_rhs_fx(tables, state):
 
 def _divergence_form_fx_rates(tables, state, iota, beta):
     df, dx = _divergence_form_rhs_fx(tables, state)
+    du = np.concatenate((df[None], dx))
     if iota is None:
-        return df, dx, None
+        return du, None
     divt = div_torsion_of_state(tables, state)
     phi3 = phi_of_state(tables, state, check=False)
-    return df, dx, beta * np.einsum("mlp...,m...,la...->pa...", phi3, divt, iota)
+    return du, beta * np.einsum("mlp...,m...,la...->pa...", phi3, divt, iota)
 
 
 @pytest.mark.parametrize(
@@ -102,9 +102,9 @@ def _divergence_form_fx_rates(tables, state, iota, beta):
 def test_rhs_fx_matches_divergence_form(tables, n, dims, order):
     g = Grid(length=1.0, n=n, active_dims=dims, stencil_order=order)
     s = random_band_state(g, 0.3, seed=9)
-    got = rhs_fx(tables, s)
+    du = rhs_fx(tables, s)
     ref = _divergence_form_rhs_fx(tables, s)
-    for a, b in zip(got, ref):
+    for a, b in zip((du[0], du[1:]), ref):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
@@ -164,13 +164,51 @@ def test_rhs_direct_matches_fx_pushforward(tables):
         s = random_band_state(g, 0.2, max_mode=1, seed=4)
         phi = phi_of_state(tables, s)
         got = rhs_direct(tables, g, phi, metric_tol=None)
-        df, dx = rhs_fx(tables, s)
+        du = rhs_fx(tables, s)
         eps = 1e-6
-        plus = replace(s, f=s.f + eps * df, x=s.x + eps * dx)
-        minus = replace(s, f=s.f - eps * df, x=s.x - eps * dx)
+        plus = replace(s, u=s.u + eps * du)
+        minus = replace(s, u=s.u - eps * du)
         push = (phi_of_state(tables, plus, check=False) - phi_of_state(tables, minus, check=False)) / (2 * eps)
         errs.append(float(np.max(np.abs(got - push))))
     assert errs[0] / errs[1] >= 3.0
+
+
+def _pair_form_step_fx(tables, grid, f, x, dt, integrator, iota, beta=0.5):
+    # the stepper with f and X held apart: _rk over the triple (f, X, iota),
+    # then the pre-projection defect and the projection of each part
+    def rates(y):
+        f, x, io = y
+        du, diota = flow._fx_rates(tables, fx_state(grid, f, x), io, beta)
+        return du[0], du[1:], diota
+
+    f1, x1, io1 = flow._rk(rates, (f, x, iota), dt, integrator)
+    norm_sq = f1 * f1 + np.sum(x1 * x1, axis=0)
+    norm = np.sqrt(norm_sq)
+    return f1 / norm, x1 / norm, io1, float(np.max(np.abs(norm_sq - 1.0)))
+
+
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+@pytest.mark.parametrize("with_frame", [False, True])
+@pytest.mark.parametrize("n,dims,order", [(16, (0, 1), 2), (8, (0, 1, 2), 4)])
+def test_step_fx_matches_pair_form_stepper(tables, integrator, with_frame, n, dims, order):
+    grid = Grid(length=1.0, n=n, active_dims=dims, stencil_order=order)
+    state = random_band_state(grid, 0.3, seed=6)
+    iota = None
+    if with_frame:
+        iota = np.zeros((7, 7) + grid.shape)
+        iota[np.arange(7), np.arange(7)] = 1.0
+    f, x, ref_iota = state.f, state.x, iota
+    dt = 0.2 * grid.h * grid.h / (2 * grid.k)
+    for _ in range(2):  # the second step starts from a rotated frame
+        state, iota, defect = step_fx(tables, state, dt, integrator, iota)
+        f, x, ref_iota, ref_defect = _pair_form_step_fx(tables, grid, f, x, dt, integrator, ref_iota)
+        assert np.array_equal(state.f, f) and np.array_equal(state.x, x)
+        assert defect == ref_defect
+        if with_frame:
+            assert np.array_equal(iota, ref_iota)
+        else:
+            assert iota is None and ref_iota is None
+    assert state.t == 2 * dt
 
 
 @pytest.mark.parametrize("integrator,min_order", [("euler", 1.9), ("rk4", 4.5)])
@@ -485,7 +523,7 @@ def test_chart_exit_event(tables, grid16, tmp_path):
     x[2] = np.sin(theta)
     f = np.cos(theta)
     path = tmp_path / "chart.g2fl"
-    save_checkpoint(path, grid16, f, x)
+    save_checkpoint(path, grid16, np.concatenate((f[None], x)))
     cfg = FlowConfig(
         grid=grid16,
         initial=InitialSpec(family="checkpoint", checkpoint=str(path)),

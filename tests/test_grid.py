@@ -1,6 +1,7 @@
 """Finite-difference calculus on the periodic reduced-dimension lattice."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -144,13 +145,17 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path, rng):
     f = rng.standard_normal(g.shape)
     x = rng.standard_normal((7,) + g.shape)
     path = tmp_path / "state.g2fl"
-    save_checkpoint(path, g, f, x)
-    g2, f2, x2 = load_checkpoint(path)
+    save_checkpoint(path, g, np.concatenate((f[None], x)))
+    g2, u2 = load_checkpoint(path)
     assert g2 == g
-    assert np.array_equal(f, f2)
-    assert np.array_equal(x, x2)
-    save_checkpoint(tmp_path / "again.g2fl", g2, f2, x2)
+    assert np.array_equal(f, u2[0])
+    assert np.array_equal(x, u2[1:])
+    save_checkpoint(tmp_path / "again.g2fl", g2, u2)
     assert (tmp_path / "state.g2fl").read_bytes() == (tmp_path / "again.g2fl").read_bytes()
+    # the layout: magic, version 1, N, L, active-dims bitmask, stencil order,
+    # then f, then X component-major, as little-endian float64
+    header = b"G2FL" + struct.pack("<IIdBB", 1, 8, 1.5, 0b100101, 4)
+    assert path.read_bytes() == header + f.astype("<f8").tobytes() + x.astype("<f8").tobytes()
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import fx_state
 from g2flow import algebra
 from g2flow.algebra import (
     antisymmetry_defect,
@@ -20,7 +21,6 @@ from g2flow.grid import Grid, div2, grad_scalar, grad_vector, laplacian, partial
 from g2flow.states import (
     DegenerateFormError,
     InvalidStateError,
-    IsometricState,
     localized_state,
     metric_defect,
     metric_from_phi,
@@ -36,7 +36,7 @@ from g2flow.states import (
 
 
 def reference_state(grid):
-    return IsometricState(grid=grid, f=np.ones(grid.shape), x=grid.zeros(1))
+    return fx_state(grid, np.ones(grid.shape), grid.zeros(1))
 
 
 def test_reference_state_gives_reference_forms(tables, grid16):
@@ -49,7 +49,7 @@ def test_reference_state_gives_reference_forms(tables, grid16):
 
 def test_antipodal_pair_gives_same_structure(tables, grid16):
     s = random_band_state(grid16, 0.5, seed=8)
-    s_neg = IsometricState(grid=grid16, f=-s.f, x=-s.x)
+    s_neg = fx_state(grid16, -s.f, -s.x)
     assert np.array_equal(phi_of_state(tables, s), phi_of_state(tables, s_neg))
     assert np.array_equal(psi_of_state(tables, s), psi_of_state(tables, s_neg))
     assert np.array_equal(torsion_of_state(tables, s), torsion_of_state(tables, s_neg))
@@ -59,7 +59,7 @@ def test_chart_pole_state_formula(tables, grid16):
     # (f=0, X=e0): phi -> -phi + 2 e^0 ^ (e0 -| phi), expanded by hand
     x = grid16.zeros(1)
     x[0] = 1.0
-    s = IsometricState(grid=grid16, f=np.zeros(grid16.shape), x=x)
+    s = fx_state(grid16, np.zeros(grid16.shape), x)
     got = phi_of_state(tables, s)
     interior = tables.phi[0].astype(float)  # (e0 -| phi)_jk
     wedge = np.zeros((7, 7, 7))
@@ -78,7 +78,7 @@ def test_chart_pole_state_formula(tables, grid16):
 
 
 def test_phi_of_state_rejects_invalid(tables, grid16):
-    s = IsometricState(grid=grid16, f=np.full(grid16.shape, 0.9), x=grid16.zeros(1))
+    s = fx_state(grid16, np.full(grid16.shape, 0.9), grid16.zeros(1))
     with pytest.raises(InvalidStateError):
         phi_of_state(tables, s)
 
@@ -131,7 +131,7 @@ def test_torsion_zero_for_constant_states(tables, grid16):
     x = grid16.zeros(1)
     x[4] = 0.3
     f = np.sqrt(1.0 - 0.09) * np.ones(grid16.shape)
-    s = IsometricState(grid=grid16, f=f, x=x)
+    s = fx_state(grid16, f, x)
     assert np.all(torsion_of_state(tables, s) == 0.0)
     t_phi = torsion_from_phi(tables, grid16, phi_of_state(tables, s))
     assert np.max(np.abs(t_phi)) <= 1e-14
@@ -226,7 +226,7 @@ def test_divergence_closed_form_small_amplitude(tables, grid32):
 def test_constant_state_divergence_zero(tables, grid16):
     x = grid16.zeros(1)
     x[1] = 0.5
-    s = IsometricState(grid=grid16, f=np.sqrt(0.75) * np.ones(grid16.shape), x=x)
+    s = fx_state(grid16, np.sqrt(0.75) * np.ones(grid16.shape), x)
     from g2flow.states import div_torsion_of_state
 
     assert np.all(div_torsion_of_state(tables, s) == 0.0)
@@ -256,7 +256,7 @@ def test_torsion_from_phi_rejects_non_isometric(tables, grid16):
 def test_projection_and_defect(grid16, rng):
     f = 1.0 + 0.01 * rng.standard_normal(grid16.shape)
     x = 0.01 * rng.standard_normal((7,) + grid16.shape)
-    s = IsometricState(grid=grid16, f=f, x=x)
+    s = fx_state(grid16, f, x)
     assert s.constraint_defect() > 1e-3
     p = s.project()
     assert p.constraint_defect() <= 1e-14
