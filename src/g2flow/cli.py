@@ -20,16 +20,16 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .algebra import build_standard_tables, validate_tables
-from .diagnostics import HeatKernelSpec, energy, entropy, sup_norm, theta
+from .diagnostics import entropy, record_for_torsion
 from .flow import ConfigError, FlowConfig, InitialSpec, parabolic_rescale, run, write_run_outputs
-from .grid import Grid, div2, integrate, load_checkpoint
+from .grid import Grid, load_checkpoint
 from .states import DegenerateFormError, InvalidStateError, IsometricState, torsion_of_state
 
 EXIT_OK = 0
@@ -43,10 +43,22 @@ NUMERICAL_ERRORS = (
 )
 
 
-def _reject_unknown_keys(section, cls, where: str) -> None:
+# the JSON coercion of each field type, read from the dataclass annotations;
+# a field of any other type keeps its JSON value, and validate() checks it
+_COERCE = {"float": float, "int": int, "bool": bool, "tuple[int, ...]": tuple}
+
+
+def _from_section(cls, section, where: str, **parsed):
+    """``cls`` built from a JSON object: the dataclass supplies names and defaults."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} is not a JSON object")
     unknown = sorted(set(section) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"unknown key(s) {', '.join(map(repr, unknown))} in {where}")
+    for f in fields(cls):
+        if f.name in section and f.name not in parsed:
+            parsed[f.name] = _COERCE.get(f.type, lambda value: value)(section[f.name])
+    return cls(**parsed)
 
 
 def _theta_probe(entry) -> tuple:
@@ -59,48 +71,19 @@ def load_config(path: str) -> FlowConfig:
     try:
         with open(path) as fh:
             raw = json.load(fh)
-        ini = raw.get("initial", {})
-        _reject_unknown_keys(raw, FlowConfig, "the config")
-        _reject_unknown_keys(raw["grid"], Grid, "grid")
-        _reject_unknown_keys(ini, InitialSpec, "initial")
-        grid = Grid(
-            length=float(raw["grid"]["length"]),
-            n=int(raw["grid"]["n"]),
-            active_dims=tuple(raw["grid"].get("active_dims", (0, 1))),
-            stencil_order=int(raw["grid"].get("stencil_order", 2)),
-        )
-        initial = InitialSpec(
-            family=ini.get("family", "single_mode"),
-            amplitude=float(ini.get("amplitude", 0.1)),
-            wave_dim=ini.get("wave_dim"),
-            component=int(ini.get("component", 2)),
-            max_mode=int(ini.get("max_mode", 2)),
-            seed=int(ini.get("seed", 0)),
-            width=float(ini.get("width", 0.15)),
-            checkpoint=ini.get("checkpoint"),
-        )
-        config = FlowConfig(
-            grid=grid,
-            initial=initial,
+        config = _from_section(
+            FlowConfig,
+            raw,
+            "the config",
+            grid=_from_section(Grid, raw["grid"], "grid"),
+            initial=_from_section(InitialSpec, raw.get("initial", {}), "initial"),
+            theta_probes=tuple(_theta_probe(p) for p in raw.get("theta_probes", ())),
+            # FlowConfig's defaults serve the library; a config file states its time span
             dt=float(raw["dt"]),
             t_end=float(raw["t_end"]),
-            integrator=raw.get("integrator", "rk4"),
-            scheme=raw.get("scheme", "fx"),
-            cfl_safety=float(raw.get("cfl_safety", 0.25)),
-            diagnostics_every=int(raw.get("diagnostics_every", 10)),
-            snapshot_every=int(raw.get("snapshot_every", 0)),
-            chart_positive=bool(raw.get("chart_positive", False)),
-            torsion_ceiling=float(raw.get("torsion_ceiling", 100.0)),
-            metric_tol=float(raw.get("metric_tol", 1e-3)),
-            metric_check_every=int(raw.get("metric_check_every", 50)),
-            track_frame=bool(raw.get("track_frame", False)),
-            frame_beta=float(raw.get("frame_beta", 0.5)),
-            constraint_abort_tol=float(raw.get("constraint_abort_tol", 1e-6)),
-            theta_probes=tuple(_theta_probe(p) for p in raw.get("theta_probes", ())),
-            entropy_sigma=raw.get("entropy_sigma"),
         )
         config.validate()
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ConfigError(f"bad configuration {path}: {exc}") from exc
     return config
 
@@ -117,17 +100,18 @@ def cmd_validate_tables(args) -> int:
     return EXIT_OK if total == 0 else EXIT_VERIFY
 
 
+def _write_manifest(path, manifest: dict) -> None:
+    if path:
+        with open(path, "w") as fh:
+            json.dump(manifest, fh, sort_keys=True, indent=1)
+
+
 def cmd_run(args) -> int:
     config = load_config(args.config)
     manifest = {
         "code_version": __version__,
         "config_hash": hashlib.sha256(Path(args.config).read_bytes()).hexdigest(),
-        "grid": {
-            "length": config.grid.length,
-            "n": config.grid.n,
-            "active_dims": list(config.grid.active_dims),
-            "stencil_order": config.grid.stencil_order,
-        },
+        "grid": asdict(config.grid),
         "initial": {
             "family": config.initial.family,
             "amplitude": config.initial.amplitude,
@@ -143,28 +127,20 @@ def cmd_run(args) -> int:
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         manifest_path = os.path.join(out_dir, "manifest.json")
-        with open(manifest_path, "w") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=1)
+    _write_manifest(manifest_path, manifest)
     try:
         result = run(config)
     except Exception as exc:
-        manifest["status"] = f"error: {exc}"
-        manifest["end_time"] = time.time()
-        if manifest_path:
-            with open(manifest_path, "w") as fh:
-                json.dump(manifest, fh, sort_keys=True, indent=1)
+        manifest.update(status=f"error: {exc}", end_time=time.time())
+        _write_manifest(manifest_path, manifest)
         if not isinstance(exc, NUMERICAL_ERRORS):
             raise  # a ConfigError exits 1; anything else is a bug, with its traceback
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    events = result.events
-    manifest["events"] = events
-    manifest["status"] = "finished"
-    manifest["end_time"] = time.time()
+    manifest.update(events=result.events, status="finished", end_time=time.time())
     if out_dir:
         write_run_outputs(result, out_dir, config)
-        with open(manifest_path, "w") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=1)
+        _write_manifest(manifest_path, manifest)
     else:
         for traj in (result.fx, result.direct):
             if traj is None:
@@ -172,7 +148,7 @@ def cmd_run(args) -> int:
             for rec in traj.records:
                 print(json.dumps(rec, sort_keys=True))
     bad = {"blow_up", "constraint_abort"}
-    if any(ev["type"] in bad for ev in events):
+    if any(ev["type"] in bad for ev in manifest["events"]):
         return EXIT_NUMERIC
     return EXIT_OK
 
@@ -190,51 +166,44 @@ def cmd_verify(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    tables = build_standard_tables()
     try:
         grid, u = load_checkpoint(args.checkpoint)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"bad checkpoint {args.checkpoint}: {exc}") from exc
     state = IsometricState(grid=grid, u=u)
-    torsion = torsion_of_state(tables, state)
-    divt = div2(grid, torsion)
-    record = {
-        "checkpoint": args.checkpoint,
-        "energy": energy(grid, torsion),
-        "sup_T": sup_norm(torsion),
-        "div_T_l2": integrate(grid, np.einsum("q...,q...->...", divt, divt)),
-        "constraint_defect": state.constraint_defect(),
-    }
+    torsion = torsion_of_state(build_standard_tables(), state)
+    # one theta probe, at the torsion's peak, and the entropy, both at scale (L/8)^2
     sigma = (grid.length / 8.0) ** 2
-    ent = entropy(grid, torsion, sigma, sample_stride=max(1, grid.n // 8))
-    record["entropy_estimate"] = ent.value
-    record["entropy_argmax"] = {"center": list(ent.center), "scale": ent.scale}
-    center = tuple(
-        int(i)
-        for i in np.unravel_index(
-            int(np.argmax(np.einsum("pq...,pq...->...", torsion, torsion))), grid.shape
-        )
+    peak = np.argmax(np.einsum("pq...,pq...->...", torsion, torsion))
+    center = tuple(int(i) for i in np.unravel_index(int(peak), grid.shape))
+    record = record_for_torsion(
+        grid, torsion, state.t, state.constraint_defect(), theta_probes=[(center, sigma)]
     )
-    spec = HeatKernelSpec(center=center, t0=sigma)
-    record["theta"] = [[list(center), sigma, theta(grid, torsion, spec, 0.0)]]
+    del record["t"]
+    ent = entropy(grid, torsion, sigma, sample_stride=max(1, grid.n // 8))
+    record.update(
+        checkpoint=args.checkpoint,
+        entropy_estimate=ent.value,
+        entropy_argmax={"center": list(ent.center), "scale": ent.scale},
+    )
     print(json.dumps(record, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_rescale_check(args) -> int:
     config = load_config(args.config)
-    c = float(args.c)
-    base = run(config)
-    if base.fx is None:
+    if config.scheme == "direct":
         print("rescale-check needs an fx trajectory", file=sys.stderr)
         return EXIT_CONFIG
-    rescaled = parabolic_rescale(base.fx, c)
+    # only the fx route is compared, so a "both" config integrates it alone
+    config = replace(config, scheme="fx")
+    c = float(args.c)
+    rescaled = parabolic_rescale(run(config).fx, c)
     big = replace(
         config,
         grid=replace(config.grid, length=c * config.grid.length),
         dt=c * c * config.dt,
         t_end=c * c * config.t_end,
-        scheme="fx",
     )
     second = run(big)
     if len(second.fx.states) != len(rescaled.states):
@@ -288,7 +257,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -16,7 +16,7 @@ residual diagnostics can difference the gauge-transported torsion in time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -96,6 +96,12 @@ class FlowConfig:
     entropy_sigma: float | None = None
 
     def validate(self) -> None:
+        # json reads NaN and Infinity, and a NaN slips through every `if x > bound` gate
+        for part in (self, self.initial, self.grid):
+            for f in fields(part):
+                value = getattr(part, f.name)
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.dt <= 0 or self.t_end <= 0:
             raise ConfigError("dt and t_end must be positive")
         if self.integrator not in ("euler", "rk4"):

@@ -2,13 +2,16 @@
 
 import json
 import os
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2flow import cli
 from g2flow.cli import load_config, main
+from g2flow.flow import FlowConfig, InitialSpec
 from g2flow.grid import Grid, load_checkpoint, save_checkpoint
 
 
@@ -94,6 +97,9 @@ def test_config_error_exit_codes(tmp_path, capsys):
     truncated = tmp_path / "truncated.json"
     truncated.write_text('{"grid": ')
     assert main(["run", "--config", str(truncated)]) == 1
+    # a directory where a file is named
+    assert main(["run", "--config", str(tmp_path)]) == 1
+    assert main(["diagnose", "--checkpoint", str(tmp_path)]) == 1
     not_an_object = write_config(tmp_path / "list.json", initial=[])
     assert main(["run", "--config", str(not_an_object)]) == 1
     outside_chart = write_config(
@@ -151,6 +157,15 @@ def test_nonfinite_config_values_exit_1(tmp_path, capsys):
         ("sigma_huge", {"entropy_sigma": 10**400}),
         ("t0_huge", {"theta_probes": [[[8, 4], 10**400]]}),
         ("dt_huge", {"dt": 10**400}),
+        # json reads the literals NaN and Infinity
+        ("dt_nan", {"dt": float("nan")}),
+        ("t_end_nan", {"t_end": float("nan")}),
+        ("t_end_inf", {"t_end": float("inf")}),
+        ("length_nan", {"grid": {"length": float("nan"), "n": 16, "active_dims": [0, 1]}}),
+        # a NaN tolerance would switch its gate off
+        ("abort_tol_nan", {"constraint_abort_tol": float("nan")}),
+        ("metric_tol_nan", {"metric_tol": float("nan")}),
+        ("ceiling_nan", {"torsion_ceiling": float("nan")}),
     ):
         cfg = write_config(tmp_path / f"{name}.json", **overrides)
         assert main(["run", "--config", str(cfg)]) == 1, name
@@ -287,6 +302,9 @@ def test_rescale_check_subcommand(tmp_path, capsys):
     assert main(["rescale-check", "--config", str(cfg), "--c", "2.0"]) == 0
     out = capsys.readouterr().out
     assert "max state discrepancy" in out
+    direct = write_config(tmp_path / "direct.json", scheme="direct")
+    assert main(["rescale-check", "--config", str(direct), "--c", "2.0"]) == 1
+    assert "needs an fx trajectory" in capsys.readouterr().err
 
 
 def test_rescale_check_keeps_config_fields(tmp_path, capsys, monkeypatch):
@@ -300,7 +318,6 @@ def test_rescale_check_keeps_config_fields(tmp_path, capsys, monkeypatch):
     # at the default constraint_abort_tol the run aborts on drift alone
     strict = write_config(tmp_path / "strict.json", **overrides)
     assert main(["run", "--config", str(strict)]) == 2
-    cfg = write_config(tmp_path / "cfg.json", constraint_abort_tol=1e-3, **overrides)
     configs = []
     real_run = cli.run
 
@@ -310,16 +327,22 @@ def test_rescale_check_keeps_config_fields(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "run", recording_run)
     capsys.readouterr()
-    assert main(["rescale-check", "--config", str(cfg), "--c", "2.0"]) == 0
-    assert "max state discrepancy 0.000e+00" in capsys.readouterr().out
-    base, big = configs
-    assert big == replace(
-        base,
-        grid=replace(base.grid, length=2.0),
-        dt=4.0 * base.dt,
-        t_end=4.0 * base.t_end,
-        scheme="fx",
-    )
+    # a "both" config compares the fx route only, so it integrates nothing else
+    for scheme in ("fx", "both"):
+        cfg = write_config(
+            tmp_path / f"{scheme}.json", constraint_abort_tol=1e-3, scheme=scheme, **overrides
+        )
+        configs.clear()
+        assert main(["rescale-check", "--config", str(cfg), "--c", "2.0"]) == 0, scheme
+        assert "max state discrepancy 0.000e+00" in capsys.readouterr().out
+        base, big = configs
+        assert base.scheme == big.scheme == "fx", scheme
+        assert big == replace(
+            base,
+            grid=replace(base.grid, length=2.0),
+            dt=4.0 * base.dt,
+            t_end=4.0 * base.t_end,
+        )
 
 
 def test_checkpoint_resume_round_trip(tmp_path, capsys):
@@ -332,3 +355,71 @@ def test_checkpoint_resume_round_trip(tmp_path, capsys):
         t_end=4e-4,
     )
     assert main(["run", "--config", str(resumed)]) == 0
+
+
+@st.composite
+def valid_configs(draw):
+    dims = tuple(sorted(draw(st.sets(st.integers(0, 6), min_size=1, max_size=3))))
+    grid = Grid(
+        length=draw(st.floats(0.5, 4.0)),
+        n=draw(st.sampled_from([6, 8, 16])),
+        active_dims=dims,
+        stencil_order=draw(st.sampled_from([2, 4])),
+    )
+    max_scale = grid.length * grid.length
+    scales = st.floats(1e-4, max_scale)
+    initial = InitialSpec(
+        family=draw(st.sampled_from(["single_mode", "random_band", "localized", "checkpoint"])),
+        amplitude=draw(st.floats(0.0, 0.9)),
+        wave_dim=draw(st.none() | st.sampled_from(dims)),
+        component=draw(st.integers(0, 6)),
+        max_mode=draw(st.integers(1, 4)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        width=draw(st.floats(0.01, 1.0)),
+        checkpoint=draw(st.none() | st.text(max_size=12)),
+    )
+    cfl_safety = draw(st.floats(0.05, 1.0))
+    centers = st.tuples(*[st.integers(0, grid.n - 1)] * grid.k)
+    return FlowConfig(
+        grid=grid,
+        initial=initial,
+        dt=draw(st.floats(0.01, 1.0)) * cfl_safety * grid.h * grid.h / (2.0 * grid.k),
+        t_end=draw(st.floats(1e-6, 10.0)),
+        integrator=draw(st.sampled_from(["euler", "rk4"])),
+        scheme=draw(st.sampled_from(["fx", "direct", "both"])),
+        cfl_safety=cfl_safety,
+        diagnostics_every=draw(st.integers(1, 100)),
+        snapshot_every=draw(st.integers(0, 100)),
+        chart_positive=draw(st.booleans()),
+        torsion_ceiling=draw(st.floats(1.0, 1e3)),
+        metric_tol=draw(st.floats(1e-9, 1.0)),
+        metric_check_every=draw(st.integers(1, 100)),
+        track_frame=draw(st.booleans()),
+        frame_beta=draw(st.floats(0.0, 2.0)),
+        constraint_abort_tol=draw(st.floats(1e-12, 1.0)),
+        theta_probes=tuple(draw(st.lists(st.tuples(centers, scales), max_size=2))),
+        entropy_sigma=draw(st.none() | scales),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=valid_configs())
+def test_config_round_trips_through_json(tmp_path_factory, config):
+    config.validate()
+    path = tmp_path_factory.mktemp("roundtrip") / "cfg.json"
+    path.write_text(json.dumps(asdict(config)))
+    assert load_config(str(path)) == config
+
+
+def test_minimal_config_loads_to_the_dataclass_defaults(tmp_path):
+    minimal = {"grid": {"length": 1.0, "n": 16}, "dt": 1e-4, "t_end": 1e-3}
+    path = tmp_path / "minimal.json"
+    path.write_text(json.dumps(minimal))
+    assert load_config(str(path)) == FlowConfig(grid=Grid(length=1.0, n=16), dt=1e-4, t_end=1e-3)
+    # the dataclasses default dt and t_end, but a config file must state them
+    for section, key in ((None, "dt"), (None, "t_end"), ("grid", "length"), ("grid", "n")):
+        partial = json.loads(json.dumps(minimal))
+        del (partial[section] if section else partial)[key]
+        path.write_text(json.dumps(partial))
+        with pytest.raises(cli.ConfigError):
+            load_config(str(path))
