@@ -43,9 +43,39 @@ NUMERICAL_ERRORS = (
 )
 
 
-# the JSON coercion of each field type, read from the dataclass annotations;
-# a field of any other type keeps its JSON value, and validate() checks it
-_COERCE = {"float": float, "int": int, "bool": bool, "tuple[int, ...]": tuple}
+# what JSON value each annotated field type accepts (a bool is never a number);
+# a field of another type (theta_probes) is parsed on its own
+_JSON_KINDS = {
+    "float": "a finite number",
+    "int": "an integer",
+    "bool": "true or false",
+    "str": "a string",
+    "tuple[int, ...]": "a list of integers",
+}
+
+
+def _coerce(type_name: str, value):
+    """``value`` checked against the JSON kind of a field type, then converted."""
+    kind = type_name.removesuffix(" | None")
+    if kind not in _JSON_KINDS or (value is None and kind != type_name):
+        return value
+    if kind == "tuple[int, ...]" and isinstance(value, list):
+        return tuple(_coerce("int", i) for i in value)
+    if kind in ("bool", "str") and type(value).__name__ == kind:
+        return value
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind == "float" and number and abs(value) <= sys.float_info.max:
+        return float(value)
+    if kind == "int" and number and (isinstance(value, int) or value.is_integer()):
+        return int(value)
+    raise TypeError(f"must be {_JSON_KINDS[kind]}, got {value!r}")
+
+
+def _field(type_name: str, name: str, where: str, value):
+    try:
+        return _coerce(type_name, value)
+    except TypeError as exc:
+        raise ConfigError(f"{name} in {where} {exc}") from None
 
 
 def _from_section(cls, section, where: str, **parsed):
@@ -57,14 +87,14 @@ def _from_section(cls, section, where: str, **parsed):
         raise ConfigError(f"unknown key(s) {', '.join(map(repr, unknown))} in {where}")
     for f in fields(cls):
         if f.name in section and f.name not in parsed:
-            parsed[f.name] = _COERCE.get(f.type, lambda value: value)(section[f.name])
+            parsed[f.name] = _field(f.type, f.name, where, section[f.name])
     return cls(**parsed)
 
 
 def _theta_probe(entry) -> tuple:
     if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], list)):
         raise ConfigError(f"theta probe {entry!r} is not a [center, t0] pair")
-    return tuple(entry[0]), float(entry[1])
+    return tuple(entry[0]), _field("float", "t0", f"theta probe {entry!r}", entry[1])
 
 
 def load_config(path: str) -> FlowConfig:
@@ -79,8 +109,8 @@ def load_config(path: str) -> FlowConfig:
             initial=_from_section(InitialSpec, raw.get("initial", {}), "initial"),
             theta_probes=tuple(_theta_probe(p) for p in raw.get("theta_probes", ())),
             # FlowConfig's defaults serve the library; a config file states its time span
-            dt=float(raw["dt"]),
-            t_end=float(raw["t_end"]),
+            dt=_field("float", "dt", "the config", raw["dt"]),
+            t_end=_field("float", "t_end", "the config", raw["t_end"]),
         )
         config.validate()
     except (OSError, KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
@@ -123,11 +153,13 @@ def cmd_run(args) -> int:
         "events": [],
     }
     out_dir = args.out_dir
-    manifest_path = None
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        manifest_path = os.path.join(out_dir, "manifest.json")
-    _write_manifest(manifest_path, manifest)
+    manifest_path = os.path.join(out_dir, "manifest.json") if out_dir else None
+    try:
+        if out_dir:
+            os.makedirs(out_dir, exist_ok=True)
+        _write_manifest(manifest_path, manifest)
+    except OSError as exc:
+        raise ConfigError(f"cannot write to output directory {out_dir}: {exc}") from exc
     try:
         result = run(config)
     except Exception as exc:

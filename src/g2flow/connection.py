@@ -1,10 +1,11 @@
-"""Modified connection, gauge-frame evolution, and identity residuals.
+"""Modified connection, gauge frame, and identity residuals.
 
 The flat connection on an auxiliary bundle E (a second copy of the tangent
 bundle, trivialized by the grid coordinates) is twisted by
 alpha (X -| T) x (.) ; together with a frame iota evolving by
-beta (Div T) x iota, the gauge-transported torsion satisfies a clean
-reaction-diffusion equation for alpha = -1/2, beta = 1/2.  Every residual
+beta (Div T) x iota, which a run with ``track_frame`` co-evolves, the
+gauge-transported torsion satisfies a clean reaction-diffusion equation
+for alpha = -1/2, beta = 1/2.  Every residual
 evaluator here differences two independently computed sides, so a
 vanishing residual under refinement verifies the corresponding identity
 numerically rather than by construction.
@@ -20,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import StructureTables, diamond
-from .flow import _rk
-from .grid import Grid, div2, grad_scalar, grad_vector, laplacian, partial
+from .grid import Grid, div2, grad_vector, laplacian, partial
 from .states import (
     IsometricState,
     metric_from_phi,
@@ -34,12 +34,10 @@ from .states import (
 __all__ = [
     "FrameField",
     "FrameDegenerateError",
-    "GaugeDriftError",
     "identity_frame",
     "D_derivative",
     "frame_connection_coefficients",
     "laplacian_D",
-    "evolve_frame",
     "reaction_diffusion_residual",
     "torsion_evolution_residual",
     "bianchi_residual",
@@ -47,7 +45,6 @@ __all__ = [
     "lie_decomposition_residual",
     "first_variation_residual",
     "second_variation_pointwise_defect",
-    "second_variation_identity_defect",
     "shrinker_soliton_residual",
     "soliton_residual",
 ]
@@ -55,10 +52,6 @@ __all__ = [
 
 class FrameDegenerateError(ValueError):
     """Raised when the frame map iota is (numerically) singular."""
-
-
-class GaugeDriftError(RuntimeError):
-    """Raised when iota^T iota drifts too far from the identity."""
 
 
 @dataclass(frozen=True)
@@ -186,36 +179,6 @@ def laplacian_D(
         divt = div2(grid, torsion)
         w = np.einsum("m...,mlp...->lp...", divt, phi)
         out -= alpha * np.einsum("ip...,la...,lp...->ia...", a2, iota, w)
-    return out
-
-
-def evolve_frame(
-    tables: StructureTables,
-    grid: Grid,
-    frame: FrameField,
-    div_torsion: np.ndarray,
-    dt: float,
-    integrator: str = "rk4",
-    phi3: np.ndarray | None = None,
-) -> FrameField:
-    """Advance iota by d(iota)/dt = beta (Div T) x iota, columnwise.
-
-    Div T is held fixed over the step (the caller supplies the field at the
-    appropriate time).  Orthogonality is re-checked, not projected; drift
-    beyond 1e-6 raises GaugeDriftError.
-    """
-    phi = _phi_field(tables, grid, phi3)
-
-    def rate(io):
-        return frame.beta * np.einsum(
-            "mlp...,m...,la...->pa...", phi, div_torsion, io
-        )
-
-    (io1,) = _rk(lambda y: (rate(*y),), (frame.iota,), dt, integrator)
-    out = FrameField(iota=io1, alpha=frame.alpha, beta=frame.beta)
-    defect = out.orthogonality_defect()
-    if defect > 1e-6:
-        raise GaugeDriftError(f"gauge drift {defect:g} after one step")
     return out
 
 
@@ -410,16 +373,6 @@ def second_variation_pointwise_defect(
     ttxx = np.einsum("km...,kl...,m...,l...->...", torsion, torsion, x, x)
     rhs += 0.25 * (tsq * xsq - ttxx)
     return lhs - rhs
-
-
-def second_variation_identity_defect(
-    tables: StructureTables,
-    grid: Grid,
-    x: np.ndarray,
-    torsion: np.ndarray,
-) -> np.ndarray:
-    """Field version of the pointwise identity, with grad X from the grid."""
-    return second_variation_pointwise_defect(tables, grad_vector(grid, x), torsion, x)
 
 
 def shrinker_soliton_residual(

@@ -36,8 +36,6 @@ __all__ = [
     "entropy",
     "decay_rate",
     "interpolation_monitor",
-    "shi_monitor",
-    "doubling_monitor",
     "record_for_state",
     "record_for_torsion",
 ]
@@ -105,37 +103,34 @@ def _wrapped_parts(length: float, tau: float, d: np.ndarray, radius: int):
     return w, wp, wpp
 
 
-def _axis_displacement(grid: Grid, center_index: int) -> np.ndarray:
-    d = ((np.arange(grid.n) - center_index) % grid.n) * grid.h
-    return np.where(d > grid.length / 2, d - grid.length, d)
-
-
 def _kernel_axes(grid: Grid, spec: HeatKernelSpec, t: float):
     tau = spec.t0 - t
     if tau <= 0:
         raise ValueError("kernel requires t < t0")
     if len(spec.center) != grid.k:
         raise ValueError("kernel center needs one index per active dimension")
-    axes = []
-    for pos in range(grid.k):
-        d = _axis_displacement(grid, spec.center[pos])
-        axes.append(_wrapped_parts(grid.length, tau, d, spec.image_radius))
+    axes = [
+        _wrapped_parts(grid.length, tau, grid.displacement(c), spec.image_radius)
+        for c in spec.center
+    ]
     return tau, axes
-
-
-def _broadcast_axis(grid: Grid, pos: int, arr1d: np.ndarray) -> np.ndarray:
-    shape = [1] * grid.k
-    shape[pos] = grid.n
-    return arr1d.reshape(shape)
 
 
 def _product_kernel(grid: Grid, tables) -> np.ndarray:
     """L^-(7-k) times the outer product of one 1-D table per active axis,
     multiplied in axis order; every kernel of this module shares this arithmetic."""
     u = np.full(grid.shape, grid.length ** -(7 - grid.k))
-    for pos, w in enumerate(tables):
-        u = u * _broadcast_axis(grid, pos, w)
+    for dim, w in zip(grid.active_dims, tables):
+        u = u * grid.along(dim, w)
     return u
+
+
+def _grad_log(grid: Grid, axes) -> np.ndarray:
+    """grad f = -w'/w of the product kernel's axes; zero on inactive dims."""
+    out = grid.zeros(1)
+    for dim, (w, wp, _) in zip(grid.active_dims, axes):
+        out[dim] = grid.along(dim, -wp / w)
+    return out
 
 
 def heat_kernel(grid: Grid, spec: HeatKernelSpec, t: float) -> np.ndarray:
@@ -146,14 +141,7 @@ def heat_kernel(grid: Grid, spec: HeatKernelSpec, t: float) -> np.ndarray:
 
 def grad_log_kernel(grid: Grid, spec: HeatKernelSpec, t: float) -> np.ndarray:
     """grad f with u = exp(-f) / (4 pi (t0-t))^(7/2); zero on inactive dims."""
-    tau, axes = _kernel_axes(grid, spec, t)
-    out = grid.zeros(1)
-    for pos, (w, wp, _) in enumerate(axes):
-        dim = grid.active_dims[pos]
-        out[dim] = np.broadcast_to(
-            _broadcast_axis(grid, pos, -wp / w), grid.shape
-        )
-    return out
+    return _grad_log(grid, _kernel_axes(grid, spec, t)[1])
 
 
 def theta(grid: Grid, torsion: np.ndarray, spec: HeatKernelSpec, t: float) -> float:
@@ -191,14 +179,11 @@ def monotonicity_terms(
     """
     tau, axes = _kernel_axes(grid, spec, t)
     u = _product_kernel(grid, [w for w, _, _ in axes])
-    eta = {}
-    gradf = grid.zeros(1)
-    for pos, (w, wp, wpp) in enumerate(axes):
-        dim = grid.active_dims[pos]
-        gradf[dim] = np.broadcast_to(_broadcast_axis(grid, pos, -wp / w), grid.shape)
-        eta[dim] = _broadcast_axis(
-            grid, pos, wpp / w - (wp / w) ** 2 + 1.0 / (2.0 * tau)
-        )
+    gradf = _grad_log(grid, axes)
+    eta = {
+        dim: grid.along(dim, wpp / w - (wp / w) ** 2 + 1.0 / (2.0 * tau))
+        for dim, (w, wp, wpp) in zip(grid.active_dims, axes)
+    }
     i_eta = _inactive_hessian_integral(grid.length, tau, spec.image_radius)
     j_eta = 1.0 / (2.0 * tau) - i_eta
 
@@ -288,7 +273,7 @@ def entropy(
     indices = range(0, grid.n, sample_stride)
     tables = [
         {
-            c: _wrapped_parts(grid.length, tau, _axis_displacement(grid, c), image_radius)[0]
+            c: _wrapped_parts(grid.length, tau, grid.displacement(c), image_radius)[0]
             for c in indices
         }
         for tau in scales
@@ -370,33 +355,6 @@ def _shi_quantities(grid: Grid, torsion: np.ndarray, t: float, sup_t0: float) ->
     """Scale-invariant derivative quantities sup|grad^m T| t^(m/2) / sup|T(0)|."""
     m1, m2 = _shi_sups(grid, torsion)
     return {"m1": m1 * math.sqrt(t) / sup_t0, "m2": m2 * t / sup_t0}
-
-
-def shi_monitor(tables: StructureTables, traj) -> list[dict]:
-    """The Shi quantities of every snapshot of a trajectory."""
-    out, sup_t0 = [], None
-    for state, tm in zip(traj.states, traj.times):
-        torsion = torsion_of_state(tables, state)
-        sup_t0 = sup_t0 or max(sup_norm(torsion), 1e-300)
-        out.append({"t": tm, **_shi_quantities(traj.grid, torsion, max(tm, 0.0), sup_t0)})
-    return out
-
-
-def doubling_monitor(times, sup_series) -> dict:
-    """First time sup|T| exceeds twice its initial value, with the implied
-    empirical constant in t_double >= 1/(C sup|T(0)|^2)."""
-    sup0 = float(sup_series[0])
-    if sup0 <= 0:
-        return {"sup_T0": sup0, "doubled": False}
-    for tm, s in zip(times, sup_series):
-        if s > 2.0 * sup0 and tm > 0:
-            return {
-                "sup_T0": sup0,
-                "doubled": True,
-                "t_double": tm,
-                "empirical_C": 1.0 / (tm * sup0 * sup0),
-            }
-    return {"sup_T0": sup0, "doubled": False}
 
 
 def record_for_torsion(

@@ -48,7 +48,6 @@ __all__ = [
     "Trajectory",
     "RunResult",
     "rhs_fx",
-    "rhs_direct",
     "step_fx",
     "step_direct",
     "run",
@@ -244,18 +243,6 @@ def rhs_fx(tables: StructureTables, state: IsometricState) -> np.ndarray:
 
 def _rhs_direct_sorted(grid: Grid, s3: np.ndarray) -> np.ndarray:
     return contract(DIV_PSI_ENTRIES, div2(grid, torsion_from_sorted(grid, s3)), s3)
-
-
-def rhs_direct(
-    tables: StructureTables,
-    grid: Grid,
-    phi: np.ndarray,
-    metric_tol: float | None = 1e-6,
-) -> np.ndarray:
-    """Right-hand side (Div T) -| psi of the direct 3-form flow."""
-    s3 = sorted_components(phi, 3)
-    require_isometric(grid, s3, metric_tol)
-    return dense_from_sorted(_rhs_direct_sorted(grid, s3), 3)
 
 
 def _shifted(a: np.ndarray, c: float, k: np.ndarray) -> np.ndarray:

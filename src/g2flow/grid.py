@@ -85,25 +85,26 @@ class Grid:
         """Array axis carrying direction ``dim`` in a field with ``ndim_total`` axes."""
         return ndim_total - self.k + self.active_dims.index(dim)
 
+    def along(self, dim: int, values: np.ndarray) -> np.ndarray:
+        """The n values of a 1-D array laid along active direction ``dim``,
+        shaped to broadcast against the grid (ValueError if ``dim`` is inactive)."""
+        shape = [1] * self.k
+        shape[self.active_dims.index(dim)] = self.n
+        return values.reshape(shape)
+
     def coordinate(self, dim: int) -> np.ndarray:
         """Coordinate values along an active direction, broadcast to grid shape."""
-        x = np.arange(self.n) * self.h
-        if dim not in self.active_dims:
-            raise ValueError(f"direction {dim} is inactive")
-        pos = self.active_dims.index(dim)
-        shape = [1] * self.k
-        shape[pos] = self.n
-        return np.broadcast_to(x.reshape(shape), self.shape)
+        return np.broadcast_to(self.along(dim, np.arange(self.n) * self.h), self.shape)
+
+    def displacement(self, center_index: int) -> np.ndarray:
+        """1-D periodic displacement x - x0 from grid index ``center_index``,
+        lifted to (-L/2, L/2]."""
+        d = ((np.arange(self.n) - center_index) % self.n) * self.h
+        return np.where(d > self.length / 2, d - self.length, d)
 
     def lifted_displacement(self, dim: int, center_index: int) -> np.ndarray:
         """Periodic displacement x - x0 along ``dim``, lifted to (-L/2, L/2]."""
-        idx = (np.arange(self.n) - center_index) % self.n
-        d = idx * self.h
-        d = np.where(d > self.length / 2, d - self.length, d)
-        pos = self.active_dims.index(dim)
-        shape = [1] * self.k
-        shape[pos] = self.n
-        return np.broadcast_to(d.reshape(shape), self.shape)
+        return np.broadcast_to(self.along(dim, self.displacement(center_index)), self.shape)
 
     def zeros(self, rank: int) -> np.ndarray:
         return np.zeros((7,) * rank + self.shape)

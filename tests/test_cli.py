@@ -2,7 +2,7 @@
 
 import json
 import os
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -170,6 +170,50 @@ def test_nonfinite_config_values_exit_1(tmp_path, capsys):
         cfg = write_config(tmp_path / f"{name}.json", **overrides)
         assert main(["run", "--config", str(cfg)]) == 1, name
         assert "configuration error" in capsys.readouterr().err, name
+
+
+def test_config_fields_take_only_their_json_type(tmp_path, capsys):
+    # a string is not a bool, a bool is not a number, and a fraction is not
+    # an integer: each exits 1 and names its field
+    for name, overrides in (
+        ("track_frame", {"track_frame": "no"}),
+        ("chart_positive", {"chart_positive": "false"}),
+        ("n", {"grid": {"length": 1.0, "n": 16.7, "active_dims": [0, 1]}}),
+        ("diagnostics_every", {"diagnostics_every": 2.9}),
+        ("snapshot_every", {"snapshot_every": True}),
+        ("seed", {"initial": {"family": "random_band", "seed": 1.5}}),
+        ("active_dims", {"grid": {"length": 1.0, "n": 16, "active_dims": [0, 1.5]}}),
+        ("dt", {"dt": True}),
+        ("cfl_safety", {"cfl_safety": False}),
+        ("amplitude", {"initial": {"family": "single_mode", "amplitude": "0.1"}}),
+        ("checkpoint", {"initial": {"family": "checkpoint", "checkpoint": 5}}),
+    ):
+        cfg = write_config(tmp_path / f"{name}.json", **overrides)
+        assert main(["run", "--config", str(cfg)]) == 1, name
+        assert f"{name} in " in capsys.readouterr().err, name
+    # integral numbers load whichever way JSON spells them
+    integral = write_config(
+        tmp_path / "integral.json",
+        grid={"length": 1, "n": 16.0, "active_dims": [0, 1.0]},
+        diagnostics_every=2.0,
+    )
+    config = load_config(str(integral))
+    assert config.grid == Grid(length=1.0, n=16) and type(config.grid.n) is int
+    assert config.diagnostics_every == 2 and type(config.diagnostics_every) is int
+    # every field read from a JSON value has its type checked
+    for cls in (FlowConfig, Grid, InitialSpec):
+        for f in fields(cls):
+            kind = f.type.removesuffix(" | None")
+            assert f.name in ("grid", "initial", "theta_probes") or kind in cli._JSON_KINDS, f
+
+
+def test_run_out_dir_that_cannot_be_made_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json")
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out_dir in (taken, taken / "sub"):
+        assert main(["run", "--config", str(cfg), "--out-dir", str(out_dir)]) == 1
+        assert "configuration error" in capsys.readouterr().err
 
 
 def test_heat_kernel_scales_above_length_squared_are_config_errors(tmp_path):

@@ -10,7 +10,6 @@ from g2flow import diagnostics
 from g2flow.diagnostics import (
     HeatKernelSpec,
     decay_rate,
-    doubling_monitor,
     energy,
     entropy,
     grad_log_kernel,
@@ -18,7 +17,6 @@ from g2flow.diagnostics import (
     interpolation_monitor,
     monotonicity_residual,
     monotonicity_terms,
-    shi_monitor,
     sup_norm,
     theta,
 )
@@ -346,11 +344,12 @@ def test_shi_monitor_bounded_along_run(tables, grid32):
         t_end=0.01,
         scheme="fx",
         cfl_safety=0.9,
-        snapshot_every=10,
     )
-    traj = run(cfg, tables).fx
-    rows = shi_monitor(tables, traj)
-    assert rows[0]["m1"] == 0.0  # t = 0
+    records = run(cfg, tables).fx.records
+    # the Shi quantities sup|grad^m T| t^(m/2) / sup|T(0)| of every record after t = 0
+    assert "shi_quantities" not in records[0]
+    rows = [rec["shi_quantities"] for rec in records[1:]]
+    assert len(rows) == 10
     assert all(np.isfinite(r["m1"]) and np.isfinite(r["m2"]) for r in rows)
     assert max(r["m1"] for r in rows) < 10.0
     assert max(r["m2"] for r in rows) < 10.0

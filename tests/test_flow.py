@@ -8,13 +8,14 @@ import pytest
 
 from conftest import fx_state
 from g2flow import flow
-from g2flow.diagnostics import doubling_monitor, energy, sup_norm
+from g2flow.algebra import dense_from_sorted, sorted_components
+from g2flow.diagnostics import energy, sup_norm
 from g2flow.flow import (
     ConfigError,
     FlowConfig,
     InitialSpec,
+    Trajectory,
     parabolic_rescale,
-    rhs_direct,
     rhs_fx,
     run,
     step_direct,
@@ -29,6 +30,11 @@ from g2flow.states import (
     single_mode_state,
     torsion_of_state,
 )
+
+
+def direct_rate(grid, phi):
+    """The direct route's rate (Div T) -| psi of a dense 3-form."""
+    return dense_from_sorted(flow._rhs_direct_sorted(grid, sorted_components(phi, 3)), 3)
 
 
 def test_config_validation_cfl():
@@ -53,7 +59,7 @@ def test_constant_state_is_fixed_point(tables, grid16):
 def test_reference_phi_is_fixed_point_direct(tables, grid16):
     s = fx_state(grid16, np.ones(grid16.shape), grid16.zeros(1))
     phi = phi_of_state(tables, s)
-    assert np.all(rhs_direct(tables, grid16, phi, metric_tol=None) == 0.0)
+    assert np.all(direct_rate(grid16, phi) == 0.0)
     stepped = step_direct(tables, grid16, phi, 1e-4)
     assert np.array_equal(stepped, phi)
 
@@ -145,7 +151,7 @@ def test_rhs_direct_lies_in_vector_component(tables, grid16, rng):
 
     s = random_band_state(grid16, 0.3, seed=5)
     phi = phi_of_state(tables, s)
-    rhs = rhs_direct(tables, grid16, phi, metric_tol=None)
+    rhs = direct_rate(grid16, phi)
     h = rng.standard_normal((7, 7))
     h = h + h.T
     h -= np.trace(h) / 7.0 * np.eye(7)
@@ -163,7 +169,7 @@ def test_rhs_direct_matches_fx_pushforward(tables):
         g = Grid(length=1.0, n=n, active_dims=(0, 1))
         s = random_band_state(g, 0.2, max_mode=1, seed=4)
         phi = phi_of_state(tables, s)
-        got = rhs_direct(tables, g, phi, metric_tol=None)
+        got = direct_rate(g, phi)
         du = rhs_fx(tables, s)
         eps = 1e-6
         plus = replace(s, u=s.u + eps * du)
@@ -354,13 +360,25 @@ def test_rescaled_trajectory_solves_rescaled_flow(tables):
 
 
 def test_doubling_monitor_reports(tables, grid16):
-    times = [0.0, 0.1, 0.2, 0.3]
-    sups = [1.0, 1.5, 2.5, 3.0]
-    out = doubling_monitor(times, sups)
-    assert out["doubled"] and out["t_double"] == pytest.approx(0.2)
-    assert out["empirical_C"] == pytest.approx(1.0 / 0.2)
-    out2 = doubling_monitor(times, [1.0, 1.0, 1.1, 0.9])
-    assert not out2["doubled"]
+    # the run loop's doubling-time event, with stub fields: the field is the
+    # step count, and its record reads sup|T| from a fixed series
+    def events(sups):
+        cfg = FlowConfig(grid=grid16, dt=0.1, t_end=0.3, diagnostics_every=1)
+        traj = Trajectory(scheme="fx", grid=grid16, times=[])
+        flow._run_scheme(
+            cfg,
+            traj,
+            0,
+            lambda y, t, step: (y + 1, None),
+            lambda y, t, **options: {"t": t, "sup_T": sups[y]},
+            lambda y: None,
+        )
+        return traj.events
+
+    assert events([1.0, 1.5, 2.5, 3.0]) == [
+        {"type": "doubling_time", "t": 0.2, "empirical_C": 5.0}
+    ]
+    assert events([1.0, 1.0, 1.1, 0.9]) == []
     # along a gradient flow the torsion decays, so no doubling occurs
     cfg = FlowConfig(
         grid=grid16,
@@ -372,9 +390,6 @@ def test_doubling_monitor_reports(tables, grid16):
         diagnostics_every=2,
     )
     traj = run(cfg, tables).fx
-    recs = traj.records
-    out3 = doubling_monitor([r["t"] for r in recs], [r["sup_T"] for r in recs])
-    assert not out3["doubled"]
     assert not any(ev["type"] == "doubling_time" for ev in traj.events)
 
 
