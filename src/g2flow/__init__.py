@@ -10,7 +10,6 @@ from .algebra import (
     diamond,
     hodge_star_3,
     hodge_star_4,
-    interior_psi,
     validate_tables,
 )
 from .grid import Grid, div2, grad_scalar, grad_vector, integrate, laplacian, partial
@@ -20,6 +19,7 @@ from .states import (
     metric_from_phi,
     phi_of_state,
     psi_of_state,
+    sorted_phi_of_state,
     torsion_from_phi,
     torsion_of_state,
 )

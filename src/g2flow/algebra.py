@@ -2,9 +2,9 @@
 
 The module owns the integer structure constants phi_ijk (3-form) and
 psi_ijkl = *phi (4-form), the cross product, the diamond action of a
-symmetric 2-tensor on the 3-form, interior products, and the flat Hodge
-star on 3- and 4-forms.  Every identity these constants satisfy is
-checkable exhaustively in integer arithmetic through ``validate_tables``.
+symmetric 2-tensor on the 3-form, and the flat Hodge star on 3- and
+4-forms.  Every identity these constants satisfy is checkable
+exhaustively in integer arithmetic through ``validate_tables``.
 
 Conventions:
 
@@ -34,11 +34,8 @@ __all__ = [
     "validate_tables",
     "cross",
     "diamond",
-    "interior_psi",
     "hodge_star_3",
     "hodge_star_4",
-    "form_inner",
-    "antisymmetry_defect",
 ]
 
 # Oriented base triples of the reference 3-form, with coefficients.
@@ -89,9 +86,12 @@ def _index_table(rank: int, heads, tails) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gather(s: np.ndarray, table) -> np.ndarray:
-    """sign * s[index] over the leading (component) axis of s."""
+    """sign * s[index] over the leading (component) axis of s, signed in
+    place so that one gathered array is live."""
     index, sign = table
-    return sign.reshape(sign.shape + (1,) * (s.ndim - 1)) * s[index]
+    out = s[index]
+    out *= sign.reshape(sign.shape + (1,) * (s.ndim - 1))
+    return out
 
 
 def _star_table(rank: int) -> tuple[np.ndarray, np.ndarray]:
@@ -136,18 +136,6 @@ def first_slot_slices_4(s4: np.ndarray) -> np.ndarray:
     antisymmetric 3-index arrays.
     """
     return _gather(s4, _SLICE4)
-
-
-def first_slot_pairs_3(s3: np.ndarray) -> np.ndarray:
-    """(e_u -| alpha)_(ab) = alpha_{u a b} for sorted pairs (ab), from sorted
-    3-form components; shape (7, 21) + batch."""
-    return _gather(s3, _PAIRS3)
-
-
-def pair_slices_4(s4: np.ndarray) -> np.ndarray:
-    """beta_{(ab)(cd)} for sorted pairs (ab), (cd), from sorted 4-form
-    components; shape (21, 21) + batch."""
-    return _gather(s4, _PAIRS4)
 
 
 def _on_s3(table) -> tuple[np.ndarray, np.ndarray]:
@@ -232,15 +220,6 @@ def hodge_star_4(beta: np.ndarray) -> np.ndarray:
     return dense_from_sorted(_gather(sorted_components(beta, 4), _STAR[4]), 3)
 
 
-_FACT = {1: 1.0, 2: 2.0, 3: 6.0, 4: 24.0}
-
-
-def form_inner(alpha: np.ndarray, beta: np.ndarray, rank: int) -> np.ndarray:
-    """(1/rank!) * full component contraction, pointwise over trailing axes."""
-    axes = list(range(rank))
-    return np.einsum(alpha, axes + [Ellipsis], beta, axes + [Ellipsis]) / _FACT[rank]
-
-
 def cross(tables: StructureTables, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Cross product (x × y)_k = x_a y_b phi_abk; broadcasts over trailing axes."""
     return np.einsum("abk,a...,b...->k...", tables.phi, x, y)
@@ -260,19 +239,6 @@ def diamond(tables: StructureTables, h: np.ndarray, phi3: np.ndarray) -> np.ndar
         + np.einsum("jp...,ipk...->ijk...", h, phi3)
         + np.einsum("kp...,ijp...->ijk...", h, phi3)
     )
-
-
-def interior_psi(tables: StructureTables, x: np.ndarray) -> np.ndarray:
-    """Interior product (x -| psi)_ijk = x_p psi_pijk."""
-    return np.einsum("pijk,p...->ijk...", tables.psi, x)
-
-
-def antisymmetry_defect(alpha: np.ndarray, rank: int) -> float:
-    """Max violation of total antisymmetry over adjacent index swaps."""
-    worst = 0.0
-    for ax in range(rank - 1):
-        worst = max(worst, float(np.max(np.abs(alpha + np.swapaxes(alpha, ax, ax + 1)))))
-    return worst
 
 
 def validate_tables(tables: StructureTables) -> list[tuple[str, int]]:

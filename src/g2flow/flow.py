@@ -29,7 +29,7 @@ from .algebra import (
     dense_from_sorted,
     sorted_components,
 )
-from .grid import Grid, div2, laplacian, load_checkpoint, partial, save_checkpoint
+from .grid import Grid, div2, is_integer, laplacian, load_checkpoint, partial, save_checkpoint
 from .states import (
     IsometricState,
     localized_state,
@@ -38,6 +38,7 @@ from .states import (
     random_band_state,
     require_isometric,
     single_mode_state,
+    sorted_phi_of_state,
     torsion_from_sorted,
 )
 
@@ -134,9 +135,7 @@ class FlowConfig:
         # wider than L^2, a wrapped Gaussian is flat to ~exp(-4 pi^2) yet needs ~sqrt(scale) images
         max_scale = min(g.length * g.length, np.finfo(float).max)
         for center, t0 in self.theta_probes:
-            if len(center) != g.k or not all(
-                isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in center
-            ):
+            if len(center) != g.k or not all(map(is_integer, center)):
                 raise ConfigError(
                     f"theta probe center {list(center)!r} needs {g.k} integer grid indices"
                 )
@@ -440,7 +439,8 @@ def _run_fx(tables: StructureTables, config: FlowConfig, state0: IsometricState)
     )
 
 
-def _run_direct(tables: StructureTables, config: FlowConfig, phi0: np.ndarray) -> Trajectory:
+def _run_direct(tables: StructureTables, config: FlowConfig, s30: np.ndarray) -> Trajectory:
+    """The direct route from the sorted components s30 of the initial 3-form."""
     grid = config.grid
     traj = Trajectory(scheme="direct", grid=grid, times=[], sorted_phis=[])
     measured = [None, None]  # (t, metric defect): a record and a check at one t share it
@@ -472,7 +472,7 @@ def _run_direct(tables: StructureTables, config: FlowConfig, phi0: np.ndarray) -
     return _run_scheme(
         config,
         traj,
-        sorted_components(phi0, 3).astype(float),
+        s30,
         advance,
         measure,
         traj.sorted_phis.append,
@@ -490,8 +490,7 @@ def run(config: FlowConfig, tables: StructureTables | None = None) -> RunResult:
     if config.scheme in ("fx", "both"):
         result.fx = _run_fx(tables, config, state0)
     if config.scheme in ("direct", "both"):
-        phi0 = phi_of_state(tables, state0.project())
-        result.direct = _run_direct(tables, config, phi0)
+        result.direct = _run_direct(tables, config, sorted_phi_of_state(tables, state0.project()))
     return result
 
 

@@ -21,6 +21,7 @@ import numpy as np
 
 __all__ = [
     "Grid",
+    "is_integer",
     "partial",
     "grad_scalar",
     "grad_vector",
@@ -34,6 +35,11 @@ __all__ = [
 CHECKPOINT_MAGIC = b"G2FL"
 CHECKPOINT_VERSION = 1
 _CHECKPOINT_HEADER = "<IIdBB"  # version, N, L, active-dims bitmask, stencil order
+
+
+def is_integer(value) -> bool:
+    """An int or numpy integer, never a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -52,12 +58,12 @@ class Grid:
     def __post_init__(self):
         if self.length <= 0:
             raise ValueError("grid period must be positive")
-        if self.n <= 0 or self.n % 2 != 0:
+        if not is_integer(self.n) or self.n <= 0 or self.n % 2 != 0:
             raise ValueError("points per dimension must be a positive even integer")
-        dims = tuple(sorted(set(int(d) for d in self.active_dims)))
-        if not dims or any(d < 0 or d > 6 for d in dims):
-            raise ValueError("active_dims must be a nonempty subset of 0..6")
-        object.__setattr__(self, "active_dims", dims)
+        dims = self.active_dims
+        if not (len(dims) and all(is_integer(d) and 0 <= d <= 6 for d in dims)):
+            raise ValueError("active_dims must be a nonempty subset of the integers 0..6")
+        object.__setattr__(self, "active_dims", tuple(sorted(set(int(d) for d in dims))))
         if self.stencil_order not in (2, 4):
             raise ValueError("stencil_order must be 2 or 4")
         if self.stencil_order == 4 and self.n < 6:

@@ -4,10 +4,11 @@ Every G2-structure inducing the flat metric is encoded by a scalar field f
 and a vector field X with f^2 + |X|^2 = 1 pointwise; (f, X) and (-f, -X)
 encode the same structure.  A state holds the pair as one 8-component
 field u = (f, X) of shape (8, *grid), a map into S^7.  This module builds
-the 3-form and 4-form of a state, its torsion 2-tensor and torsion
-divergence directly from (f, X), and provides the independent route that
-recovers torsion and metric from an arbitrary 3-form field, computed on
-its 35 sorted components.
+the 3-form of a state on its 35 sorted components (the dense form is
+expanded from them), its 4-form, torsion 2-tensor and torsion divergence
+directly from (f, X), and provides the independent route that recovers
+torsion and metric from an arbitrary 3-form field, computed on its 35
+sorted components.
 
 The reference structure is the flat, torsion-free one, so every formula
 here is its flat-torus form.  The flow evolves (f, X) as a harmonic map
@@ -25,8 +26,11 @@ from .algebra import (
     METRIC_B_ENTRIES,
     METRIC_PW_ENTRIES,
     TORSION_ENTRIES,
+    _AXES,
     StructureTables,
+    _gather,
     contract,
+    dense_from_sorted,
     sorted_components,
 )
 from .grid import Grid, laplacian, partial
@@ -38,6 +42,7 @@ __all__ = [
     "single_mode_state",
     "random_band_state",
     "localized_state",
+    "sorted_phi_of_state",
     "phi_of_state",
     "psi_of_state",
     "torsion_of_state",
@@ -161,25 +166,34 @@ def localized_state(
     return _state_from_x(grid, x)
 
 
-def phi_of_state(
+def sorted_phi_of_state(
     tables: StructureTables, state: IsometricState, check: bool = True
 ) -> np.ndarray:
-    """3-form of the state:
+    """3-form of the state on its 35 sorted components ijk, shape (35, *grid):
 
-    (1 - 2|X|^2) phi_ijk - 2 f X_m psi_mijk
-        + 2 (X_i X_m phi_mjk + X_j X_m phi_imk + X_k X_m phi_ijm)
+    (1 - 2|X|^2) phi_ijk - 2 f X_m psi_mijk + 2 (X_i c_jk - X_j c_ik + X_k c_ij)
+
+    with c_jk = X_m phi_mjk.  The direct route starts from these.
     """
     if check:
         state.require_valid()
     f, x = state.f, state.x
+    i, j, k = _AXES[3]
     xsq = np.sum(x * x, axis=0)
-    out = (1.0 - 2.0 * xsq) * tables.phi.reshape((7, 7, 7) + (1,) * state.grid.k)
-    out = out - 2.0 * np.einsum("mijk,m...->ijk...", tables.psi, f * x)
+    out = (1.0 - 2.0 * xsq) * tables.phi[i, j, k].reshape((35,) + (1,) * state.grid.k)
+    out = out - 2.0 * np.einsum("ms,m...->s...", tables.psi[:, i, j, k], f * x)
     c = np.einsum("m...,mjk->jk...", x, tables.phi)
-    out = out + 2.0 * np.einsum("i...,jk...->ijk...", x, c)
-    out = out - 2.0 * np.einsum("j...,ik...->ijk...", x, c)
-    out = out + 2.0 * np.einsum("k...,ij...->ijk...", x, c)
+    out = out + 2.0 * (x[i] * c[j, k])
+    out = out - 2.0 * (x[j] * c[i, k])
+    out = out + 2.0 * (x[k] * c[i, j])
     return out
+
+
+def phi_of_state(
+    tables: StructureTables, state: IsometricState, check: bool = True
+) -> np.ndarray:
+    """The dense, exactly antisymmetric form of ``sorted_phi_of_state``."""
+    return dense_from_sorted(sorted_phi_of_state(tables, state, check), 3)
 
 
 def psi_of_state(
@@ -220,7 +234,9 @@ def torsion_of_state(tables: StructureTables, state: IsometricState) -> np.ndarr
     f, x = state.f, state.x
     du = np.stack([partial(grid, state.u, dim) for dim in grid.active_dims])
     gf, gx = du[:, 0], du[:, 1:]       # gx[p, m] = d_p X_m over active p
-    cxq = np.einsum("l...,mlq->mq...", x, tables.phi)   # X_l phi_mlq
+    # X_l phi_mlq: each pair m != q lies in one triple of phi, so one l is nonzero
+    phi_mql = np.moveaxis(tables.phi, 1, -1)
+    cxq = _gather(x, (np.argmax(phi_mql != 0, axis=-1), phi_mql.sum(axis=-1)))
     rows = -2.0 * np.einsum("pm...,mq...->pq...", gx, cxq)
     rows += 2.0 * np.einsum("p...,q...->pq...", gf, x)
     rows -= 2.0 * f * gx

@@ -1,0 +1,59 @@
+"""Test oracles: dense reference formulas and slices that no entry point runs.
+
+Each keeps the arithmetic it had in ``g2flow``, so a test that compares
+with it compares with the same numbers as before.
+"""
+
+import numpy as np
+
+from g2flow.algebra import _PAIRS3, _PAIRS4, _gather
+
+_FACT = {1: 1.0, 2: 2.0, 3: 6.0, 4: 24.0}
+
+
+def dense_phi_of_state(tables, state):
+    """3-form of the state, all 343 dense entries from (7,7,7) einsums:
+
+    (1 - 2|X|^2) phi_ijk - 2 f X_m psi_mijk
+        + 2 (X_i X_m phi_mjk + X_j X_m phi_imk + X_k X_m phi_ijm)
+    """
+    f, x = state.f, state.x
+    xsq = np.sum(x * x, axis=0)
+    out = (1.0 - 2.0 * xsq) * tables.phi.reshape((7, 7, 7) + (1,) * state.grid.k)
+    out = out - 2.0 * np.einsum("mijk,m...->ijk...", tables.psi, f * x)
+    c = np.einsum("m...,mjk->jk...", x, tables.phi)
+    out = out + 2.0 * np.einsum("i...,jk...->ijk...", x, c)
+    out = out - 2.0 * np.einsum("j...,ik...->ijk...", x, c)
+    out = out + 2.0 * np.einsum("k...,ij...->ijk...", x, c)
+    return out
+
+
+def first_slot_pairs_3(s3):
+    """(e_u -| alpha)_(ab) = alpha_{u a b} for sorted pairs (ab), from sorted
+    3-form components; shape (7, 21) + batch."""
+    return _gather(s3, _PAIRS3)
+
+
+def pair_slices_4(s4):
+    """beta_{(ab)(cd)} for sorted pairs (ab), (cd), from sorted 4-form
+    components; shape (21, 21) + batch."""
+    return _gather(s4, _PAIRS4)
+
+
+def form_inner(alpha, beta, rank):
+    """(1/rank!) * full component contraction, pointwise over trailing axes."""
+    axes = list(range(rank))
+    return np.einsum(alpha, axes + [Ellipsis], beta, axes + [Ellipsis]) / _FACT[rank]
+
+
+def interior_psi(tables, x):
+    """Interior product (x -| psi)_ijk = x_p psi_pijk."""
+    return np.einsum("pijk,p...->ijk...", tables.psi, x)
+
+
+def antisymmetry_defect(alpha, rank):
+    """Max violation of total antisymmetry over adjacent index swaps."""
+    worst = 0.0
+    for ax in range(rank - 1):
+        worst = max(worst, float(np.max(np.abs(alpha + np.swapaxes(alpha, ax, ax + 1)))))
+    return worst

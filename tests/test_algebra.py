@@ -18,22 +18,24 @@ from g2flow.algebra import (
     METRIC_PW_ENTRIES,
     ORIENTATION,
     TORSION_ENTRIES,
-    antisymmetry_defect,
     build_standard_tables,
     contract,
     cross,
     dense_from_sorted,
     diamond,
-    first_slot_pairs_3,
     first_slot_slices_4,
-    form_inner,
     hodge_star_3,
     hodge_star_4,
-    interior_psi,
-    pair_slices_4,
     sorted_components,
     star_sorted_3,
     validate_tables,
+)
+from oracles import (
+    antisymmetry_defect,
+    first_slot_pairs_3,
+    form_inner,
+    interior_psi,
+    pair_slices_4,
 )
 
 finite_vec = arrays(np.float64, (7,), elements=st.floats(-3, 3))

@@ -147,7 +147,8 @@ def test_fx_run_matches_divergence_form_run(tables, monkeypatch, track_frame):
 def test_rhs_direct_lies_in_vector_component(tables, grid16, rng):
     # <rhs, h <> phi> = 0 pointwise for symmetric traceless h: the flow
     # moves only within the isometric class
-    from g2flow.algebra import diamond, form_inner
+    from g2flow.algebra import diamond
+    from oracles import form_inner
 
     s = random_band_state(grid16, 0.3, seed=5)
     phi = phi_of_state(tables, s)
@@ -427,7 +428,7 @@ def test_singularity_ceiling_event(tables, grid16):
 
 def test_direct_blow_up_event(tables, grid16):
     from g2flow.flow import _run_direct
-    from g2flow.states import phi_of_state, single_mode_state
+    from g2flow.states import single_mode_state, sorted_phi_of_state
 
     # a conformally huge 3-form overflows the explicit step; the run ends
     # with a blow-up event carrying the last valid time, not an exception
@@ -443,11 +444,38 @@ def test_direct_blow_up_event(tables, grid16):
         metric_tol=float("inf"),
         torsion_ceiling=1e300,
     )
-    phi0 = 1e40 * phi_of_state(tables, single_mode_state(grid16, 0.1))
+    s30 = 1e40 * sorted_phi_of_state(tables, single_mode_state(grid16, 0.1))
     with np.errstate(over="ignore", invalid="ignore"):
-        traj = _run_direct(tables, cfg, phi0)
+        traj = _run_direct(tables, cfg, s30)
     assert traj.events and traj.events[0]["type"] == "blow_up"
     assert traj.events[0]["t"] == 0.0
+
+
+def test_direct_run_starts_from_the_dense_formula_sorted(tables, grid16):
+    import json
+
+    from oracles import dense_phi_of_state
+
+    cfg = FlowConfig(
+        grid=grid16,
+        initial=InitialSpec(family="random_band", amplitude=0.5, seed=3),
+        dt=2e-4,
+        t_end=1.2e-3,
+        scheme="direct",
+        cfl_safety=0.9,
+        diagnostics_every=2,
+        snapshot_every=3,
+        metric_check_every=2,
+    )
+    got = run(cfg, tables).direct
+    s30 = sorted_components(dense_phi_of_state(tables, flow.initial_state(cfg).project()), 3)
+    want = flow._run_direct(tables, cfg, s30)
+    # the NDJSON lines and the snapshots, byte for byte
+    assert [json.dumps(r, sort_keys=True) for r in got.records] == [
+        json.dumps(r, sort_keys=True) for r in want.records
+    ]
+    assert got.times == want.times and len(got.sorted_phis) == 3
+    assert [s.tobytes() for s in got.sorted_phis] == [s.tobytes() for s in want.sorted_phis]
 
 
 def test_direct_records_carry_theta_entropy_and_ceiling_snapshot(tables, grid16):

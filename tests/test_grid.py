@@ -41,6 +41,23 @@ def test_grid_validation():
     assert g.h == pytest.approx(0.125)
 
 
+@pytest.mark.parametrize(
+    "n, dims",
+    [(16.0, (0, 1)), (True, (0,)), (16, (0.5, 1)), (16, (1.0, 2)), (16, (True, 2)), (16, ("1",))],
+)
+def test_grid_rejects_non_integers(n, dims):
+    # a float or bool is never cast: (0.5, 1) would silently become (0, 1)
+    with pytest.raises(ValueError):
+        Grid(length=1.0, n=n, active_dims=dims)
+
+
+def test_grid_accepts_numpy_integers():
+    g = Grid(length=1.0, n=np.int64(16), active_dims=(np.int32(3), np.int64(1)))
+    assert g == Grid(length=1.0, n=16, active_dims=(1, 3))
+    assert g.active_dims == (1, 3) and all(type(d) is int for d in g.active_dims)
+    assert g.zeros(1).shape == (7, 16, 16)
+
+
 def test_partial_constant_and_inactive(grid16):
     const = np.ones(grid16.shape)
     assert np.all(partial(grid16, const, 0) == 0.0)

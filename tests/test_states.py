@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import fx_state
+from oracles import antisymmetry_defect, dense_phi_of_state, first_slot_pairs_3, pair_slices_4
 from g2flow import algebra
 from g2flow.algebra import (
-    antisymmetry_defect,
-    first_slot_pairs_3,
     first_slot_slices_4,
     hodge_star_3,
-    pair_slices_4,
     sorted_components,
     star_sorted_3,
 )
@@ -29,6 +27,7 @@ from g2flow.states import (
     psi_of_state,
     random_band_state,
     single_mode_state,
+    sorted_phi_of_state,
     torsion_from_phi,
     torsion_from_sorted,
     torsion_of_state,
@@ -79,8 +78,10 @@ def test_chart_pole_state_formula(tables, grid16):
 
 def test_phi_of_state_rejects_invalid(tables, grid16):
     s = fx_state(grid16, np.full(grid16.shape, 0.9), grid16.zeros(1))
-    with pytest.raises(InvalidStateError):
-        phi_of_state(tables, s)
+    for build in (phi_of_state, sorted_phi_of_state):
+        with pytest.raises(InvalidStateError):
+            build(tables, s)
+    assert sorted_phi_of_state(tables, s, check=False).shape == (35, 16, 16)
 
 
 def test_star_consistency_random_state(tables, grid16):
@@ -90,6 +91,43 @@ def test_star_consistency_random_state(tables, grid16):
     assert np.max(np.abs(hodge_star_3(phi) - psi)) <= 1e-10
     assert antisymmetry_defect(phi, 3) <= 1e-12
     assert antisymmetry_defect(psi, 4) <= 1e-12
+
+
+ORACLE_GRIDS = [
+    Grid(length=1.0, n=32, active_dims=(3,)),
+    Grid(length=1.0, n=16, active_dims=(0, 1)),
+    Grid(length=1.0, n=8, active_dims=(0, 2, 5)),
+]
+
+
+def oracle_states(grid):
+    return (
+        random_band_state(grid, 0.3, seed=4),
+        random_band_state(grid, 0.9, seed=4),
+        single_mode_state(grid, 0.2),
+        localized_state(grid, 0.5),
+    )
+
+
+@pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=lambda g: f"{g.k}d")
+def test_sorted_phi_of_state_is_the_dense_formula_on_sorted_triples(tables, grid):
+    for state in oracle_states(grid):
+        want = sorted_components(dense_phi_of_state(tables, state), 3)
+        got = sorted_phi_of_state(tables, state)
+        assert got.shape == (35,) + grid.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=lambda g: f"{g.k}d")
+def test_phi_of_state_is_antisymmetric_and_within_an_ulp_of_the_dense_formula(tables, grid):
+    for state in oracle_states(grid):
+        want = dense_phi_of_state(tables, state)
+        got = phi_of_state(tables, state)
+        assert antisymmetry_defect(got, 3) == 0.0
+        # the dense formula rounds each ordering of ijk on its own; the entries
+        # of a 3-form of the flat metric lie in [-1, 1], so 1 ulp of 1 bounds it
+        assert np.max(np.abs(want)) <= 1.0 + 1e-15
+        assert np.max(np.abs(got - want)) <= np.spacing(1.0)
 
 
 def test_metric_identity_for_states(tables, grid16):
@@ -282,19 +320,21 @@ def test_localized_state_profile(grid32):
     ],
 )
 def test_torsion_of_state_equals_seven_row_formula(tables, grid):
-    s = random_band_state(grid, 0.5, seed=6)
-    # every row p, built from the full (7, ...) gradients
-    gx, gf = grad_vector(grid, s.x), grad_scalar(grid, s.f)
-    cxq = np.einsum("l...,mlq->mq...", s.x, tables.phi)
-    want = -2.0 * np.einsum("pm...,mq...->pq...", gx, cxq)
-    want += 2.0 * np.einsum("p...,q...->pq...", gf, s.x)
-    want -= 2.0 * s.f * gx
-    got = torsion_of_state(tables, s)
-    assert np.array_equal(got, want)
-    active = list(grid.active_dims)
-    assert got[active].tobytes() == want[active].tobytes()
-    inactive = [p for p in range(7) if p not in grid.active_dims]
-    assert np.all(got[inactive] == 0.0) and not np.signbit(got[inactive]).any()
+    # single_mode and localized states have exact zeros in X
+    for s in (random_band_state(grid, 0.5, seed=6), single_mode_state(grid, 0.2),
+              localized_state(grid, 0.5)):
+        # every row p, built from the full (7, ...) gradients and the dense X_l phi_mlq
+        gx, gf = grad_vector(grid, s.x), grad_scalar(grid, s.f)
+        cxq = np.einsum("l...,mlq->mq...", s.x, tables.phi)
+        want = -2.0 * np.einsum("pm...,mq...->pq...", gx, cxq)
+        want += 2.0 * np.einsum("p...,q...->pq...", gf, s.x)
+        want -= 2.0 * s.f * gx
+        got = torsion_of_state(tables, s)
+        assert np.array_equal(got, want)
+        active = list(grid.active_dims)
+        assert got[active].tobytes() == want[active].tobytes()
+        inactive = [p for p in range(7) if p not in grid.active_dims]
+        assert np.all(got[inactive] == 0.0) and not np.signbit(got[inactive]).any()
 
 
 # The direct route contracts psi on its nonzero entries only; the dense
