@@ -116,12 +116,12 @@ def _kernel_axes(grid: Grid, spec: HeatKernelSpec, t: float):
     return tau, axes
 
 
-def _product_kernel(grid: Grid, tables) -> np.ndarray:
-    """L^-(7-k) times the outer product of one 1-D table per active axis,
-    multiplied in axis order; every kernel of this module shares this arithmetic."""
-    u = np.full(grid.shape, grid.length ** -(7 - grid.k))
-    for dim, w in zip(grid.active_dims, tables):
-        u = u * grid.along(dim, w)
+def _product_kernel(grid: Grid, tables, out=None) -> np.ndarray:
+    """((L^-(7-k) w_0) w_1) ..., one outer product per active axis in axis order; only
+    the last spans the grid, written into ``out`` if given.  Every kernel here uses it."""
+    u = grid.length ** -(7 - grid.k)
+    for axis, w in enumerate(tables, 1):
+        u = np.multiply.outer(u, w, out=out if axis == grid.k else None)
     return u
 
 
@@ -260,10 +260,9 @@ def entropy(
     """Sampled maximization of t * int |T|^2 u_(x,t)(., 0) over centers and
     scales t in (0, sigma].
 
-    The returned value is a lower bound for the true maximum; the argmax is
-    reported so callers can refine locally.  Every axis has the same 1-D
-    grid, so the wrapped Gaussian of each (scale, sampled index) pair is
-    built once and serves every center and axis that uses it.
+    A lower bound for the true maximum, with its argmax: the first maximizer, visiting centers
+    in lattice order and at each the scales upward.  One wrapped Gaussian per (scale, sampled
+    index) serves every center and axis; each kernel and its |T|^2 product reuse two buffers.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
@@ -278,10 +277,11 @@ def entropy(
         }
         for tau in scales
     ]
+    u, weighted = np.empty(grid.shape), np.empty(grid.shape)
     for center in itertools.product(indices, repeat=grid.k):
         for tau, table in zip(scales, tables):
-            u = _product_kernel(grid, [table[c] for c in center])
-            val = tau * integrate(grid, tsq * u)
+            _product_kernel(grid, [table[c] for c in center], out=u)
+            val = tau * integrate(grid, np.multiply(tsq, u, out=weighted))
             if val > best.value:
                 best = EntropyResult(val, center, tau)
     return best

@@ -119,6 +119,15 @@ class FlowConfig:
             )
         if self.diagnostics_every <= 0:
             raise ConfigError("diagnostics_every must be positive")
+        if self.metric_check_every < 1:
+            raise ConfigError(f"metric_check_every must be positive, got {self.metric_check_every!r}")
+        if self.snapshot_every < 0:
+            raise ConfigError(f"snapshot_every must be non-negative, got {self.snapshot_every!r}")
+        if not self.torsion_ceiling > 0:
+            raise ConfigError(f"torsion_ceiling must be positive, got {self.torsion_ceiling!r}")
+        for name in ("metric_tol", "constraint_abort_tol"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)!r}")
         if self.initial.family not in ("single_mode", "random_band", "checkpoint", "localized"):
             raise ConfigError(f"unknown initial family {self.initial.family!r}")
         ini = self.initial
@@ -451,7 +460,7 @@ def _run_direct(tables: StructureTables, config: FlowConfig, s30: np.ndarray) ->
         return measured[1]
 
     def advance(s3, t, step):
-        if step % max(1, config.metric_check_every) == 0:
+        if step % config.metric_check_every == 0:
             require_isometric(grid, s3, config.metric_tol, t, defect_at(s3, t))
         (s3_new,) = _rk(
             lambda y: (_rhs_direct_sorted(grid, *y),), (s3,), config.dt, config.integrator

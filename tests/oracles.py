@@ -1,12 +1,17 @@
-"""Test oracles: dense reference formulas and slices that no entry point runs.
+"""Test oracles: dense reference formulas, slices that no entry point runs,
+and the heat kernels' full-grid products.
 
 Each keeps the arithmetic it had in ``g2flow``, so a test that compares
 with it compares with the same numbers as before.
 """
 
+import itertools
+
 import numpy as np
 
 from g2flow.algebra import _PAIRS3, _PAIRS4, _gather
+from g2flow.diagnostics import _wrapped_parts
+from g2flow.grid import integrate
 
 _FACT = {1: 1.0, 2: 2.0, 3: 6.0, 4: 24.0}
 
@@ -57,3 +62,37 @@ def antisymmetry_defect(alpha, rank):
     for ax in range(rank - 1):
         worst = max(worst, float(np.max(np.abs(alpha + np.swapaxes(alpha, ax, ax + 1)))))
     return worst
+
+
+def product_kernel(grid, tables):
+    """L^-(7-k) times the outer product of one 1-D table per active axis: a
+    full grid of L^-(7-k), multiplied by each table laid along its axis in
+    axis order, each product a fresh grid."""
+    u = np.full(grid.shape, grid.length ** -(7 - grid.k))
+    for dim, w in zip(grid.active_dims, tables):
+        u = u * grid.along(dim, w)
+    return u
+
+
+def entropy(grid, torsion, sigma, sample_stride=2, n_scales=12, image_radius=3, scale_floor=0.01):
+    """(value, center, scale) of the entropy loop, each (center, scale)
+    building a fresh kernel and a fresh |T|^2 u: centers in lattice order,
+    then scales, and only a strictly larger value moves the argmax."""
+    tsq = np.einsum("pq...,pq...->...", torsion, torsion)
+    scales = [float(tau) for tau in np.geomspace(scale_floor * sigma, sigma, n_scales)]
+    best = (0.0, (0,) * grid.k, scales[-1])
+    indices = range(0, grid.n, sample_stride)
+    tables = [
+        {
+            c: _wrapped_parts(grid.length, tau, grid.displacement(c), image_radius)[0]
+            for c in indices
+        }
+        for tau in scales
+    ]
+    for center in itertools.product(indices, repeat=grid.k):
+        for tau, table in zip(scales, tables):
+            u = product_kernel(grid, [table[c] for c in center])
+            val = tau * integrate(grid, tsq * u)
+            if val > best[0]:
+                best = (val, center, tau)
+    return best

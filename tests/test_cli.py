@@ -146,6 +146,34 @@ def test_unvalidated_run_inputs_exit_1(tmp_path, capsys):
         assert "configuration error" in capsys.readouterr().err
 
 
+def test_out_of_range_tolerances_and_intervals_exit_1(tmp_path, capsys):
+    # each used to run: a negative tolerance aborted with exit 2, a ceiling of 0
+    # ended the run at its first record, and the intervals were silently clamped
+    for name, overrides in (
+        ("metric_tol", {"metric_tol": -1.0}),
+        ("constraint_abort_tol", {"constraint_abort_tol": -1e-3}),
+        ("torsion_ceiling", {"torsion_ceiling": 0.0}),
+        ("torsion_ceiling", {"torsion_ceiling": -5.0}),
+        ("snapshot_every", {"snapshot_every": -1}),
+        ("metric_check_every", {"metric_check_every": 0}),
+        ("metric_check_every", {"metric_check_every": -2}),
+    ):
+        # the default constraint_abort_tol aborts random_band at 16^2
+        base = {"constraint_abort_tol": 1e-3, "scheme": "both"}
+        initial = {"family": "random_band", "amplitude": 0.3, "seed": 11}
+        cfg = write_config(tmp_path / f"{name}.json", initial=initial, **{**base, **overrides})
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / name)]) == 1, overrides
+        err = capsys.readouterr().err
+        assert "configuration error" in err and name in err, err
+    # the edges stay valid: zero tolerances and endpoint-only snapshots
+    edges = write_config(
+        tmp_path / "edges.json", metric_tol=0.0, constraint_abort_tol=0.0, snapshot_every=0,
+        metric_check_every=1,
+    )
+    config = load_config(str(edges))
+    assert (config.metric_tol, config.constraint_abort_tol, config.snapshot_every) == (0.0, 0.0, 0)
+
+
 def test_nonfinite_config_values_exit_1(tmp_path, capsys):
     # an infinite scale overflows the kernel's image count; a huge integer overflows float()
     for name, overrides in (

@@ -4,6 +4,7 @@ import itertools
 import math
 
 import numpy as np
+import oracles
 import pytest
 
 from g2flow import diagnostics
@@ -216,6 +217,85 @@ def test_entropy_tables_equal_per_center_kernels_bit_for_bit(n, dims, stride, si
     got = entropy(grid, torsion, sigma, sample_stride=stride)
     want = _entropy_per_center_kernels(grid, torsion, sigma, stride)
     assert repr((got.value, got.center, got.scale)) == repr(want)
+
+
+# (length, n, active_dims, sample_stride): 1-D, 2-D and 3-D grids with non-unit periods
+ORACLE_GRIDS = [
+    (0.5, 12, (0,), 1),
+    (0.5, 12, (3,), 3),
+    (2.0, 16, (0, 1), 2),
+    (2.0, 16, (1, 4), 3),
+    (1.5, 8, (0, 2, 5), 1),
+    (1.5, 8, (0, 2, 5), 3),
+]
+
+
+def _oracle_sigmas(length):
+    return (1e-3, 0.1 * length**2, length**2)
+
+
+@pytest.mark.parametrize("length, n, dims, stride", ORACLE_GRIDS)
+def test_entropy_equals_full_grid_oracle_byte_for_byte(length, n, dims, stride):
+    grid = Grid(length=length, n=n, active_dims=dims)
+    torsion = np.random.default_rng(n * stride).standard_normal((7, 7) + grid.shape)
+    for sigma in _oracle_sigmas(length):
+        got = entropy(grid, torsion, sigma, sample_stride=stride)
+        want = oracles.entropy(grid, torsion, sigma, sample_stride=stride)
+        assert repr((got.value, got.center, got.scale)) == repr(want), sigma
+
+
+@pytest.mark.parametrize("length, n, dims, stride", ORACLE_GRIDS)
+def test_kernels_equal_full_grid_oracle_byte_for_byte(monkeypatch, length, n, dims, stride):
+    grid = Grid(length=length, n=n, active_dims=dims)
+    torsion = np.random.default_rng(n + stride).standard_normal((7, 7) + grid.shape)
+    lattice = list(itertools.product(range(0, n, stride), repeat=grid.k))
+    specs = [
+        HeatKernelSpec(center=center, t0=t0)
+        for center in lattice[:: max(1, len(lattice) // 4)]
+        for t0 in _oracle_sigmas(length)
+    ]
+
+    def evaluate():
+        out = []
+        for spec in specs:
+            for t in (0.0, 0.5 * spec.t0):
+                u = heat_kernel(grid, spec, t)
+                out.append((u.shape, u.tobytes(), repr(theta(grid, torsion, spec, t))))
+                out.append(repr(monotonicity_terms(grid, torsion, spec, t)))
+        return out
+
+    got = evaluate()
+    monkeypatch.setattr(diagnostics, "_product_kernel", oracles.product_kernel)
+    assert got == evaluate()
+
+
+@pytest.mark.parametrize(
+    "length, n, dims, stride, sigma",
+    [
+        (1.0, 16, (0,), 8, 0.01),
+        (1.0, 16, (0, 1), 2, 0.01),
+        (2.0, 16, (0, 1), 4, 4.0),
+        (1.0, 8, (0, 2, 5), 4, 0.01),
+    ],
+)
+def test_entropy_ties_go_to_the_first_center(length, n, dims, stride, sigma):
+    # a translation-invariant |T|^2: each center's table is the first one's
+    # rolled, so some centers tie exactly (asserted below)
+    grid = Grid(length=length, n=n, active_dims=dims)
+    torsion = grid.zeros(2)
+    torsion[2, 3] = 0.7
+    tsq = np.einsum("pq...,pq...->...", torsion, torsion)
+    scales = [float(tau) for tau in np.geomspace(0.01 * sigma, sigma, 12)]
+    values = []
+    for center in itertools.product(range(0, n, stride), repeat=grid.k):
+        for tau in scales:
+            ws = [diagnostics._wrapped_parts(length, tau, grid.displacement(c), 3)[0] for c in center]
+            values.append((tau * integrate(grid, tsq * oracles.product_kernel(grid, ws)), center, tau))
+    top = max(v for v, _, _ in values)
+    tied = [entry for entry in values if entry[0] == top]
+    assert len({center for _, center, _ in tied}) > 1
+    got = entropy(grid, torsion, sigma, sample_stride=stride)
+    assert (got.value, got.center, got.scale) == tied[0]
 
 
 def test_entropy_builds_one_table_per_scale_and_sampled_index(monkeypatch, grid32):
