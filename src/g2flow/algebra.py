@@ -225,7 +225,7 @@ def cross(tables: StructureTables, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("abk,a...,b...->k...", tables.phi, x, y)
 
 
-def diamond(tables: StructureTables, h: np.ndarray, phi3: np.ndarray) -> np.ndarray:
+def diamond(h: np.ndarray, phi3: np.ndarray) -> np.ndarray:
     """Action of a symmetric 2-tensor on a 3-form:
 
     (h <> phi)_ijk = h_ip phi_pjk + h_jp phi_ipk + h_kp phi_ijp
@@ -294,7 +294,7 @@ def validate_tables(tables: StructureTables) -> list[tuple[str, int]]:
         wedge += ORIENTATION * _parity(trip + quad) * int(phi[trip]) * int(psi[quad])
     out.append(("phi_wedge_psi_is_7vol", abs(wedge - 7)))
 
-    defect("metric_diamond_phi_is_3phi", diamond(tables, np.eye(7), phi.astype(float)) - 3.0 * phi)
+    defect("metric_diamond_phi_is_3phi", diamond(np.eye(7), phi.astype(float)) - 3.0 * phi)
     # <x -| psi, y -| psi> = 4 <x,y> reduces to the psi_psi_three identity;
     # check its 3-form-inner-product normalization explicitly on a basis.
     gram = np.einsum("aijk,bijk->ab", psi, psi) / 6.0

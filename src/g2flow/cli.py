@@ -171,7 +171,7 @@ def cmd_run(args) -> int:
         return EXIT_NUMERIC
     manifest.update(events=result.events, status="finished", end_time=time.time())
     if out_dir:
-        write_run_outputs(result, out_dir, config)
+        write_run_outputs(result, out_dir)
         _write_manifest(manifest_path, manifest)
     else:
         for traj in (result.fx, result.direct):

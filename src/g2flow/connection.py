@@ -2,8 +2,10 @@
 
 The flat connection on an auxiliary bundle E (a second copy of the tangent
 bundle, trivialized by the grid coordinates) is twisted by
-alpha (X -| T) x (.) ; together with a frame iota evolving by
-beta (Div T) x iota, which a run with ``track_frame`` co-evolves, the
+alpha (X -| T) x (.), where x is the cross product of the structure whose
+torsion is T, so every operator here takes that structure's 3-form field.
+Together with a frame iota evolving by beta (Div T) x iota, which a run
+with ``track_frame`` co-evolves (beta is ``FlowConfig.frame_beta``), the
 gauge-transported torsion satisfies a clean reaction-diffusion equation
 for alpha = -1/2, beta = 1/2.  Every residual
 evaluator here differences two independently computed sides, so a
@@ -36,7 +38,6 @@ __all__ = [
     "FrameDegenerateError",
     "identity_frame",
     "D_derivative",
-    "frame_connection_coefficients",
     "laplacian_D",
     "reaction_diffusion_residual",
     "torsion_evolution_residual",
@@ -56,15 +57,14 @@ class FrameDegenerateError(ValueError):
 
 @dataclass(frozen=True)
 class FrameField:
-    """Pointwise linear map iota: E -> TM, with connection parameters.
+    """Pointwise linear map iota: E -> TM, with the connection's twist alpha.
 
     ``iota[m, a]`` is the TM component m of the image of the a-th frame
-    section.  alpha twists the connection, beta drives the gauge flow.
+    section.
     """
 
     iota: np.ndarray
     alpha: float = -0.5
-    beta: float = 0.5
 
     def orthogonality_defect(self) -> float:
         gram = np.einsum("ma...,mb...->ab...", self.iota, self.iota)
@@ -72,22 +72,13 @@ class FrameField:
         return float(np.max(np.abs(gram - eye)))
 
 
-def identity_frame(grid: Grid, alpha: float = -0.5, beta: float = 0.5) -> FrameField:
+def identity_frame(grid: Grid, alpha: float = -0.5) -> FrameField:
+    """The identity map E -> TM; its iota, of shape (7, 7, *grid), is also
+    the stack of the identity sections e_a of E, so ``D_derivative`` of it
+    gives the connection coefficients of the frame."""
     iota = np.zeros((7, 7) + grid.shape)
     iota[np.arange(7), np.arange(7)] = 1.0
-    return FrameField(iota=iota, alpha=alpha, beta=beta)
-
-
-def _phi_field(tables: StructureTables, grid: Grid, phi3: np.ndarray | None) -> np.ndarray:
-    """The structure 3-form to build cross products from.
-
-    The connection machinery twists by the cross product of the structure
-    whose torsion is supplied; for states away from the reference the
-    caller passes its 3-form field.  None selects the (constant) reference.
-    """
-    if phi3 is not None:
-        return phi3
-    return tables.phi.reshape((7, 7, 7) + (1,) * grid.k).astype(float)
+    return FrameField(iota=iota, alpha=alpha)
 
 
 def _inverse_frame(iota: np.ndarray) -> np.ndarray:
@@ -100,71 +91,48 @@ def _inverse_frame(iota: np.ndarray) -> np.ndarray:
 
 
 def D_derivative(
-    tables: StructureTables,
     grid: Grid,
     frame: FrameField,
     torsion: np.ndarray,
+    phi3: np.ndarray,
     direction: int,
     sigma: np.ndarray,
-    phi3: np.ndarray | None = None,
 ) -> np.ndarray:
     """Twisted covariant derivative of a section of E along a coordinate
     direction:  D_dir sigma = iota^{-1}( d_dir (iota sigma)
                                          + alpha (e_dir -| T) x (iota sigma) ),
 
-    with the cross product of the structure whose torsion is ``torsion``
-    (3-form field ``phi3``; None means the reference structure).
+    with the cross product of ``phi3``, the 3-form field of the structure
+    whose torsion is ``torsion``.  ``sigma`` has shape (7, *grid), or
+    (7, m, *grid) for m sections at once.
     """
-    phi = _phi_field(tables, grid, phi3)
     v = np.einsum("ma...,a...->m...", frame.iota, sigma)
     dv = partial(grid, v, direction)
     tw = torsion[direction]  # (e_dir -| T)_m = T_{dir m}
-    dv = dv + frame.alpha * np.einsum("mlp...,m...,l...->p...", phi, tw, v)
+    dv = dv + frame.alpha * np.einsum("mlp...,m...,l...->p...", phi3, tw, v)
     inv = _inverse_frame(frame.iota)
     return np.einsum("am...,m...->a...", inv, dv)
 
 
-def frame_connection_coefficients(
-    tables: StructureTables,
-    grid: Grid,
-    frame: FrameField,
-    torsion: np.ndarray,
-    direction: int,
-    phi3: np.ndarray | None = None,
-) -> np.ndarray:
-    """Coefficients G[b, a] with D_dir v_a = G[b, a] v_b for the frame sections."""
-    phi = _phi_field(tables, grid, phi3)
-    diota = partial(grid, frame.iota, direction)
-    tw = torsion[direction]
-    diota = diota + frame.alpha * np.einsum(
-        "mlp...,m...,la...->pa...", phi, tw, frame.iota
-    )
-    inv = _inverse_frame(frame.iota)
-    return np.einsum("bm...,ma...->ba...", inv, diota)
-
-
 def laplacian_D(
-    tables: StructureTables,
     grid: Grid,
     frame: FrameField,
     torsion: np.ndarray,
+    phi3: np.ndarray,
     a2: np.ndarray,
-    alpha: float | None = None,
-    phi3: np.ndarray | None = None,
 ) -> np.ndarray:
     """Connection Laplacian of the mixed tensor A~ = (id x iota)* A.
 
-    Evaluates, in the mixed frame (tangent index i, bundle index a):
+    Evaluates, in the mixed frame (tangent index i, bundle index a), with
+    alpha = ``frame.alpha`` and phi = ``phi3``, the 3-form field of the
+    structure whose torsion is ``torsion``:
 
         (Lap_D A~)_ia = (Lap A)_ip iota_pa
             - alpha^2 [ |T|^2 A_ip - (A o T^t o T)_ip ] iota_pa
             - 2 alpha (d_k A_ip) T_km iota_la phi_mlp
             - alpha A_ip (Div T)_m iota_la phi_mlp.
     """
-    if alpha is None:
-        alpha = frame.alpha
-    phi = _phi_field(tables, grid, phi3)
-    iota = frame.iota
+    alpha, iota = frame.alpha, frame.iota
     lap = laplacian(grid, a2)
     out = np.einsum("ip...,pa...->ia...", lap, iota)
     if alpha != 0.0:
@@ -174,10 +142,10 @@ def laplacian_D(
         out -= alpha * alpha * np.einsum("ip...,pa...->ia...", quad, iota)
         for dim in grid.active_dims:
             da = partial(grid, a2, dim)
-            w = np.einsum("m...,mlp...->lp...", torsion[dim], phi)
+            w = np.einsum("m...,mlp...->lp...", torsion[dim], phi3)
             out -= 2.0 * alpha * np.einsum("ip...,la...,lp...->ia...", da, iota, w)
         divt = div2(grid, torsion)
-        w = np.einsum("m...,mlp...->lp...", divt, phi)
+        w = np.einsum("m...,mlp...->lp...", divt, phi3)
         out -= alpha * np.einsum("ip...,la...,lp...->ia...", a2, iota, w)
     return out
 
@@ -225,8 +193,7 @@ def reaction_diffusion_residual(
     dmdt = (m_next - m_prev) / dt2
 
     frame = FrameField(iota=traj.frames[index], alpha=alpha)
-    phi_mid = phi_of_state(tables, traj.states[index])
-    lap = laplacian_D(tables, grid, frame, t_mid, t_mid, alpha=alpha, phi3=phi_mid)
+    lap = laplacian_D(grid, frame, t_mid, phi_of_state(tables, traj.states[index]), t_mid)
     msq = np.einsum("ia...,ia...->...", m_mid, m_mid)
     ttm = np.einsum("ip...,kp...->ik...", t_mid, t_mid)  # (T T^t)_ik
     reaction = alpha * alpha * (msq * m_mid - np.einsum("ik...,ka...->ia...", ttm, m_mid))
@@ -260,22 +227,16 @@ def torsion_evolution_residual(
     return resid
 
 
-def bianchi_residual(
-    tables: StructureTables,
-    grid: Grid,
-    torsion: np.ndarray,
-    phi3: np.ndarray | None = None,
-) -> np.ndarray:
+def bianchi_residual(grid: Grid, torsion: np.ndarray, phi3: np.ndarray) -> np.ndarray:
     """First-order torsion identity residual on the flat background:
 
         resid_ijk = d_i T_jk - d_j T_ik - T_ia T_jb phi_abk,
 
-    with phi the 3-form of the structure the torsion belongs to.
+    with phi = ``phi3``, the 3-form of the structure the torsion belongs to.
     """
-    phi = _phi_field(tables, grid, phi3)
     gt = grad_vector(grid, torsion)
     resid = gt - np.swapaxes(gt, 0, 1)
-    resid -= np.einsum("ia...,jb...,abk...->ijk...", torsion, torsion, phi)
+    resid -= np.einsum("ia...,jb...,abk...->ijk...", torsion, torsion, phi3)
     return resid
 
 
@@ -316,7 +277,7 @@ def lie_decomposition_residual(
     vec = y_t - 0.5 * curl
     rhs = np.einsum("p...,pijk...->ijk...", vec, psi4)
     lyg = gy + np.swapaxes(gy, 0, 1)
-    rhs += 0.5 * diamond(tables, lyg, phi3)
+    rhs += 0.5 * diamond(lyg, phi3)
     return lhs - rhs
 
 
@@ -339,9 +300,9 @@ def first_variation_residual(
     torsion = torsion_of_state(tables, state)
     pert = np.einsum("p...,pijk...->ijk...", v, psi4)
     # raises DegenerateFormError if eps pushed the form out of the cone
-    metric_from_phi(tables, grid, phi3 + eps * pert)
-    t_plus = torsion_from_phi(tables, grid, phi3 + eps * pert, metric_tol=None)
-    t_minus = torsion_from_phi(tables, grid, phi3 - eps * pert, metric_tol=None)
+    metric_from_phi(grid, phi3 + eps * pert)
+    t_plus = torsion_from_phi(grid, phi3 + eps * pert, metric_tol=None)
+    t_minus = torsion_from_phi(grid, phi3 - eps * pert, metric_tol=None)
     numeric = (t_plus - t_minus) / (2.0 * eps)
     analytic = grad_vector(grid, v) + np.einsum(
         "l...,im...,lmj...->ij...", v, torsion, phi3

@@ -139,6 +139,8 @@ class FlowConfig:
             raise ConfigError(f"initial component {ini.component!r} must lie in 0..6")
         if ini.seed < 0:
             raise ConfigError(f"initial seed {ini.seed} must be non-negative")
+        if ini.max_mode < 1:
+            raise ConfigError(f"initial max_mode {ini.max_mode} must be at least 1")
         if ini.family == "localized" and not ini.width > 0:
             raise ConfigError(f"initial width {ini.width!r} must be positive")
         # wider than L^2, a wrapped Gaussian is flat to ~exp(-4 pi^2) yet needs ~sqrt(scale) images
@@ -148,8 +150,11 @@ class FlowConfig:
                 raise ConfigError(
                     f"theta probe center {list(center)!r} needs {g.k} integer grid indices"
                 )
-            if not (math.isfinite(t0) and t0 <= max_scale):
-                raise ConfigError(f"theta probe t0 {t0!r} must be finite and at most L^2")
+            # a probe records only while t < t0, so one with t0 <= 0 never records
+            if not (math.isfinite(t0) and 0 < t0 <= max_scale):
+                raise ConfigError(
+                    f"theta probe t0 {t0!r} must be positive, finite and at most L^2"
+                )
         sigma = self.entropy_sigma
         if sigma is not None and (
             isinstance(sigma, bool)
@@ -234,7 +239,7 @@ def _harmonic_map(grid: Grid, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lu, rates
 
 
-def rhs_fx(tables: StructureTables, state: IsometricState) -> np.ndarray:
+def rhs_fx(state: IsometricState) -> np.ndarray:
     """Rate du/dt = (df/dt, dX/dt) of the parabolic system, shape (8, *grid).
 
     On the flat torus it is the harmonic-map heat flow of u = (f, X) into
@@ -295,7 +300,7 @@ def _rk(rates, y: tuple, dt: float, integrator: str) -> tuple:
 
 def _fx_rates(tables, state, iota, beta):
     if iota is None:
-        return rhs_fx(tables, state), None
+        return rhs_fx(state), None
     lu, rates = _harmonic_map(state.grid, state.u)
     # Div T = 2 (Lap f) X - 2 f Lap X - 2 Lap X x X, from the same Laplacians;
     # the gauge flow uses the evolving structure's own cross product
@@ -448,7 +453,7 @@ def _run_fx(tables: StructureTables, config: FlowConfig, state0: IsometricState)
     )
 
 
-def _run_direct(tables: StructureTables, config: FlowConfig, s30: np.ndarray) -> Trajectory:
+def _run_direct(config: FlowConfig, s30: np.ndarray) -> Trajectory:
     """The direct route from the sorted components s30 of the initial 3-form."""
     grid = config.grid
     traj = Trajectory(scheme="direct", grid=grid, times=[], sorted_phis=[])
@@ -499,7 +504,7 @@ def run(config: FlowConfig, tables: StructureTables | None = None) -> RunResult:
     if config.scheme in ("fx", "both"):
         result.fx = _run_fx(tables, config, state0)
     if config.scheme in ("direct", "both"):
-        result.direct = _run_direct(tables, config, sorted_phi_of_state(tables, state0.project()))
+        result.direct = _run_direct(config, sorted_phi_of_state(tables, state0.project()))
     return result
 
 
@@ -531,7 +536,7 @@ def parabolic_rescale(traj: Trajectory, c: float) -> Trajectory:
     return out
 
 
-def write_run_outputs(result: RunResult, out_dir, config: FlowConfig) -> None:
+def write_run_outputs(result: RunResult, out_dir) -> None:
     """Write NDJSON diagnostics and final checkpoints under ``out_dir``."""
     import json
     import os

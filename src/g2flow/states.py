@@ -5,10 +5,10 @@ and a vector field X with f^2 + |X|^2 = 1 pointwise; (f, X) and (-f, -X)
 encode the same structure.  A state holds the pair as one 8-component
 field u = (f, X) of shape (8, *grid), a map into S^7.  This module builds
 the 3-form of a state on its 35 sorted components (the dense form is
-expanded from them), its 4-form, torsion 2-tensor and torsion divergence
-directly from (f, X), and provides the independent route that recovers
-torsion and metric from an arbitrary 3-form field, computed on its 35
-sorted components.
+expanded from them) and its 4-form as their flat Hodge star, the torsion
+2-tensor and torsion divergence directly from (f, X), and provides the
+independent route that recovers torsion and metric from an arbitrary
+3-form field, computed on its 35 sorted components.
 
 The reference structure is the flat, torsion-free one, so every formula
 here is its flat-torus form.  The flow evolves (f, X) as a harmonic map
@@ -32,6 +32,7 @@ from .algebra import (
     contract,
     dense_from_sorted,
     sorted_components,
+    star_sorted_3,
 )
 from .grid import Grid, laplacian, partial
 
@@ -199,27 +200,9 @@ def phi_of_state(
 def psi_of_state(
     tables: StructureTables, state: IsometricState, check: bool = True
 ) -> np.ndarray:
-    """4-form of the state (its Hodge dual for the flat metric):
-
-    psi_qjkl + 2 f (X_q phi_jkl - X_j phi_qkl + X_k phi_qjl - X_l phi_qjk)
-        - 2 (X_q X_m psi_mjkl + X_j X_m psi_qmkl + X_k X_m psi_qjml + X_l X_m psi_qjkm)
-    """
-    if check:
-        state.require_valid()
-    f, x = state.f, state.x
-    k = state.grid.k
-    out = np.broadcast_to(tables.psi.reshape((7,) * 4 + (1,) * k).astype(float), (7,) * 4 + state.grid.shape).copy()
-    fx = f * x
-    out += 2.0 * np.einsum("q...,jkl->qjkl...", fx, tables.phi)
-    out -= 2.0 * np.einsum("j...,qkl->qjkl...", fx, tables.phi)
-    out += 2.0 * np.einsum("k...,qjl->qjkl...", fx, tables.phi)
-    out -= 2.0 * np.einsum("l...,qjk->qjkl...", fx, tables.phi)
-    c = np.einsum("m...,mjkl->jkl...", x, tables.psi)
-    out -= 2.0 * np.einsum("q...,jkl...->qjkl...", x, c)
-    out += 2.0 * np.einsum("j...,qkl...->qjkl...", x, c)
-    out -= 2.0 * np.einsum("k...,qjl...->qjkl...", x, c)
-    out += 2.0 * np.einsum("l...,qjk...->qjkl...", x, c)
-    return out
+    """4-form of the state, psi = *phi with the flat Hodge star (every state
+    induces the flat metric), expanded from the 35 sorted components of phi."""
+    return dense_from_sorted(star_sorted_3(sorted_phi_of_state(tables, state, check)), 4)
 
 
 def torsion_of_state(tables: StructureTables, state: IsometricState) -> np.ndarray:
@@ -317,21 +300,18 @@ def torsion_from_sorted(grid: Grid, s3: np.ndarray) -> np.ndarray:
     return out
 
 
-def metric_from_phi(tables: StructureTables, grid: Grid, phi: np.ndarray) -> np.ndarray:
+def metric_from_phi(grid: Grid, phi: np.ndarray) -> np.ndarray:
     """Metric induced by a dense 3-form field; see ``metric_from_sorted``."""
     return metric_from_sorted(grid, sorted_components(phi, 3))
 
 
-def metric_defect(tables: StructureTables, grid: Grid, phi: np.ndarray) -> float:
+def metric_defect(grid: Grid, phi: np.ndarray) -> float:
     """Sup-norm deviation of the metric of a dense 3-form from the identity."""
     return metric_defect_sorted(grid, sorted_components(phi, 3))
 
 
 def torsion_from_phi(
-    tables: StructureTables,
-    grid: Grid,
-    phi: np.ndarray,
-    metric_tol: float | None = 1e-6,
+    grid: Grid, phi: np.ndarray, metric_tol: float | None = 1e-6
 ) -> np.ndarray:
     """Torsion of a dense 3-form field; see ``torsion_from_sorted``.
 

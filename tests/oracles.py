@@ -33,6 +33,28 @@ def dense_phi_of_state(tables, state):
     return out
 
 
+def dense_psi_of_state(tables, state):
+    """4-form of the state, all 2401 dense entries from (7,)*4 einsums:
+
+    psi_qjkl + 2 f (X_q phi_jkl - X_j phi_qkl + X_k phi_qjl - X_l phi_qjk)
+        - 2 (X_q X_m psi_mjkl + X_j X_m psi_qmkl + X_k X_m psi_qjml + X_l X_m psi_qjkm)
+    """
+    f, x = state.f, state.x
+    k = state.grid.k
+    out = np.broadcast_to(tables.psi.reshape((7,) * 4 + (1,) * k).astype(float), (7,) * 4 + state.grid.shape).copy()
+    fx = f * x
+    out += 2.0 * np.einsum("q...,jkl->qjkl...", fx, tables.phi)
+    out -= 2.0 * np.einsum("j...,qkl->qjkl...", fx, tables.phi)
+    out += 2.0 * np.einsum("k...,qjl->qjkl...", fx, tables.phi)
+    out -= 2.0 * np.einsum("l...,qjk->qjkl...", fx, tables.phi)
+    c = np.einsum("m...,mjkl->jkl...", x, tables.psi)
+    out -= 2.0 * np.einsum("q...,jkl...->qjkl...", x, c)
+    out += 2.0 * np.einsum("j...,qkl...->qjkl...", x, c)
+    out -= 2.0 * np.einsum("k...,qjl...->qjkl...", x, c)
+    out += 2.0 * np.einsum("l...,qjk...->qjkl...", x, c)
+    return out
+
+
 def first_slot_pairs_3(s3):
     """(e_u -| alpha)_(ab) = alpha_{u a b} for sorted pairs (ab), from sorted
     3-form components; shape (7, 21) + batch."""

@@ -73,7 +73,7 @@ def test_criterion_02_isometry_of_states():
     for seed in range(100):
         amp = 0.1 + 0.7 * (seed / 99.0)
         state = random_band_state(grid, amplitude=amp, max_mode=2, seed=seed)
-        worst = max(worst, metric_defect(TABLES, grid, phi_of_state(TABLES, state)))
+        worst = max(worst, metric_defect(grid, phi_of_state(TABLES, state)))
     assert worst <= 1e-10
     report(f"PASS criterion 2: metric identity over 100 random states, worst defect {worst:.2e}")
 
@@ -85,7 +85,7 @@ def test_criterion_03_torsion_oracle_convergence_order():
         grid = Grid(length=1.0, n=n, active_dims=(0, 1))
         state = random_band_state(grid, amplitude=0.3, max_mode=1, seed=7)
         t_state = torsion_of_state(TABLES, state)
-        t_phi = torsion_from_phi(TABLES, grid, phi_of_state(TABLES, state), metric_tol=1e-6)
+        t_phi = torsion_from_phi(grid, phi_of_state(TABLES, state), metric_tol=1e-6)
         errs[n] = float(np.max(np.abs(t_state - t_phi)))
     orders = [math.log2(errs[16] / errs[32]), math.log2(errs[32] / errs[64])]
     elapsed = time.time() - start
@@ -226,7 +226,7 @@ def test_criterion_08_evolution_and_bianchi_verification():
         state = traj.states[idx]
         return sup_norm(
             bianchi_residual(
-                TABLES, traj.grid, torsion_of_state(TABLES, state), phi_of_state(TABLES, state)
+                traj.grid, torsion_of_state(TABLES, state), phi_of_state(TABLES, state)
             )
         )
 
@@ -235,7 +235,7 @@ def test_criterion_08_evolution_and_bianchi_verification():
     rng = np.random.default_rng(11)
     fake = rng.standard_normal((7, 7) + coarse.grid.shape)
     fake_sup = sup_norm(
-        bianchi_residual(TABLES, coarse.grid, fake, phi_of_state(TABLES, coarse.states[4]))
+        bianchi_residual(coarse.grid, fake, phi_of_state(TABLES, coarse.states[4]))
     )
     assert fake_sup > 1.0
     report(

@@ -136,25 +136,25 @@ def test_cross_norm_identity(x, y):
 
 
 def test_diamond_metric_gives_3phi(tables):
-    out = diamond(tables, np.eye(7), tables.phi.astype(float))
+    out = diamond(np.eye(7), tables.phi.astype(float))
     assert np.array_equal(out, 3.0 * tables.phi)
 
 
 def test_diamond_zero_and_linearity(tables, rng):
     phi = tables.phi.astype(float)
-    assert np.all(diamond(tables, np.zeros((7, 7)), phi) == 0.0)
+    assert np.all(diamond(np.zeros((7, 7)), phi) == 0.0)
     h1 = rng.standard_normal((7, 7))
     h1 = h1 + h1.T
     h2 = rng.standard_normal((7, 7))
     h2 = h2 + h2.T
-    lin = diamond(tables, h1 + 2.0 * h2, phi)
-    assert np.allclose(lin, diamond(tables, h1, phi) + 2.0 * diamond(tables, h2, phi))
+    lin = diamond(h1 + 2.0 * h2, phi)
+    assert np.allclose(lin, diamond(h1, phi) + 2.0 * diamond(h2, phi))
 
 
 def test_diamond_single_entry(tables):
     h = np.zeros((7, 7))
     h[0, 0] = 1.0
-    out = diamond(tables, h, tables.phi.astype(float))
+    out = diamond(h, tables.phi.astype(float))
     assert out[0, 1, 2] == pytest.approx(1.0)
 
 
@@ -162,7 +162,7 @@ def test_diamond_rejects_nonsymmetric(tables):
     h = np.zeros((7, 7))
     h[0, 1] = 1.0
     with pytest.raises(ValueError):
-        diamond(tables, h, tables.phi.astype(float))
+        diamond(h, tables.phi.astype(float))
 
 
 def test_interior_psi_isometry(tables):

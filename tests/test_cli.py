@@ -140,6 +140,11 @@ def test_unvalidated_run_inputs_exit_1(tmp_path, capsys):
         ("negative_width", {"initial": {"family": "localized", "amplitude": 0.2, "width": -0.1}}),
         ("center", {"theta_probes": [[[8], 0.05]]}),
         ("index", {"theta_probes": [[["a", 1], 0.05]]}),
+        # each used to exit 0: random_band ran the flat state, and the probe never recorded
+        ("max_mode_zero", {"initial": {"family": "random_band", "max_mode": 0}}),
+        ("max_mode_negative", {"initial": {"family": "random_band", "max_mode": -3}}),
+        ("t0_negative", {"theta_probes": [[[8, 4], -1.0]]}),
+        ("t0_zero", {"theta_probes": [[[8, 4], 0.0]]}),
     ):
         cfg = write_config(tmp_path / f"{name}.json", **overrides)
         assert main(["run", "--config", str(cfg)]) == 1, name

@@ -11,7 +11,6 @@ from g2flow.connection import (
     FrameField,
     bianchi_residual,
     first_variation_residual,
-    frame_connection_coefficients,
     identity_frame,
     laplacian_D,
     lie_decomposition_residual,
@@ -54,7 +53,8 @@ def residual_run(tables, n, dt, steps, amplitude=0.3, seed=7, track_frame=True):
 def test_D_reduces_to_partial_for_zero_torsion(tables, grid16):
     frame = identity_frame(grid16)
     sigma = random_band_state(grid16, 0.5, seed=2).x
-    out = D_derivative(tables, grid16, frame, grid16.zeros(2), 0, sigma)
+    phi3 = phi_of_state(tables, random_band_state(grid16, 0.4, seed=21))
+    out = D_derivative(grid16, frame, grid16.zeros(2), phi3, 0, sigma)
     assert np.allclose(out, partial(grid16, sigma, 0))
 
 
@@ -67,8 +67,8 @@ def test_D_metric_compatibility_refines(tables):
         frame = identity_frame(g)
         s1 = random_band_state(g, 0.5, seed=31).x
         s2 = random_band_state(g, 0.5, seed=32).x
-        d1 = D_derivative(tables, g, frame, torsion, 0, s1, phi3=phi3)
-        d2 = D_derivative(tables, g, frame, torsion, 0, s2, phi3=phi3)
+        d1 = D_derivative(g, frame, torsion, phi3, 0, s1)
+        d2 = D_derivative(g, frame, torsion, phi3, 0, s2)
         lhs = partial(g, np.einsum("a...,a...->...", s1, s2), 0)
         rhs = np.einsum("a...,a...->...", d1, s2) + np.einsum("a...,a...->...", s1, d2)
         return float(np.max(np.abs(lhs - rhs)))
@@ -85,14 +85,19 @@ def test_alpha_term_cancels_in_compatibility_pointwise(tables, grid16, rng):
     frame = identity_frame(grid16)
     c1 = np.broadcast_to(rng.standard_normal(7)[:, None, None], (7,) + grid16.shape).copy()
     c2 = np.broadcast_to(rng.standard_normal(7)[:, None, None], (7,) + grid16.shape).copy()
-    d1 = D_derivative(tables, grid16, frame, torsion, 0, c1, phi3=phi3)
-    d2 = D_derivative(tables, grid16, frame, torsion, 0, c2, phi3=phi3)
+    d1 = D_derivative(grid16, frame, torsion, phi3, 0, c1)
+    d2 = D_derivative(grid16, frame, torsion, phi3, 0, c2)
     pairing = np.einsum("a...,a...->...", d1, c2) + np.einsum("a...,a...->...", c1, d2)
     assert np.max(np.abs(pairing)) <= 1e-12
 
 
-def pullback_phi_covariant_derivative(tables, grid, frame, torsion, phi3, dim):
-    gam = frame_connection_coefficients(tables, grid, frame, torsion, dim, phi3=phi3)
+def connection_coefficients(grid, frame, torsion, phi3, dim):
+    """Coefficients G[b, a] = (D_dim e_a)_b on the identity sections e_a of E."""
+    return D_derivative(grid, frame, torsion, phi3, dim, identity_frame(grid).iota)
+
+
+def pullback_phi_covariant_derivative(grid, frame, torsion, phi3, dim):
+    gam = connection_coefficients(grid, frame, torsion, phi3, dim)
     out = partial(grid, phi3, dim)
     out -= np.einsum("ea...,ebc...->abc...", gam, phi3)
     out -= np.einsum("eb...,aec...->abc...", gam, phi3)
@@ -111,7 +116,7 @@ def test_one_third_twist_makes_structure_parallel(tables):
         for dim in g.active_dims:
             worst = max(
                 worst,
-                sup_norm(pullback_phi_covariant_derivative(tables, g, frame, torsion, phi3, dim)),
+                sup_norm(pullback_phi_covariant_derivative(g, frame, torsion, phi3, dim)),
             )
         return worst
 
@@ -125,8 +130,8 @@ def test_laplacian_D_alpha_zero_identity_frame(tables, grid16, rng):
     a2 = rng.standard_normal((7, 7, 1, 1)) * np.ones((7, 7) + grid16.shape)
     a2 = a2 * (1.0 + random_band_state(grid16, 0.4, seed=9).x[0])
     frame = identity_frame(grid16, alpha=0.0)
-    torsion = torsion_of_state(tables, random_band_state(grid16, 0.3, seed=2))
-    out = laplacian_D(tables, grid16, frame, torsion, a2, alpha=0.0)
+    s = random_band_state(grid16, 0.3, seed=2)
+    out = laplacian_D(grid16, frame, torsion_of_state(tables, s), phi_of_state(tables, s), a2)
     assert np.allclose(out, laplacian(grid16, a2))
 
 
@@ -141,12 +146,12 @@ def test_laplacian_D_double_application_oracle(tables):
         a2 = rng.standard_normal((7, 7))[:, :, None, None] * np.ones((7, 7) + g.shape)
 
         def dk(mixed, dim):
-            gam = frame_connection_coefficients(tables, g, frame, torsion, dim, phi3=phi3)
+            gam = connection_coefficients(g, frame, torsion, phi3, dim)
             return partial(g, mixed, dim) - np.einsum("ib...,ba...->ia...", mixed, gam)
 
         mixed = np.einsum("ip...,pa...->ia...", a2, frame.iota)
         composed = sum(dk(dk(mixed, d), d) for d in g.active_dims)
-        direct = laplacian_D(tables, g, frame, torsion, a2, phi3=phi3)
+        direct = laplacian_D(g, frame, torsion, phi3, a2)
         return sup_norm(direct - composed)
 
     assert defect(16) / defect(32) >= 3.0
@@ -156,15 +161,15 @@ def test_laplacian_D_quadratic_alpha_coefficient(tables, grid16, rng):
     s = random_band_state(grid16, 0.4, seed=21)
     torsion = torsion_of_state(tables, s)
     phi3 = phi_of_state(tables, s)
-    frame = identity_frame(grid16)
     a2 = rng.standard_normal((7, 7))[:, :, None, None] * np.ones((7, 7) + grid16.shape)
-    lap0 = laplacian_D(tables, grid16, frame, torsion, a2, alpha=0.0, phi3=phi3)
-    lap_half = laplacian_D(tables, grid16, frame, torsion, a2, alpha=-0.5, phi3=phi3)
-    lap_one = laplacian_D(tables, grid16, frame, torsion, a2, alpha=-1.0, phi3=phi3)
+    lap0, lap_half, lap_one = (
+        laplacian_D(grid16, identity_frame(grid16, alpha), torsion, phi3, a2)
+        for alpha in (0.0, -0.5, -1.0)
+    )
     tsq = np.einsum("km...,km...->...", torsion, torsion)
     ttt = np.einsum("kq...,kp...->qp...", torsion, torsion)
     quad = tsq * a2 - np.einsum("iq...,qp...->ip...", a2, ttt)
-    quad_mixed = np.einsum("ip...,pa...->ia...", quad, frame.iota)
+    quad_mixed = np.einsum("ip...,pa...->ia...", quad, identity_frame(grid16).iota)
     fitted = (lap_one - lap0) - 2.0 * (lap_half - lap0)
     assert sup_norm(fitted + 0.5 * quad_mixed) <= 1e-10 * max(1.0, sup_norm(quad_mixed))
 
@@ -297,10 +302,11 @@ def test_torsion_evolution_residual_refines_and_ablation(tables):
 
 
 def test_bianchi_zero_torsion_and_negative_control(tables, grid16, rng):
-    assert sup_norm(bianchi_residual(tables, grid16, grid16.zeros(2))) == 0.0
+    ref = fx_state(grid16, np.ones(grid16.shape), grid16.zeros(1))
+    assert sup_norm(bianchi_residual(grid16, grid16.zeros(2), phi_of_state(tables, ref))) == 0.0
     s = random_band_state(grid16, 0.3, seed=7)
     fake = rng.standard_normal((7, 7) + grid16.shape)
-    res = bianchi_residual(tables, grid16, fake, phi_of_state(tables, s))
+    res = bianchi_residual(grid16, fake, phi_of_state(tables, s))
     assert sup_norm(res) > 1.0
 
 

@@ -50,7 +50,7 @@ def test_constant_state_is_fixed_point(tables, grid16):
     x = grid16.zeros(1)
     x[2] = 0.4
     s = fx_state(grid16, np.sqrt(1 - 0.16) * np.ones(grid16.shape), x)
-    assert np.all(rhs_fx(tables, s) == 0.0)
+    assert np.all(rhs_fx(s) == 0.0)
     stepped, _, defect = step_fx(tables, s, 1e-4)
     assert defect <= 1e-15
     assert np.allclose(stepped.f, s.f) and np.allclose(stepped.x, s.x)
@@ -69,7 +69,7 @@ def test_rhs_constraint_drift_vanishes_at_stencil_order(tables):
     for n in (16, 32):
         g = Grid(length=1.0, n=n, active_dims=(0, 1))
         s = random_band_state(g, 0.3, seed=2)
-        du = rhs_fx(tables, s)
+        du = rhs_fx(s)
         drift = s.f * du[0] + np.einsum("q...,q...->...", s.x, du[1:])
         errs.append(float(np.max(np.abs(drift))))
     assert errs[0] / errs[1] >= 3.0
@@ -77,7 +77,7 @@ def test_rhs_constraint_drift_vanishes_at_stencil_order(tables):
 
 def test_small_amplitude_rhs_is_heat_equation(tables, grid32):
     s = single_mode_state(grid32, 1e-4)
-    dx = rhs_fx(tables, s)[1:]
+    dx = rhs_fx(s)[1:]
     lx = laplacian(grid32, s.x)
     assert np.max(np.abs(dx - lx)) <= 1e-6 * np.max(np.abs(lx))
 
@@ -108,7 +108,7 @@ def _divergence_form_fx_rates(tables, state, iota, beta):
 def test_rhs_fx_matches_divergence_form(tables, n, dims, order):
     g = Grid(length=1.0, n=n, active_dims=dims, stencil_order=order)
     s = random_band_state(g, 0.3, seed=9)
-    du = rhs_fx(tables, s)
+    du = rhs_fx(s)
     ref = _divergence_form_rhs_fx(tables, s)
     for a, b in zip((du[0], du[1:]), ref):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
@@ -156,7 +156,7 @@ def test_rhs_direct_lies_in_vector_component(tables, grid16, rng):
     h = rng.standard_normal((7, 7))
     h = h + h.T
     h -= np.trace(h) / 7.0 * np.eye(7)
-    hphi = diamond(tables, np.broadcast_to(h[:, :, None, None], (7, 7) + grid16.shape), phi)
+    hphi = diamond(np.broadcast_to(h[:, :, None, None], (7, 7) + grid16.shape), phi)
     pairing = form_inner(rhs, hphi, 3)
     scale = math.sqrt(float(form_inner(rhs, rhs, 3).max()) * float(form_inner(hphi, hphi, 3).max()))
     assert np.max(np.abs(pairing)) <= 1e-10 * max(scale, 1e-30)
@@ -171,7 +171,7 @@ def test_rhs_direct_matches_fx_pushforward(tables):
         s = random_band_state(g, 0.2, max_mode=1, seed=4)
         phi = phi_of_state(tables, s)
         got = direct_rate(g, phi)
-        du = rhs_fx(tables, s)
+        du = rhs_fx(s)
         eps = 1e-6
         plus = replace(s, u=s.u + eps * du)
         minus = replace(s, u=s.u - eps * du)
@@ -446,7 +446,7 @@ def test_direct_blow_up_event(tables, grid16):
     )
     s30 = 1e40 * sorted_phi_of_state(tables, single_mode_state(grid16, 0.1))
     with np.errstate(over="ignore", invalid="ignore"):
-        traj = _run_direct(tables, cfg, s30)
+        traj = _run_direct(cfg, s30)
     assert traj.events and traj.events[0]["type"] == "blow_up"
     assert traj.events[0]["t"] == 0.0
 
@@ -469,7 +469,7 @@ def test_direct_run_starts_from_the_dense_formula_sorted(tables, grid16):
     )
     got = run(cfg, tables).direct
     s30 = sorted_components(dense_phi_of_state(tables, flow.initial_state(cfg).project()), 3)
-    want = flow._run_direct(tables, cfg, s30)
+    want = flow._run_direct(cfg, s30)
     # the NDJSON lines and the snapshots, byte for byte
     assert [json.dumps(r, sort_keys=True) for r in got.records] == [
         json.dumps(r, sort_keys=True) for r in want.records

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from conftest import fx_state
-from oracles import antisymmetry_defect, dense_phi_of_state, first_slot_pairs_3, pair_slices_4
+from oracles import (
+    antisymmetry_defect,
+    dense_phi_of_state,
+    dense_psi_of_state,
+    first_slot_pairs_3,
+    pair_slices_4,
+)
 from g2flow import algebra
 from g2flow.algebra import (
     first_slot_slices_4,
@@ -130,20 +136,29 @@ def test_phi_of_state_is_antisymmetric_and_within_an_ulp_of_the_dense_formula(ta
         assert np.max(np.abs(got - want)) <= np.spacing(1.0)
 
 
+@pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=lambda g: f"{g.k}d")
+def test_psi_of_state_is_the_star_of_phi_and_within_1e15_of_the_dense_formula(tables, grid):
+    for state in oracle_states(grid):
+        got = psi_of_state(tables, state)
+        assert got.tobytes() == hodge_star_3(phi_of_state(tables, state)).tobytes()
+        assert antisymmetry_defect(got, 4) == 0.0
+        assert np.max(np.abs(got - dense_psi_of_state(tables, state))) <= 1e-15
+
+
 def test_metric_identity_for_states(tables, grid16):
     for seed in range(5):
         s = random_band_state(grid16, 0.1 + 0.15 * seed, seed=seed)
-        assert metric_defect(tables, grid16, phi_of_state(tables, s)) <= 1e-10
+        assert metric_defect(grid16, phi_of_state(tables, s)) <= 1e-10
 
 
 def test_metric_scaling_and_reference(tables, grid16):
     phi = np.broadcast_to(
         tables.phi.astype(float).reshape(7, 7, 7, 1, 1), (7, 7, 7) + grid16.shape
     ).copy()
-    g = metric_from_phi(tables, grid16, phi)
+    g = metric_from_phi(grid16, phi)
     eye = np.eye(7).reshape(7, 7, 1, 1)
     assert np.max(np.abs(g - eye)) <= 1e-13
-    g_scaled = metric_from_phi(tables, grid16, (2.0**3) * phi)
+    g_scaled = metric_from_phi(grid16, (2.0**3) * phi)
     assert np.max(np.abs(g_scaled - 4.0 * eye)) <= 1e-12
 
 
@@ -156,13 +171,13 @@ def test_metric_of_pullback_is_gram_matrix(tables, rng):
     assert np.all(np.linalg.det(np.moveaxis(a, (0, 1), (-2, -1))) > 0)
     phi = np.einsum("ai...,bj...,ck...,abc->ijk...", a, a, a, tables.phi)
     gram = np.einsum("ai...,aj...->ij...", a, a)
-    assert np.max(np.abs(metric_from_phi(tables, grid, phi) - gram)) <= 1e-12
-    assert abs(metric_defect(tables, grid, phi) - np.max(np.abs(gram - eye))) <= 1e-12
+    assert np.max(np.abs(metric_from_phi(grid, phi) - gram)) <= 1e-12
+    assert abs(metric_defect(grid, phi) - np.max(np.abs(gram - eye))) <= 1e-12
 
 
 def test_metric_rejects_degenerate(tables, grid16):
     with pytest.raises(DegenerateFormError):
-        metric_from_phi(tables, grid16, np.zeros((7, 7, 7) + grid16.shape))
+        metric_from_phi(grid16, np.zeros((7, 7, 7) + grid16.shape))
 
 
 def test_torsion_zero_for_constant_states(tables, grid16):
@@ -171,13 +186,13 @@ def test_torsion_zero_for_constant_states(tables, grid16):
     f = np.sqrt(1.0 - 0.09) * np.ones(grid16.shape)
     s = fx_state(grid16, f, x)
     assert np.all(torsion_of_state(tables, s) == 0.0)
-    t_phi = torsion_from_phi(tables, grid16, phi_of_state(tables, s))
+    t_phi = torsion_from_phi(grid16, phi_of_state(tables, s))
     assert np.max(np.abs(t_phi)) <= 1e-14
 
 
 def test_reference_phi_has_zero_torsion(tables, grid16):
     s = reference_state(grid16)
-    assert np.all(torsion_from_phi(tables, grid16, phi_of_state(tables, s)) == 0.0)
+    assert np.all(torsion_from_phi(grid16, phi_of_state(tables, s)) == 0.0)
 
 
 def test_torsion_oracle_equivalence_and_order(tables):
@@ -186,7 +201,7 @@ def test_torsion_oracle_equivalence_and_order(tables):
         g = Grid(length=1.0, n=n, active_dims=(0, 1))
         s = random_band_state(g, amplitude=0.3, max_mode=1, seed=7)
         t_state = torsion_of_state(tables, s)
-        t_phi = torsion_from_phi(tables, g, phi_of_state(tables, s), metric_tol=1e-6)
+        t_phi = torsion_from_phi(g, phi_of_state(tables, s), metric_tol=1e-6)
         errs[n] = float(np.max(np.abs(t_state - t_phi)))
     order1 = math.log2(errs[16] / errs[32])
     order2 = math.log2(errs[32] / errs[64])
@@ -209,7 +224,7 @@ def test_torsion_oracle_order_4_stencils(tables):
         g = Grid(length=1.0, n=n, active_dims=(0, 1), stencil_order=4)
         s = random_band_state(g, amplitude=0.3, max_mode=1, seed=7)
         t_state = torsion_of_state(tables, s)
-        t_phi = torsion_from_phi(tables, g, phi_of_state(tables, s), metric_tol=1e-6)
+        t_phi = torsion_from_phi(g, phi_of_state(tables, s), metric_tol=1e-6)
         errs[n] = float(np.max(np.abs(t_state - t_phi)))
     order = math.log2(errs[16] / errs[32])
     assert 0.8 * 4.0 <= order <= 1.2 * 4.0
@@ -277,9 +292,7 @@ def test_bianchi_on_flat_background(tables):
     for n in (16, 32):
         g = Grid(length=1.0, n=n, active_dims=(0, 1))
         s = random_band_state(g, 0.3, max_mode=1, seed=7)
-        res = bianchi_residual(
-            tables, g, torsion_of_state(tables, s), phi_of_state(tables, s)
-        )
+        res = bianchi_residual(g, torsion_of_state(tables, s), phi_of_state(tables, s))
         errs.append(float(np.max(np.abs(res))))
     assert errs[0] / errs[1] >= 3.0
 
@@ -288,7 +301,7 @@ def test_torsion_from_phi_rejects_non_isometric(tables, grid16):
     s = random_band_state(grid16, 0.3, seed=1)
     phi = 1.5 * phi_of_state(tables, s)  # conformal scaling breaks isometry
     with pytest.raises(DegenerateFormError):
-        torsion_from_phi(tables, grid16, phi, metric_tol=1e-6)
+        torsion_from_phi(grid16, phi, metric_tol=1e-6)
 
 
 def test_projection_and_defect(grid16, rng):
