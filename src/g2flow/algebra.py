@@ -70,6 +70,15 @@ def _parity(seq) -> int:
     return sign
 
 
+# Entries (k, a, b, sign) of (x × y)_k = x_a y_b phi_abk, for contract(CROSS_ENTRIES, x, y):
+# the 42 nonzero products, one b per pair a != k, by k and then ascending a (np.einsum's order)
+CROSS_ENTRIES = (7, tuple(sorted(
+    (t[p[2]], t[p[0]], t[p[1]], val * _parity(p))
+    for t, val in _BASE_TRIPLES
+    for p in itertools.permutations(range(3))
+)))
+
+
 def _index_table(rank: int, heads, tails) -> tuple[np.ndarray, np.ndarray]:
     """Gather table (index, sign), of shape (len(heads), len(tails)), with
     alpha_{h t} = sign * s[index] for a rank-form alpha of sorted components
@@ -157,19 +166,26 @@ def _entries(a_table, b_table) -> tuple[int, tuple]:
     return rows, tuple(zip(o.tolist(), take(ia), take(ib), take(sign)))
 
 
-def contract(entries, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def contract(entries, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """out[o] = sum of sign * a[i] * b[j] over the entries (o, i, j, sign),
     summed from +0 in their order with one scratch row, as np.einsum sums.
-    a and b hold rows first, then one trailing shape, which out keeps."""
+    a and b hold rows first, then one trailing shape, which out keeps.  A
+    given ``out`` (C-contiguous, overlapping neither a nor b) is overwritten."""
     rows, terms = entries
     a2, b2 = a.reshape(len(a), -1), b.reshape(len(b), -1)
-    out, scratch = np.zeros((rows, a2.shape[1])), np.empty(a2.shape[1])
+    if out is None:
+        out = np.zeros((rows,) + a.shape[1:])
+    elif not out.flags.c_contiguous:
+        raise ValueError("contract writes only into a C-contiguous out")
+    else:
+        out.fill(0.0)
+    scratch = np.empty(a2.shape[1])
     # row views and positional out: call overhead is a large share at ~4k points
-    a_rows, b_rows, out_rows = list(a2), list(b2), list(out)
+    a_rows, b_rows, out_rows = list(a2), list(b2), list(out.reshape(rows, -1))
     for o, i, j, sign in terms:
         np.multiply(a_rows[i], b_rows[j], scratch)
         (np.add if sign > 0 else np.subtract)(out_rows[o], scratch, out_rows[o])
-    return out.reshape((rows,) + a.shape[1:])
+    return out
 
 
 # The direct route's psi contractions, on the sorted components s3 of phi:

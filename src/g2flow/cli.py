@@ -30,7 +30,7 @@ from .algebra import build_standard_tables, validate_tables
 from .diagnostics import entropy, record_for_torsion
 from .flow import ConfigError, FlowConfig, InitialSpec, parabolic_rescale, run, write_run_outputs
 from .grid import Grid, load_checkpoint
-from .states import DegenerateFormError, InvalidStateError, IsometricState, torsion_of_state
+from .states import DegenerateFormError, InvalidStateError, IsometricState, torsion_rows_of_state
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -203,16 +203,16 @@ def cmd_diagnose(args) -> int:
     except (OSError, ValueError) as exc:
         raise ConfigError(f"bad checkpoint {args.checkpoint}: {exc}") from exc
     state = IsometricState(grid=grid, u=u)
-    torsion = torsion_of_state(build_standard_tables(), state)
+    rows = torsion_rows_of_state(build_standard_tables(), state)
     # one theta probe, at the torsion's peak, and the entropy, both at scale (L/8)^2
     sigma = (grid.length / 8.0) ** 2
-    peak = np.argmax(np.einsum("pq...,pq...->...", torsion, torsion))
+    peak = np.argmax(np.einsum("pq...,pq...->...", rows, rows))
     center = tuple(int(i) for i in np.unravel_index(int(peak), grid.shape))
     record = record_for_torsion(
-        grid, torsion, state.t, state.constraint_defect(), theta_probes=[(center, sigma)]
+        grid, rows, state.t, state.constraint_defect(), theta_probes=[(center, sigma)]
     )
     del record["t"]
-    ent = entropy(grid, torsion, sigma, sample_stride=max(1, grid.n // 8))
+    ent = entropy(grid, rows, sigma, sample_stride=max(1, grid.n // 8))
     record.update(
         checkpoint=args.checkpoint,
         entropy_estimate=ent.value,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .algebra import StructureTables
 from .grid import Grid, div2, integrate, partial
-from .states import IsometricState, torsion_of_state
+from .states import IsometricState, torsion_of_state, torsion_rows_of_state
 
 __all__ = [
     "HeatKernelSpec",
@@ -59,25 +59,15 @@ class HeatKernelSpec:
 
 
 def energy(grid: Grid, torsion: np.ndarray) -> float:
-    """E = (1/2) * integral of |T|^2 over the torus."""
+    """E = (1/2) * integral of |T|^2 over the torus; T dense or its active rows."""
     return 0.5 * integrate(grid, np.einsum("pq...,pq...->...", torsion, torsion))
 
 
-def sup_norm(tensor: np.ndarray) -> float:
-    """Pointwise-norm sup of a tensor field (full component sum).
-
-    Leading axes of size 7 are tensor slots, the rest grid axes; grids
-    always have an even number of points so the split is unambiguous.
-    """
-    if tensor.ndim == 0:
-        return float(np.abs(tensor))
-    n_tensor = 0
-    for s in tensor.shape:
-        if s == 7:
-            n_tensor += 1
-        else:
-            break
-    sq = np.sum(tensor * tensor, axis=tuple(range(n_tensor))) if n_tensor else tensor * tensor
+def sup_norm(tensor: np.ndarray, rank: int) -> float:
+    """Sup over the grid of the pointwise norm (full component sum) of a
+    field whose first ``rank`` axes are tensor slots and the rest grid axes.
+    A slot may hold fewer than 7 entries, such as a torsion's k active rows."""
+    sq = np.sum(tensor * tensor, axis=tuple(range(rank))) if rank else tensor * tensor
     return float(np.sqrt(np.max(sq)))
 
 
@@ -145,7 +135,7 @@ def grad_log_kernel(grid: Grid, spec: HeatKernelSpec, t: float) -> np.ndarray:
 
 
 def theta(grid: Grid, torsion: np.ndarray, spec: HeatKernelSpec, t: float) -> float:
-    """Localized energy (t0 - t) * integral |T|^2 u."""
+    """Localized energy (t0 - t) * integral |T|^2 u; T dense or its active rows."""
     tau = spec.t0 - t
     if tau <= 0:
         raise ValueError("localized energy requires t < t0")
@@ -258,7 +248,7 @@ def entropy(
     scale_floor: float = 0.01,
 ) -> EntropyResult:
     """Sampled maximization of t * int |T|^2 u_(x,t)(., 0) over centers and
-    scales t in (0, sigma].
+    scales t in (0, sigma]; T dense or its active rows.
 
     A lower bound for the true maximum, with its argmax: the first maximizer, visiting centers
     in lattice order and at each the scales upward.  One wrapped Gaussian per (scale, sampled
@@ -319,8 +309,8 @@ def interpolation_monitor(grid: Grid, torsion: np.ndarray, grad_torsion: np.ndar
     delta(eps, C, v0) = v0 eps^8 / (8 (2C)^7) with C = sup|grad T|.
     """
     e = energy(grid, torsion)
-    sup_t = sup_norm(torsion)
-    sup_gt = sup_norm(grad_torsion)
+    sup_t = sup_norm(torsion, 2)
+    sup_gt = sup_norm(grad_torsion, 3)
     v0 = UNIT_BALL_VOLUME_7D * min(1.0, grid.length / 2.0) ** 7
     c = max(sup_gt, 1e-30)
     delta = v0 * eps**8 / (8.0 * (2.0 * c) ** 7)
@@ -335,42 +325,47 @@ def interpolation_monitor(grid: Grid, torsion: np.ndarray, grad_torsion: np.ndar
     }
 
 
-def _shi_sups(grid: Grid, torsion: np.ndarray) -> tuple[float, float]:
-    """(sup|grad T|, sup|grad^2 T|), summing |d_a T|^2 and |d_b d_a T|^2 one
-    derivative at a time so that no stacked gradient is held.  Only the rows
-    T_p. of active p enter: the others vanish, since d_p does there."""
-    rows = torsion[list(grid.active_dims)]
+def _shi_sups(grid: Grid, rows: np.ndarray) -> tuple[float, float]:
+    """(sup|grad T|, sup|grad^2 T|) from the torsion's active rows, summing
+    |d_a T|^2 and |d_b d_a T|^2 one derivative at a time so that no stacked
+    gradient is held (the other rows vanish, since d_p does there)."""
     sq1 = np.zeros(grid.shape)
     sq2 = np.zeros(grid.shape)
+    da, dba = np.empty_like(rows), np.empty_like(rows)
     for a in grid.active_dims:
-        da = partial(grid, rows, a)
+        partial(grid, rows, a, out=da)
         sq1 += np.einsum("pq...,pq...->...", da, da)
         for b in grid.active_dims:
-            dba = partial(grid, da, b)
+            partial(grid, da, b, out=dba)
             sq2 += np.einsum("pq...,pq...->...", dba, dba)
     return float(np.sqrt(np.max(sq1))), float(np.sqrt(np.max(sq2)))
 
 
-def _shi_quantities(grid: Grid, torsion: np.ndarray, t: float, sup_t0: float) -> dict:
+def _shi_quantities(grid: Grid, rows: np.ndarray, t: float, sup_t0: float) -> dict:
     """Scale-invariant derivative quantities sup|grad^m T| t^(m/2) / sup|T(0)|."""
-    m1, m2 = _shi_sups(grid, torsion)
+    m1, m2 = _shi_sups(grid, rows)
     return {"m1": m1 * math.sqrt(t) / sup_t0, "m2": m2 * t / sup_t0}
 
 
 def record_for_torsion(
     grid: Grid,
-    torsion: np.ndarray,
+    rows: np.ndarray,
     t: float,
     constraint_defect: float,
     theta_probes=(),
     entropy_sigma: float | None = None,
     sup_t_reference: float | None = None,
 ) -> dict:
-    divt = div2(grid, torsion)
+    """One diagnostics record, from the torsion's active rows (shape
+    (k, 7, *grid), as ``torsion_rows_of_state`` returns them).  Each sum
+    runs in the order it has over the dense tensor, less its zero rows."""
+    if len(rows) != grid.k:
+        raise ValueError(f"a record takes the torsion's {grid.k} active rows, got {len(rows)}")
+    divt = div2(grid, rows, rows=True)
     rec = {
         "t": t,
-        "energy": energy(grid, torsion),
-        "sup_T": sup_norm(torsion),
+        "energy": energy(grid, rows),
+        "sup_T": sup_norm(rows, 2),
         "div_T_l2": integrate(grid, np.einsum("q...,q...->...", divt, divt)),
         "constraint_defect": constraint_defect,
     }
@@ -378,15 +373,15 @@ def record_for_torsion(
     for center, t0 in theta_probes:
         spec = HeatKernelSpec(center=tuple(center), t0=float(t0))
         if t < t0:
-            thetas.append([list(center), float(t0), theta(grid, torsion, spec, t)])
+            thetas.append([list(center), float(t0), theta(grid, rows, spec, t)])
     if thetas:
         rec["theta"] = thetas
     if entropy_sigma is not None:
         rec["entropy_estimate"] = entropy(
-            grid, torsion, entropy_sigma, sample_stride=max(1, grid.n // 8)
+            grid, rows, entropy_sigma, sample_stride=max(1, grid.n // 8)
         ).value
     if sup_t_reference and sup_t_reference > 0 and t > 0:
-        rec["shi_quantities"] = _shi_quantities(grid, torsion, t, sup_t_reference)
+        rec["shi_quantities"] = _shi_quantities(grid, rows, t, sup_t_reference)
     return rec
 
 
@@ -397,10 +392,9 @@ def record_for_state(
     entropy_sigma: float | None = None,
     sup_t_reference: float | None = None,
 ) -> dict:
-    torsion = torsion_of_state(tables, state)
     return record_for_torsion(
         state.grid,
-        torsion,
+        torsion_rows_of_state(tables, state),
         t=state.t,
         constraint_defect=state.constraint_defect(),
         theta_probes=theta_probes,

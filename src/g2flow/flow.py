@@ -39,7 +39,7 @@ from .states import (
     require_isometric,
     single_mode_state,
     sorted_phi_of_state,
-    torsion_from_sorted,
+    torsion_rows_from_sorted,
 )
 
 __all__ = [
@@ -222,24 +222,57 @@ def initial_state(config: FlowConfig) -> IsometricState:
     raise ConfigError(f"unknown initial family {spec.family!r}")
 
 
-def _harmonic_map(grid: Grid, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Laplacian and rates of the state field u = (f, X), shape (8, *grid):
+class _FxWorkspace:
+    """Buffers that the RK stages of an fx step reuse, and a run's steps too:
+    ``rk`` is the RK driver's two rate buffers and one stage buffer, each a
+    pair shaped like the stepped (u, iota) (iota's None without a frame);
+    ``lap`` and ``term`` are the Laplacian's output and per-direction term
+    (each partial of u goes into ``term`` as well); ``grad_sq``, ``xx`` and
+    ``xlx`` are the grid scalars |grad u|^2, <X, X> and <X, Lap X>.
+
+    All are views of one block.  glibc's malloc raises its mmap threshold
+    to the size of a mapping it frees, so once a run frees the block, later
+    temporaries up to that size (``diagnose``'s, say) reuse heap memory
+    instead of faulting in fresh pages on every call.
+    """
+
+    def __init__(self, grid: Grid, frame: bool = False):
+        n = math.prod(grid.shape)
+        sizes = [8 * n] * 5 + [n] * 3 + [49 * n] * (3 if frame else 0)
+        parts = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+        ka, kb, stage, self.lap, self.term = (p.reshape((8,) + grid.shape) for p in parts[:5])
+        self.grad_sq, self.xx, self.xlx = (p.reshape(grid.shape) for p in parts[5:8])
+        io = [p.reshape((7, 7) + grid.shape) for p in parts[8:]] or [None] * 3
+        self.rk = ((ka, io[0]), (kb, io[1]), (stage, io[2]))
+
+
+def _harmonic_map(grid: Grid, u: np.ndarray, out: np.ndarray, work: _FxWorkspace | None = None):
+    """Write the rates of the state field u = (f, X), shape (8, *grid), into
+    ``out`` and return Lap u (held in the workspace, allocated if not given):
 
     df = (Lap f) |X|^2 - f <X, Lap X>,    dX = Lap X + |grad u|^2 X.
     """
-    lu = laplacian(grid, u)
-    grad_sq = np.zeros(grid.shape)
+    work = work or _FxWorkspace(grid)
+    lu = laplacian(grid, u, work.lap, work.term)
+    grad_sq = work.grad_sq
+    grad_sq.fill(0.0)
     for dim in grid.active_dims:
-        du = partial(grid, u, dim)
-        grad_sq += np.einsum("a...,a...->...", du, du)
+        du = partial(grid, u, dim, out=work.term)
+        grad_sq += np.einsum("a...,a...->...", du, du, out=work.xx)
     f, x, lf, lx = u[0], u[1:], lu[0], lu[1:]
-    rates = np.empty_like(u)
-    rates[0] = lf * np.einsum("q...,q...->...", x, x) - f * np.einsum("q...,q...->...", x, lx)
-    rates[1:] = lx + grad_sq * x
-    return lu, rates
+    xx = np.einsum("q...,q...->...", x, x, out=work.xx)
+    xlx = np.einsum("q...,q...->...", x, lx, out=work.xlx)
+    np.multiply(lf, xx, out=out[0])
+    xlx *= f
+    out[0] -= xlx
+    np.multiply(grad_sq, x, out=out[1:])
+    out[1:] += lx
+    return lu
 
 
-def rhs_fx(state: IsometricState) -> np.ndarray:
+def rhs_fx(
+    state: IsometricState, out: np.ndarray | None = None, work: _FxWorkspace | None = None
+) -> np.ndarray:
     """Rate du/dt = (df/dt, dX/dt) of the parabolic system, shape (8, *grid).
 
     On the flat torus it is the harmonic-map heat flow of u = (f, X) into
@@ -249,65 +282,78 @@ def rhs_fx(state: IsometricState) -> np.ndarray:
         dX = Lap X + |grad u|^2 X
 
     df equals (1/2) <X, Div T>: the cross-product term of Div T is
-    orthogonal to X.
+    orthogonal to X.  Written into ``out`` if given, with the scratch of
+    ``work`` if given.
     """
-    return _harmonic_map(state.grid, state.u)[1]
-
-
-def _rhs_direct_sorted(grid: Grid, s3: np.ndarray) -> np.ndarray:
-    return contract(DIV_PSI_ENTRIES, div2(grid, torsion_from_sorted(grid, s3)), s3)
-
-
-def _shifted(a: np.ndarray, c: float, k: np.ndarray) -> np.ndarray:
-    """a + c k, summed in place into one fresh array."""
-    out = np.multiply(k, c)
-    out += a
+    if out is None:
+        out = np.empty_like(state.u)
+    _harmonic_map(state.grid, state.u, out, work)
     return out
 
 
-def _rk4_sum(a, dt: float, k1, k2, k3, k4) -> np.ndarray:
-    """a + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed in place into one fresh
-    array in that operation order."""
-    out = np.multiply(k2, 2)
-    out += k1
-    out += 2 * k3
-    out += k4
-    out *= dt / 6.0
-    out += a
-    return out
+def _rhs_direct_sorted(grid: Grid, s3: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    divt = div2(grid, torsion_rows_from_sorted(grid, s3), rows=True)
+    return contract(DIV_PSI_ENTRIES, divt, s3, out)
 
 
-def _rk(rates, y: tuple, dt: float, integrator: str) -> tuple:
+def _rk(rates, y: tuple, dt: float, integrator: str, work=None) -> tuple:
     """One explicit Euler or classical RK4 step of dy/dt = rates(y) for a
-    tuple of arrays; None entries pass through."""
+    tuple of arrays; None entries pass through.  ``rates(y, out)`` writes the
+    rates of y into the tuple of arrays ``out``.
 
-    def shift(c, k):
-        return tuple(None if a is None else _shifted(a, c, b) for a, b in zip(y, k))
+    ``work`` is three tuples of buffers shaped like y: two for rates, one for
+    the stage state.  The stages reuse them, and so do the steps of a caller
+    that keeps them; without it they are allocated for this step.  Only the
+    result is a fresh tuple.  RK4 sums k1 + 2 k2 + 2 k3 + k4 as the rates
+    come, in that order, so k3 and k4 reuse the buffer of k1.
+    """
+    if integrator not in ("euler", "rk4"):
+        raise ConfigError(f"unknown integrator {integrator!r}")
+    if work is None:
+        work = [tuple(None if a is None else np.empty_like(a) for a in y) for _ in range(3)]
+    ka, kb, stage = work
+    live = [i for i, a in enumerate(y) if a is not None]
 
-    if integrator == "euler":
-        return shift(dt, rates(y))
-    if integrator == "rk4":
-        k1 = rates(y)
-        k2 = rates(shift(0.5 * dt, k1))
-        k3 = rates(shift(0.5 * dt, k2))
-        k4 = rates(shift(dt, k3))
+    def shift(c, k):  # stage = k c + y
+        for i in live:
+            np.add(np.multiply(k[i], c, out=stage[i]), y[i], out=stage[i])
+        return stage
+
+    def result(k, c):  # a fresh k c + y
         return tuple(
-            None if a is None else _rk4_sum(a, dt, *k)
-            for a, *k in zip(y, k1, k2, k3, k4)
+            None if a is None else np.add(np.multiply(k[i], c, out=k[i]), a)
+            for i, a in enumerate(y)
         )
-    raise ConfigError(f"unknown integrator {integrator!r}")
+
+    rates(y, ka)
+    if integrator == "euler":
+        return result(ka, dt)
+    rates(shift(0.5 * dt, ka), kb)
+    shift(0.5 * dt, kb)
+    for i in live:  # acc = 2 k2 + k1, in k2's buffer
+        np.add(np.multiply(kb[i], 2, out=kb[i]), ka[i], out=kb[i])
+    rates(stage, ka)
+    shift(dt, ka)
+    for i in live:  # acc += 2 k3
+        np.add(kb[i], np.multiply(ka[i], 2, out=ka[i]), out=kb[i])
+    rates(stage, ka)
+    for i in live:  # acc += k4
+        np.add(kb[i], ka[i], out=kb[i])
+    return result(kb, dt / 6.0)
 
 
-def _fx_rates(tables, state, iota, beta):
+def _fx_rates(tables, state, iota, beta, out, work=None) -> None:
+    """Write the rates of (u, iota) into the pair ``out``."""
+    du, diota = out
     if iota is None:
-        return rhs_fx(state), None
-    lu, rates = _harmonic_map(state.grid, state.u)
+        rhs_fx(state, du, work)
+        return
+    lu = _harmonic_map(state.grid, state.u, du, work)
     # Div T = 2 (Lap f) X - 2 f Lap X - 2 Lap X x X, from the same Laplacians;
     # the gauge flow uses the evolving structure's own cross product
     divt = 2.0 * lu[0] * state.x - 2.0 * state.f * lu[1:] - 2.0 * cross(tables, lu[1:], state.x)
     phi3 = phi_of_state(tables, state, check=False)
-    diota = beta * np.einsum("mlp...,m...,la...->pa...", phi3, divt, iota)
-    return rates, diota
+    np.multiply(beta, np.einsum("mlp...,m...,la...->pa...", phi3, divt, iota), out=diota)
 
 
 def step_fx(
@@ -318,19 +364,22 @@ def step_fx(
     iota: np.ndarray | None = None,
     beta: float = 0.5,
     project: bool = True,
+    work: _FxWorkspace | None = None,
 ):
     """One explicit step of the (f, X) system, then constraint projection.
 
     Returns (projected state, new iota or None, pre-projection defect).
     ``project=False`` skips the normalization, exposing the raw integrator
-    for order studies.
+    for order studies.  ``work`` (``_FxWorkspace(grid, frame=iota is not
+    None)``) lets a run reuse its buffers; without it the step allocates one.
     """
+    work = work or _FxWorkspace(state.grid, iota is not None)
 
-    def rates(y):
+    def rates(y, out):
         u, io = y
-        return _fx_rates(tables, replace(state, u=u), io, beta)
+        _fx_rates(tables, replace(state, u=u), io, beta, out, work)
 
-    u1, io1 = _rk(rates, (state.u, iota), dt, integrator)
+    u1, io1 = _rk(rates, (state.u, iota), dt, integrator, work.rk)
     raw = replace(state, u=u1, t=state.t + dt)
     defect = raw.constraint_defect()
     return (raw.project() if project else raw), io1, defect
@@ -347,7 +396,7 @@ def step_direct(
     """One explicit step of the direct 3-form flow."""
     s3 = sorted_components(phi, 3)
     require_isometric(grid, s3, metric_tol)
-    (s3,) = _rk(lambda y: (_rhs_direct_sorted(grid, *y),), (s3,), dt, integrator)
+    (s3,) = _rk(lambda y, out: _rhs_direct_sorted(grid, *y, *out), (s3,), dt, integrator)
     return dense_from_sorted(s3, 3)
 
 
@@ -425,11 +474,12 @@ def _run_fx(tables: StructureTables, config: FlowConfig, state0: IsometricState)
     if config.track_frame:
         iota = np.zeros((7, 7) + grid.shape)
         iota[np.arange(7), np.arange(7)] = 1.0
+    work = _FxWorkspace(grid, config.track_frame)
 
     def advance(y, t, step):
         state, io = y
         new, io, defect = step_fx(
-            tables, state, config.dt, config.integrator, io, config.frame_beta
+            tables, state, config.dt, config.integrator, io, config.frame_beta, work=work
         )
         if not np.isfinite(new.u).all():
             return None, {"type": "blow_up", "t": t, "detail": "non-finite state"}
@@ -468,7 +518,7 @@ def _run_direct(config: FlowConfig, s30: np.ndarray) -> Trajectory:
         if step % config.metric_check_every == 0:
             require_isometric(grid, s3, config.metric_tol, t, defect_at(s3, t))
         (s3_new,) = _rk(
-            lambda y: (_rhs_direct_sorted(grid, *y),), (s3,), config.dt, config.integrator
+            lambda y, out: _rhs_direct_sorted(grid, *y, *out), (s3,), config.dt, config.integrator
         )
         if not np.isfinite(s3_new).all():
             return None, {"type": "blow_up", "t": t, "detail": "non-finite 3-form"}
@@ -477,7 +527,7 @@ def _run_direct(config: FlowConfig, s30: np.ndarray) -> Trajectory:
     def measure(s3, t, **options):
         return diag.record_for_torsion(
             grid,
-            torsion_from_sorted(grid, s3),
+            torsion_rows_from_sorted(grid, s3),
             t=t,
             constraint_defect=defect_at(s3, t),
             **options,

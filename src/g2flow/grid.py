@@ -143,13 +143,18 @@ def _periodic(arr: np.ndarray, ax: int, shifts: tuple, kernel, out: np.ndarray) 
     return out
 
 
-def partial(grid: Grid, arr: np.ndarray, dim: int) -> np.ndarray:
-    """Central difference along ``dim``; zero when the direction is inactive."""
+def partial(grid: Grid, arr: np.ndarray, dim: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Central difference along ``dim``; zero when the direction is inactive.
+    Written into ``out`` if given (it must not overlap ``arr``)."""
     if dim not in grid.active_dims:
-        return np.zeros_like(arr)
+        if out is None:
+            return np.zeros_like(arr)
+        out[...] = 0.0
+        return out
+    if out is None:
+        out = np.empty(arr.shape, np.result_type(arr, 1.0))
     ax = grid.axis_of(dim, arr.ndim)
     h = grid.h
-    out = np.empty(arr.shape, np.result_type(arr, 1.0))
     # each kernel sums left to right, as the expression in its comment reads
     if grid.stencil_order == 2:
 
@@ -169,8 +174,12 @@ def partial(grid: Grid, arr: np.ndarray, dim: int) -> np.ndarray:
     return _periodic(arr, ax, (2, 1, -1, -2), kernel, out)
 
 
-def laplacian(grid: Grid, arr: np.ndarray) -> np.ndarray:
-    """Compact central Laplacian, summed over active directions."""
+def laplacian(
+    grid: Grid, arr: np.ndarray, out: np.ndarray | None = None, term: np.ndarray | None = None
+) -> np.ndarray:
+    """Compact central Laplacian, summed over active directions.  Written into
+    ``out`` if given; ``term``, if given, holds each direction after the first.
+    Neither may overlap ``arr``."""
     h2 = grid.h * grid.h
     if grid.stencil_order == 2:
         shifts = (1, 0, -1)
@@ -193,8 +202,10 @@ def laplacian(grid: Grid, arr: np.ndarray) -> np.ndarray:
             o -= m2
             o /= 12.0 * h2
 
-    out = np.empty(arr.shape, np.result_type(arr, 1.0))
-    term = np.empty_like(out) if grid.k > 1 else None
+    if out is None:
+        out = np.empty(arr.shape, np.result_type(arr, 1.0))
+    if term is None and grid.k > 1:
+        term = np.empty_like(out)
     for i, dim in enumerate(grid.active_dims):
         ax = grid.axis_of(dim, arr.ndim)
         if i == 0:
@@ -221,11 +232,12 @@ def grad_vector(grid: Grid, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def div2(grid: Grid, t: np.ndarray) -> np.ndarray:
-    """First-slot divergence (Div T)_q = d_p T_pq of a rank-2 field."""
+def div2(grid: Grid, t: np.ndarray, rows: bool = False) -> np.ndarray:
+    """First-slot divergence (Div T)_q = d_p T_pq of a rank-2 field, or, with
+    ``rows``, of its active rows alone: t[i] = T_p. for the i-th active p."""
     out = np.zeros(t.shape[1:])
-    for dim in grid.active_dims:
-        out += partial(grid, t[dim], dim)
+    for i, dim in enumerate(grid.active_dims):
+        out += partial(grid, t[i if rows else dim], dim)
     return out
 
 

@@ -23,12 +23,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algebra import (
+    CROSS_ENTRIES,
     METRIC_B_ENTRIES,
     METRIC_PW_ENTRIES,
     TORSION_ENTRIES,
     _AXES,
     StructureTables,
-    _gather,
     contract,
     dense_from_sorted,
     sorted_components,
@@ -46,9 +46,11 @@ __all__ = [
     "sorted_phi_of_state",
     "phi_of_state",
     "psi_of_state",
+    "torsion_rows_of_state",
     "torsion_of_state",
     "div_torsion_of_state",
     "torsion_from_phi",
+    "torsion_rows_from_sorted",
     "torsion_from_sorted",
     "metric_from_phi",
     "metric_from_sorted",
@@ -121,9 +123,11 @@ def single_mode_state(
 def random_band_state(
     grid: Grid, amplitude: float, max_mode: int = 2, seed: int = 0
 ) -> IsometricState:
-    """Band-limited random X with sup |X| = amplitude."""
+    """Band-limited random X with sup |X| = amplitude, from the Fourier modes 1..max_mode."""
     if not 0 <= amplitude <= 0.9:
         raise ValueError("amplitude must lie in [0, 0.9] to stay inside the chart")
+    if max_mode < 1:  # no mode at all would be the flat state
+        raise ValueError(f"max_mode must be at least 1, got {max_mode!r}")
     rng = np.random.default_rng(seed)
     x = grid.zeros(1)
     for comp in range(7):
@@ -205,27 +209,44 @@ def psi_of_state(
     return dense_from_sorted(star_sorted_3(sorted_phi_of_state(tables, state, check)), 4)
 
 
-def torsion_of_state(tables: StructureTables, state: IsometricState) -> np.ndarray:
-    """Torsion 2-tensor of the state, evaluated directly from (f, X):
+def torsion_rows_of_state(tables: StructureTables, state: IsometricState) -> np.ndarray:
+    """The active rows T_p. of the state's torsion, evaluated directly from (f, X):
 
     -2 d_p X_m X_l phi_mlq + 2 d_p f X_q - 2 f d_p X_q
 
-    Only the rows p of active directions are computed; the other rows are
-    exact zeros, since d_p vanishes there.
+    Shape (k, 7, *grid): row i is p = the i-th active direction.  The rows
+    of inactive p vanish, since d_p does there.
     """
     grid = state.grid
     f, x = state.f, state.x
-    du = np.stack([partial(grid, state.u, dim) for dim in grid.active_dims])
-    gf, gx = du[:, 0], du[:, 1:]       # gx[p, m] = d_p X_m over active p
-    # X_l phi_mlq: each pair m != q lies in one triple of phi, so one l is nonzero
-    phi_mql = np.moveaxis(tables.phi, 1, -1)
-    cxq = _gather(x, (np.argmax(phi_mql != 0, axis=-1), phi_mql.sum(axis=-1)))
-    rows = -2.0 * np.einsum("pm...,mq...->pq...", gx, cxq)
+    du = np.empty((grid.k,) + state.u.shape)
+    for i, dim in enumerate(grid.active_dims):
+        partial(grid, state.u, dim, out=du[i])
+    gf, gx = du[:, 0], du[:, 1:]       # gx[i, m] = d_p X_m for the i-th active p
+    rows = np.empty((grid.k, 7) + grid.shape)
+    # d_p X_m X_l phi_mlq = (d_p X x X)_q on phi's 42 nonzero entries, summed from +0 in
+    # ascending m as a dense einsum over m sums (its m = q term, +-0, never changes the sum)
+    for row, g in zip(rows, gx):
+        contract(CROSS_ENTRIES, g, x, out=row)
+    rows *= -2.0
+    # an einsum, not gf * x: it sums the product into +0, so a -0 product comes out +0
     rows += 2.0 * np.einsum("p...,q...->pq...", gf, x)
-    rows -= 2.0 * f * gx
-    out = np.zeros((7, 7) + grid.shape)
+    gx *= 2.0 * f
+    rows -= gx
+    return rows
+
+
+def _scatter_rows(grid: Grid, rows: np.ndarray) -> np.ndarray:
+    """The dense (7, 7, *grid) tensor of the active rows; the other rows are +0."""
+    out = np.zeros((7,) + rows.shape[1:])
     out[list(grid.active_dims)] = rows
     return out
+
+
+def torsion_of_state(tables: StructureTables, state: IsometricState) -> np.ndarray:
+    """Torsion 2-tensor of the state, shape (7, 7, *grid): the rows of
+    ``torsion_rows_of_state``, with exact zeros in the rows of inactive p."""
+    return _scatter_rows(state.grid, torsion_rows_of_state(tables, state))
 
 
 def div_torsion_of_state(tables: StructureTables, state: IsometricState) -> np.ndarray:
@@ -289,15 +310,22 @@ def require_isometric(
         raise DegenerateFormError(f"3-form metric defect {defect:g} exceeds {metric_tol:g}{at}")
 
 
+def torsion_rows_from_sorted(grid: Grid, s3: np.ndarray) -> np.ndarray:
+    """Active rows, shape (k, 7, *grid), of the torsion
+    T_pq = (1/24) (d_p phi)_ijk psi_qijk with psi = *phi, from the sorted
+    components of phi: (1/4) times the sum over sorted triples, of the 20
+    nonzero products per q (``algebra.contract``)."""
+    rows = np.empty((grid.k, 7) + s3.shape[1:])
+    for row, dim in zip(rows, grid.active_dims):
+        contract(TORSION_ENTRIES, partial(grid, s3, dim), s3, out=row)
+        row *= 0.25
+    return rows
+
+
 def torsion_from_sorted(grid: Grid, s3: np.ndarray) -> np.ndarray:
-    """Torsion T_pq = (1/24) (d_p phi)_ijk psi_qijk with psi = *phi, from the
-    sorted components of phi: (1/4) times the sum over sorted triples, of
-    the 20 nonzero products per q (``algebra.contract``).  Rows p of
-    inactive directions are exact zeros."""
-    out = np.zeros((7, 7) + s3.shape[1:])
-    for dim in grid.active_dims:
-        out[dim] = 0.25 * contract(TORSION_ENTRIES, partial(grid, s3, dim), s3)
-    return out
+    """The dense torsion of ``torsion_rows_from_sorted``; rows p of inactive
+    directions are exact zeros."""
+    return _scatter_rows(grid, torsion_rows_from_sorted(grid, s3))
 
 
 def metric_from_phi(grid: Grid, phi: np.ndarray) -> np.ndarray:

@@ -91,13 +91,13 @@ def _evolution_suite() -> list[tuple[str, float, float, bool]]:
     rows = []
 
     r = _ratio(
-        sup_norm(torsion_evolution_residual(tables, coarse, index=4)),
-        sup_norm(torsion_evolution_residual(tables, fine, index=8)),
+        sup_norm(torsion_evolution_residual(tables, coarse, index=4), 2),
+        sup_norm(torsion_evolution_residual(tables, fine, index=8), 2),
     )
     rows.append(("torsion_evolution_refinement_ratio", r, 3.0, r >= 3.0))
     r = _ratio(
-        sup_norm(torsion_evolution_residual(tables, coarse, index=4, include_gradient_term=False)),
-        sup_norm(torsion_evolution_residual(tables, fine, index=8, include_gradient_term=False)),
+        sup_norm(torsion_evolution_residual(tables, coarse, index=4, include_gradient_term=False), 2),
+        sup_norm(torsion_evolution_residual(tables, fine, index=8, include_gradient_term=False), 2),
     )
     rows.append(("torsion_evolution_negative_control", r, 2.0, r < 2.0))
 
@@ -106,7 +106,8 @@ def _evolution_suite() -> list[tuple[str, float, float, bool]]:
         return sup_norm(
             bianchi_residual(
                 traj.grid, torsion_of_state(tables, state), phi_of_state(tables, state)
-            )
+            ),
+            3,
         )
 
     r = _ratio(bianchi_sup(coarse, 4), bianchi_sup(fine, 8))
@@ -114,7 +115,7 @@ def _evolution_suite() -> list[tuple[str, float, float, bool]]:
     rng = np.random.default_rng(11)
     fake = rng.standard_normal((7, 7) + coarse.grid.shape)
     fake_res = sup_norm(
-        bianchi_residual(coarse.grid, fake, phi_of_state(tables, coarse.states[4]))
+        bianchi_residual(coarse.grid, fake, phi_of_state(tables, coarse.states[4])), 3
     )
     rows.append(("bianchi_negative_control_nonzero", fake_res, 1e-2, fake_res > 1e-2))
 
@@ -122,7 +123,7 @@ def _evolution_suite() -> list[tuple[str, float, float, bool]]:
         grid = Grid(length=1.0, n=n, active_dims=(0, 1))
         state = random_band_state(grid, 0.4, seed=5)
         y = random_band_state(grid, 0.5, seed=9).x
-        return sup_norm(lie_decomposition_residual(tables, state, y))
+        return sup_norm(lie_decomposition_residual(tables, state, y), 3)
 
     r = _ratio(lie_sup(16), lie_sup(32))
     rows.append(("lie_decomposition_refinement_ratio", r, 3.0, r >= 3.0))
@@ -131,7 +132,7 @@ def _evolution_suite() -> list[tuple[str, float, float, bool]]:
         grid = Grid(length=1.0, n=n, active_dims=(0, 1))
         state = random_band_state(grid, 0.4, seed=5)
         v = random_band_state(grid, 0.5, seed=13).x
-        return sup_norm(first_variation_residual(tables, state, v, eps=1e-3))
+        return sup_norm(first_variation_residual(tables, state, v, eps=1e-3), 2)
 
     r = _ratio(first_var_sup(16), first_var_sup(32))
     rows.append(("first_variation_refinement_ratio", r, 3.0, r >= 3.0))
@@ -184,13 +185,13 @@ def _connection_suite() -> list[tuple[str, float, float, bool]]:
     coarse = residual_trajectory(n=16, dt=2e-4, steps=8)
     fine = residual_trajectory(n=32, dt=1e-4, steps=16)
     r = _ratio(
-        sup_norm(reaction_diffusion_residual(tables, coarse, index=4)),
-        sup_norm(reaction_diffusion_residual(tables, fine, index=8)),
+        sup_norm(reaction_diffusion_residual(tables, coarse, index=4), 2),
+        sup_norm(reaction_diffusion_residual(tables, fine, index=8), 2),
     )
     rows.append(("reaction_diffusion_refinement_ratio", r, 3.0, r >= 3.0))
     r = _ratio(
-        sup_norm(reaction_diffusion_residual(tables, coarse, index=4, alpha=0.0)),
-        sup_norm(reaction_diffusion_residual(tables, fine, index=8, alpha=0.0)),
+        sup_norm(reaction_diffusion_residual(tables, coarse, index=4, alpha=0.0), 2),
+        sup_norm(reaction_diffusion_residual(tables, fine, index=8, alpha=0.0), 2),
     )
     rows.append(("reaction_diffusion_negative_control", r, 2.0, r < 2.0))
     return rows

@@ -192,12 +192,12 @@ def test_criterion_06_decay_rate():
 def test_criterion_07_reaction_diffusion_verification():
     coarse = residual_trajectory(16, 2e-4, 8)
     fine = residual_trajectory(32, 1e-4, 16)
-    r_coarse = sup_norm(reaction_diffusion_residual(TABLES, coarse, index=4))
-    r_fine = sup_norm(reaction_diffusion_residual(TABLES, fine, index=8))
+    r_coarse = sup_norm(reaction_diffusion_residual(TABLES, coarse, index=4), 2)
+    r_fine = sup_norm(reaction_diffusion_residual(TABLES, fine, index=8), 2)
     ratio = r_coarse / r_fine
     assert ratio >= 3.0
-    n_coarse = sup_norm(reaction_diffusion_residual(TABLES, coarse, index=4, alpha=0.0))
-    n_fine = sup_norm(reaction_diffusion_residual(TABLES, fine, index=8, alpha=0.0))
+    n_coarse = sup_norm(reaction_diffusion_residual(TABLES, coarse, index=4, alpha=0.0), 2)
+    n_fine = sup_norm(reaction_diffusion_residual(TABLES, fine, index=8, alpha=0.0), 2)
     neg_ratio = n_coarse / n_fine
     assert neg_ratio < 2.0
     report(
@@ -209,15 +209,15 @@ def test_criterion_07_reaction_diffusion_verification():
 def test_criterion_08_evolution_and_bianchi_verification():
     coarse = residual_trajectory(16, 2e-4, 8)
     fine = residual_trajectory(32, 1e-4, 16)
-    r_coarse = sup_norm(torsion_evolution_residual(TABLES, coarse, index=4))
-    r_fine = sup_norm(torsion_evolution_residual(TABLES, fine, index=8))
+    r_coarse = sup_norm(torsion_evolution_residual(TABLES, coarse, index=4), 2)
+    r_fine = sup_norm(torsion_evolution_residual(TABLES, fine, index=8), 2)
     ratio = r_coarse / r_fine
     assert ratio >= 3.0
     a_coarse = sup_norm(
-        torsion_evolution_residual(TABLES, coarse, index=4, include_gradient_term=False)
+        torsion_evolution_residual(TABLES, coarse, index=4, include_gradient_term=False), 2
     )
     a_fine = sup_norm(
-        torsion_evolution_residual(TABLES, fine, index=8, include_gradient_term=False)
+        torsion_evolution_residual(TABLES, fine, index=8, include_gradient_term=False), 2
     )
     neg_ratio = a_coarse / a_fine
     assert neg_ratio < 2.0
@@ -227,7 +227,8 @@ def test_criterion_08_evolution_and_bianchi_verification():
         return sup_norm(
             bianchi_residual(
                 traj.grid, torsion_of_state(TABLES, state), phi_of_state(TABLES, state)
-            )
+            ),
+            3,
         )
 
     b_ratio = bianchi_sup(coarse, 4) / bianchi_sup(fine, 8)
@@ -235,7 +236,7 @@ def test_criterion_08_evolution_and_bianchi_verification():
     rng = np.random.default_rng(11)
     fake = rng.standard_normal((7, 7) + coarse.grid.shape)
     fake_sup = sup_norm(
-        bianchi_residual(coarse.grid, fake, phi_of_state(TABLES, coarse.states[4]))
+        bianchi_residual(coarse.grid, fake, phi_of_state(TABLES, coarse.states[4])), 3
     )
     assert fake_sup > 1.0
     report(

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from g2flow.algebra import (
+    CROSS_ENTRIES,
     DIV_PSI_ENTRIES,
     METRIC_B_ENTRIES,
     METRIC_PW_ENTRIES,
@@ -272,3 +273,26 @@ def test_contract_matches_dense_slices_at_a_single_point(rng):
     assert np.allclose(pw.reshape(7, 21), w @ p.T, rtol=0, atol=1e-13)
     b = contract(METRIC_B_ENTRIES, svals, pw).reshape(7, 7)
     assert np.allclose(b, w @ (w @ p.T).T, rtol=0, atol=1e-12)
+
+
+def test_cross_entries_are_the_nonzero_products_of_cross(tables, rng):
+    # 42 products, one per pair a != k; summed by contract, they give the dense
+    # einsum's bytes, signed zeros included
+    assert CROSS_ENTRIES[0] == 7 and len(CROSS_ENTRIES[1]) == 42
+    assert {(k, a) for k, a, _, _ in CROSS_ENTRIES[1]} == {
+        (k, a) for k in range(7) for a in range(7) if a != k
+    }
+    for shape in ((), (5,), (4, 6)):
+        x, y = rng.standard_normal((7,) + shape), rng.standard_normal((7,) + shape)
+        x[2], x[3] = 0.0, -0.0
+        got = contract(CROSS_ENTRIES, x, y)
+        assert got.tobytes() == np.asarray(cross(tables, x, y)).tobytes()
+
+
+def test_contract_writes_into_a_given_out(rng):
+    a, b = rng.standard_normal((35, 4, 6)), rng.standard_normal((35, 4, 6))
+    out = np.full((7, 4, 6), np.nan)
+    assert contract(TORSION_ENTRIES, a, b, out) is out
+    assert out.tobytes() == contract(TORSION_ENTRIES, a, b).tobytes()
+    with pytest.raises(ValueError, match="C-contiguous"):
+        contract(TORSION_ENTRIES, a, b, np.empty((6, 4, 7)).T)

@@ -1,7 +1,6 @@
 """Command-line surface: subcommands, exit codes, determinism."""
 
 import json
-import os
 from dataclasses import asdict, fields, replace
 
 import numpy as np

@@ -18,11 +18,12 @@ from g2flow.diagnostics import (
     interpolation_monitor,
     monotonicity_residual,
     monotonicity_terms,
+    record_for_torsion,
     sup_norm,
     theta,
 )
-from g2flow.flow import FlowConfig, InitialSpec, parabolic_rescale, run, _run_fx
-from g2flow.grid import Grid, integrate, partial
+from g2flow.flow import FlowConfig, InitialSpec, parabolic_rescale, run
+from g2flow.grid import Grid, div2, integrate, partial
 from g2flow.states import localized_state, random_band_state, torsion_of_state
 
 
@@ -410,7 +411,7 @@ def test_interpolation_monitor_consistency(tables, grid32):
     s = random_band_state(grid32, 0.3, seed=5)
     t2 = torsion_of_state(tables, s)
     gt = np.stack([partial(grid32, t2, d) for d in grid32.active_dims])
-    out = interpolation_monitor(grid32, t2, gt, eps=0.5 * sup_norm(t2))
+    out = interpolation_monitor(grid32, t2, gt, eps=0.5 * sup_norm(t2, 2))
     assert out["consistent"]
     zero = interpolation_monitor(grid32, grid32.zeros(2), np.zeros((2, 7, 7) + grid32.shape), eps=0.1)
     assert zero["consistent"] and zero["energy"] == 0.0
@@ -447,7 +448,7 @@ def test_shi_sups_match_stacked_gradients(tables):
         g2 = np.stack([partial(grid, g1, d) for d in grid.active_dims])
         m1 = float(np.sqrt(np.max(np.sum(g1 * g1, axis=(0, 1, 2)))))
         m2 = float(np.sqrt(np.max(np.sum(g2 * g2, axis=(0, 1, 2, 3)))))
-        got1, got2 = _shi_sups(grid, torsion)
+        got1, got2 = _shi_sups(grid, torsion[list(grid.active_dims)])
         assert m1 > 0 and m2 > 0
         assert abs(got1 - m1) <= 1e-12 * m1
         assert abs(got2 - m2) <= 1e-12 * m2
@@ -476,7 +477,7 @@ def test_shi_sups_equal_all_rows_sums(tables, grid):
             dba = partial(grid, da, b)
             sq2 += np.einsum("pq...,pq...->...", dba, dba)
     want = (float(np.sqrt(np.max(sq1))), float(np.sqrt(np.max(sq2))))
-    assert _shi_sups(grid, torsion) == want
+    assert _shi_sups(grid, torsion[list(grid.active_dims)]) == want
     assert want[0] > 0 and want[1] > 0
 
 
@@ -498,3 +499,47 @@ def test_records_have_contracted_keys(tables, grid16):
     assert rec["theta"][0][0] == [8, 8]
     assert rec["entropy_estimate"] >= 0.0
     assert "shi_quantities" in rec
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        Grid(length=1.0, n=16, active_dims=(3,)),
+        Grid(length=1.0, n=16, active_dims=(0, 1)),
+        Grid(length=1.0, n=16, active_dims=(1, 4), stencil_order=4),
+        Grid(length=1.0, n=8, active_dims=(0, 2, 5)),
+    ],
+)
+def test_record_from_the_active_rows_equals_the_dense_sums(tables, grid):
+    dense = torsion_of_state(tables, random_band_state(grid, 0.4, seed=5))
+    rows = dense[list(grid.active_dims)]
+    center, t0, sigma = (grid.n // 2,) * grid.k, 0.05, 0.01
+    rec = record_for_torsion(
+        grid, rows, 0.01, 0.0, theta_probes=[(center, t0)], entropy_sigma=sigma, sup_t_reference=1.0
+    )
+    # each quantity as it is computed on the dense tensor, its zero rows included
+    divt = div2(grid, dense)
+    want = {
+        "energy": energy(grid, dense),
+        "sup_T": float(np.sqrt(np.max(np.sum(dense * dense, axis=(0, 1))))),
+        "div_T_l2": integrate(grid, np.einsum("q...,q...->...", divt, divt)),
+        "theta": [[list(center), t0, theta(grid, dense, HeatKernelSpec(center, t0), 0.01)]],
+        "entropy_estimate": entropy(grid, dense, sigma, sample_stride=max(1, grid.n // 8)).value,
+    }
+    for key, value in want.items():
+        assert repr(rec[key]) == repr(value), key
+    assert rec["energy"] > 0 and set(rec["shi_quantities"]) == {"m1", "m2"}
+    # a record takes the rows only: the dense tensor would be read as k rows
+    with pytest.raises(ValueError, match="active rows"):
+        record_for_torsion(grid, dense, 0.01, 0.0)
+
+
+def test_sup_norm_takes_the_rank(tables, grid16):
+    dense = torsion_of_state(tables, random_band_state(grid16, 0.4, seed=5))
+    rows = dense[list(grid16.active_dims)]
+    # (2, 7, n, n) is a rank-2 field: the norm sums all 14 components of a point
+    assert sup_norm(rows, 2) == sup_norm(dense, 2)
+    assert sup_norm(rows, 2) > float(np.max(np.abs(rows)))
+    assert sup_norm(rows[0, 3], 0) == float(np.max(np.abs(rows[0, 3])))
+    grad = np.stack([partial(grid16, dense, d) for d in grid16.active_dims])
+    assert sup_norm(grad, 3) == float(np.sqrt(np.max(np.sum(grad * grad, axis=(0, 1, 2)))))

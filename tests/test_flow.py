@@ -1,6 +1,7 @@
 """Time integration: fixed points, orders, scheme agreement, rescaling."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,6 @@ import pytest
 from conftest import fx_state
 from g2flow import flow
 from g2flow.algebra import dense_from_sorted, sorted_components
-from g2flow.diagnostics import energy, sup_norm
 from g2flow.flow import (
     ConfigError,
     FlowConfig,
@@ -21,11 +21,10 @@ from g2flow.flow import (
     step_direct,
     step_fx,
 )
-from g2flow.grid import Grid, grad_scalar, grad_vector, integrate, laplacian
+from g2flow.grid import Grid, grad_scalar, grad_vector, laplacian
 from g2flow.states import (
     div_torsion_of_state,
     phi_of_state,
-    psi_of_state,
     random_band_state,
     single_mode_state,
     torsion_of_state,
@@ -92,14 +91,14 @@ def _divergence_form_rhs_fx(tables, state):
     return df, laplacian(grid, x) + grad_sq * x
 
 
-def _divergence_form_fx_rates(tables, state, iota, beta):
-    df, dx = _divergence_form_rhs_fx(tables, state)
-    du = np.concatenate((df[None], dx))
+def _divergence_form_fx_rates(tables, state, iota, beta, out, work=None):
+    du, diota = out
+    du[0], du[1:] = _divergence_form_rhs_fx(tables, state)
     if iota is None:
-        return du, None
+        return
     divt = div_torsion_of_state(tables, state)
     phi3 = phi_of_state(tables, state, check=False)
-    return du, beta * np.einsum("mlp...,m...,la...->pa...", phi3, divt, iota)
+    diota[...] = beta * np.einsum("mlp...,m...,la...->pa...", phi3, divt, iota)
 
 
 @pytest.mark.parametrize(
@@ -183,10 +182,13 @@ def test_rhs_direct_matches_fx_pushforward(tables):
 def _pair_form_step_fx(tables, grid, f, x, dt, integrator, iota, beta=0.5):
     # the stepper with f and X held apart: _rk over the triple (f, X, iota),
     # then the pre-projection defect and the projection of each part
-    def rates(y):
+    def rates(y, out):
         f, x, io = y
-        du, diota = flow._fx_rates(tables, fx_state(grid, f, x), io, beta)
-        return du[0], du[1:], diota
+        du, diota = np.empty((8,) + grid.shape), None if io is None else np.empty_like(io)
+        flow._fx_rates(tables, fx_state(grid, f, x), io, beta, (du, diota))
+        out[0][...], out[1][...] = du[0], du[1:]
+        if io is not None:
+            out[2][...] = diota
 
     f1, x1, io1 = flow._rk(rates, (f, x, iota), dt, integrator)
     norm_sq = f1 * f1 + np.sum(x1 * x1, axis=0)
@@ -508,14 +510,14 @@ def test_fx_run_evaluates_torsion_once_per_record(tables, grid16, monkeypatch):
     from g2flow import diagnostics, states
 
     calls = []
-    real = states.torsion_of_state
+    real = states.torsion_rows_of_state
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
     for module in (states, diagnostics, flow):
-        monkeypatch.setattr(module, "torsion_of_state", counting, raising=False)
+        monkeypatch.setattr(module, "torsion_rows_of_state", counting, raising=False)
     cfg = FlowConfig(
         grid=grid16,
         initial=InitialSpec(family="single_mode", amplitude=0.1),
@@ -614,3 +616,59 @@ def test_steppers_leave_their_inputs_unmodified(tables, grid16, integrator):
     stepped = step_direct(tables, grid16, phi, 1e-4, integrator)
     assert phi.tobytes() == phi_kept.tobytes()
     assert not np.array_equal(stepped, phi)
+
+
+def _poisoned_workspace(grid, frame):
+    # every buffer starts as NaN, so a read before a write shows in the result
+    work = flow._FxWorkspace(grid, frame)
+    buffers = [work.lap, work.term, work.grad_sq, work.xx, work.xlx]
+    for part in work.rk:
+        buffers += [b for b in part if b is not None]
+    for b in buffers:
+        b.fill(np.nan)
+    return work
+
+
+@pytest.mark.parametrize("integrator,with_frame", [("rk4", False), ("rk4", True), ("euler", False)])
+def test_steps_reusing_one_workspace_equal_steps_with_fresh_ones(tables, integrator, with_frame):
+    grid = Grid(length=1.0, n=16, active_dims=(0, 1))
+    state = random_band_state(grid, 0.3, seed=4)
+    iota = None
+    if with_frame:
+        iota = np.zeros((7, 7) + grid.shape)
+        iota[np.arange(7), np.arange(7)] = 1.0
+    dt = 0.2 * grid.h * grid.h / (2 * grid.k)
+    work = _poisoned_workspace(grid, with_frame)
+    kept = fresh = (state, iota, None)
+    for _ in range(3):
+        kept = step_fx(tables, kept[0], dt, integrator, kept[1], work=work)
+        fresh = step_fx(
+            tables, fresh[0], dt, integrator, fresh[1], work=_poisoned_workspace(grid, with_frame)
+        )
+        assert kept[0].u.tobytes() == fresh[0].u.tobytes()
+        assert kept[2] == fresh[2]
+        if with_frame:
+            assert kept[1].tobytes() == fresh[1].tobytes()
+    # and a step that makes its own workspace, as the probe call does
+    assert step_fx(tables, state, dt, integrator, iota)[0].u.tobytes() == step_fx(
+        tables, state, dt, integrator, iota, work=_poisoned_workspace(grid, with_frame)
+    )[0].u.tobytes()
+
+
+@pytest.mark.parametrize(
+    "grid", [Grid(length=1.0, n=64), Grid(length=1.0, n=16, active_dims=(0, 1, 2))], ids=["64^2", "16^3"]
+)
+def test_step_with_a_kept_workspace_allocates_little(tables, grid):
+    state = random_band_state(grid, 0.3, seed=2)
+    dt = 0.2 * grid.h * grid.h / (2 * grid.k)
+    work = flow._FxWorkspace(grid)
+    state, _, _ = step_fx(tables, state, dt, work=work)  # a warm workspace
+    tracemalloc.start()
+    try:
+        step_fx(tables, state, dt, work=work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the result, its projection and the constraint's X*X: about 2.4 u
+    # (a step allocating fresh stage arrays peaks near 8.9 u)
+    assert peak <= 3 * state.u.nbytes

@@ -1,6 +1,5 @@
 """Finite-difference calculus on the periodic reduced-dimension lattice."""
 
-import math
 import struct
 
 import numpy as np
@@ -240,3 +239,21 @@ def test_slice_stencils_equal_roll_stencils(order, n, dims, rng):
             got, want = laplacian(g, field), roll_laplacian(g, field)
             assert np.array_equal(got, want), rank
             assert got.tobytes() == want.tobytes(), rank
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("dims", [(3,), (0, 2)])
+def test_stencils_write_into_given_buffers(order, dims, rng):
+    g = Grid(length=1.3, n=8, active_dims=dims, stencil_order=order)
+    arr = rng.standard_normal((3,) + g.shape)
+    for dim in range(7):  # active and inactive directions
+        out = np.full_like(arr, np.nan)
+        assert partial(g, arr, dim, out=out) is out
+        assert out.tobytes() == partial(g, arr, dim).tobytes()
+    out, term = np.full_like(arr, np.nan), np.full_like(arr, np.nan)
+    assert laplacian(g, arr, out, term) is out
+    assert out.tobytes() == laplacian(g, arr).tobytes()
+    # the divergence of the active rows alone equals that of the dense tensor
+    t = g.zeros(2)
+    t[list(dims)] = rng.standard_normal((g.k, 7) + g.shape)
+    assert div2(g, t[list(dims)], rows=True).tobytes() == div2(g, t).tobytes()

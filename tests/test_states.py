@@ -350,6 +350,13 @@ def test_torsion_of_state_equals_seven_row_formula(tables, grid):
         assert np.all(got[inactive] == 0.0) and not np.signbit(got[inactive]).any()
 
 
+@pytest.mark.parametrize("max_mode", [0, -3])
+def test_random_band_state_needs_a_mode(grid16, max_mode):
+    # with no Fourier mode the band would be the flat state
+    with pytest.raises(ValueError, match="max_mode"):
+        random_band_state(grid16, 0.3, max_mode=max_mode, seed=1)
+
+
 # The direct route contracts psi on its nonzero entries only; the dense
 # einsum forms over the gathered slices, which it replaced, are the oracles.
 
