@@ -4,9 +4,11 @@ Two independent routes integrate the same evolution: the parabolic system
 for the pair (f, X), and the direct 3-form flow  d(phi)/dt = Div T -| psi.
 Both share one explicit method-of-lines stepper (Euler or classical RK4)
 under a conservative parabolic CFL bound, and one snapshot, record and
-event loop.  The (f, X) route re-normalizes the pointwise constraint
-f^2 + |X|^2 = 1 after every step; the continuous flow preserves it, so
-projection only removes discretization drift.
+event loop.  The (f, X) route takes the tangent projection of the
+Laplacian, du = Lap u - <u, Lap u> u, which is orthogonal to u at every
+grid point, so the discrete flow keeps the constraint f^2 + |X|^2 = 1 up
+to the time integrator's error; the route re-normalizes u after every
+step, which removes only that drift.
 
 A trajectory optionally co-evolves a gauge frame iota on an auxiliary
 bundle (d iota / dt = beta (Div T) x iota, columnwise) so that connection
@@ -29,7 +31,8 @@ from .algebra import (
     dense_from_sorted,
     sorted_components,
 )
-from .grid import Grid, div2, is_integer, laplacian, load_checkpoint, partial, save_checkpoint
+# the step calls no partial; perfbench/test_tracing.py wraps the name here
+from .grid import Grid, div2, is_integer, laplacian, load_checkpoint, partial, save_checkpoint  # noqa: F401
 from .states import (
     IsometricState,
     localized_state,
@@ -226,9 +229,8 @@ class _FxWorkspace:
     """Buffers that the RK stages of an fx step reuse, and a run's steps too:
     ``rk`` is the RK driver's two rate buffers and one stage buffer, each a
     pair shaped like the stepped (u, iota) (iota's None without a frame);
-    ``lap`` and ``term`` are the Laplacian's output and per-direction term
-    (each partial of u goes into ``term`` as well); ``grad_sq``, ``xx`` and
-    ``xlx`` are the grid scalars |grad u|^2, <X, X> and <X, Lap X>.
+    ``lap`` and ``term`` are the Laplacian's output and per-direction term;
+    ``dot`` is the grid scalar <u, Lap u>.
 
     All are views of one block.  glibc's malloc raises its mmap threshold
     to the size of a mapping it frees, so once a run frees the block, later
@@ -238,11 +240,11 @@ class _FxWorkspace:
 
     def __init__(self, grid: Grid, frame: bool = False):
         n = math.prod(grid.shape)
-        sizes = [8 * n] * 5 + [n] * 3 + [49 * n] * (3 if frame else 0)
+        sizes = [8 * n] * 5 + [n] + [49 * n] * (3 if frame else 0)
         parts = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
         ka, kb, stage, self.lap, self.term = (p.reshape((8,) + grid.shape) for p in parts[:5])
-        self.grad_sq, self.xx, self.xlx = (p.reshape(grid.shape) for p in parts[5:8])
-        io = [p.reshape((7, 7) + grid.shape) for p in parts[8:]] or [None] * 3
+        self.dot = parts[5].reshape(grid.shape)
+        io = [p.reshape((7, 7) + grid.shape) for p in parts[6:]] or [None] * 3
         self.rk = ((ka, io[0]), (kb, io[1]), (stage, io[2]))
 
 
@@ -250,23 +252,16 @@ def _harmonic_map(grid: Grid, u: np.ndarray, out: np.ndarray, work: _FxWorkspace
     """Write the rates of the state field u = (f, X), shape (8, *grid), into
     ``out`` and return Lap u (held in the workspace, allocated if not given):
 
-    df = (Lap f) |X|^2 - f <X, Lap X>,    dX = Lap X + |grad u|^2 X.
+    du = Lap u - <u, Lap u> u,
+
+    the tangent projection of the discrete Laplacian (Alouges, SIAM J.
+    Numer. Anal. 34, 1997), so <u, du> = (1 - |u|^2) <u, Lap u>.
     """
     work = work or _FxWorkspace(grid)
     lu = laplacian(grid, u, work.lap, work.term)
-    grad_sq = work.grad_sq
-    grad_sq.fill(0.0)
-    for dim in grid.active_dims:
-        du = partial(grid, u, dim, out=work.term)
-        grad_sq += np.einsum("a...,a...->...", du, du, out=work.xx)
-    f, x, lf, lx = u[0], u[1:], lu[0], lu[1:]
-    xx = np.einsum("q...,q...->...", x, x, out=work.xx)
-    xlx = np.einsum("q...,q...->...", x, lx, out=work.xlx)
-    np.multiply(lf, xx, out=out[0])
-    xlx *= f
-    out[0] -= xlx
-    np.multiply(grad_sq, x, out=out[1:])
-    out[1:] += lx
+    dot = np.einsum("a...,a...->...", u, lu, out=work.dot)
+    np.multiply(dot, u, out=out)
+    np.subtract(lu, out, out=out)
     return lu
 
 
@@ -276,14 +271,15 @@ def rhs_fx(
     """Rate du/dt = (df/dt, dX/dt) of the parabolic system, shape (8, *grid).
 
     On the flat torus it is the harmonic-map heat flow of u = (f, X) into
-    S^7, taken with one Laplacian of u:
+    S^7, taken with one Laplacian of u and its tangent projection:
 
-        df = (Lap f) |X|^2 - f <X, Lap X>    (= Lap f - f <u, Lap u> on S^7)
-        dX = Lap X + |grad u|^2 X
+        du = Lap u - <u, Lap u> u
 
-    df equals (1/2) <X, Div T>: the cross-product term of Div T is
-    orthogonal to X.  Written into ``out`` if given, with the scratch of
-    ``work`` if given.
+    so <u, du> vanishes pointwise up to round-off on a state with |u| = 1.
+    There df = (Lap f) |X|^2 - f <X, Lap X>, which equals (1/2) <X, Div T>
+    (the cross-product term of Div T is orthogonal to X), and dX differs
+    from the divergence form Lap X + |grad u|^2 X at the stencil order.
+    Written into ``out`` if given, with the scratch of ``work`` if given.
     """
     if out is None:
         out = np.empty_like(state.u)
@@ -380,9 +376,13 @@ def step_fx(
         _fx_rates(tables, replace(state, u=u), io, beta, out, work)
 
     u1, io1 = _rk(rates, (state.u, iota), dt, integrator, work.rk)
-    raw = replace(state, u=u1, t=state.t + dt)
-    defect = raw.constraint_defect()
-    return (raw.project() if project else raw), io1, defect
+    new = replace(state, u=u1, t=state.t + dt)
+    # constraint_defect() and project() of new, from one f^2 + |X|^2
+    norm_sq = new.norm_sq()
+    defect = float(np.max(np.abs(norm_sq - 1.0)))
+    if project:  # u1 is this step's own array
+        np.divide(u1, np.sqrt(norm_sq, out=norm_sq), out=u1)
+    return new, io1, defect
 
 
 def step_direct(

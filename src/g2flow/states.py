@@ -86,13 +86,16 @@ class IsometricState:
     def x(self) -> np.ndarray:
         return self.u[1:]
 
+    def norm_sq(self) -> np.ndarray:
+        """f^2 + |X|^2 at every grid point."""
+        return self.f * self.f + np.sum(self.x * self.x, axis=0)
+
     def constraint_defect(self) -> float:
-        return float(np.max(np.abs(self.f * self.f + np.sum(self.x * self.x, axis=0) - 1.0)))
+        return float(np.max(np.abs(self.norm_sq() - 1.0)))
 
     def project(self) -> "IsometricState":
         """Normalize u pointwise back onto the unit sphere."""
-        norm = np.sqrt(self.f * self.f + np.sum(self.x * self.x, axis=0))
-        return replace(self, u=self.u / norm)
+        return replace(self, u=self.u / np.sqrt(self.norm_sq()))
 
     def require_valid(self, tol: float = CONSTRAINT_TOL) -> None:
         defect = self.constraint_defect()

@@ -54,7 +54,6 @@ def residual_trajectory(n: int, dt: float, steps: int, amplitude: float = 0.3, s
         snapshot_every=1,
         diagnostics_every=max(1, steps),
         track_frame=True,
-        constraint_abort_tol=1e-3,
     )
     traj = run(config).fx
     if traj.events:

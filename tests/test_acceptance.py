@@ -272,7 +272,6 @@ def test_criterion_10_rescaling():
         scheme="fx",
         cfl_safety=0.9,
         snapshot_every=5,
-        constraint_abort_tol=1e-4,
     )
     base = run(cfg, TABLES).fx
     resc = parabolic_rescale(base, 2.0)
@@ -309,7 +308,6 @@ def test_criterion_11_monotonicity():
             cfl_safety=1.0,
             snapshot_every=1,
             diagnostics_every=steps,
-            constraint_abort_tol=1e-3,
         )
         traj = run(cfg, TABLES).fx
         assert not traj.events

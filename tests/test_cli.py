@@ -73,7 +73,6 @@ def test_run_determinism_bit_identical(tmp_path):
     cfg = write_config(
         tmp_path / "cfg.json",
         initial={"family": "random_band", "amplitude": 0.2, "seed": 11},
-        constraint_abort_tol=1e-4,
         scheme="both",
     )
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -162,10 +161,8 @@ def test_out_of_range_tolerances_and_intervals_exit_1(tmp_path, capsys):
         ("metric_check_every", {"metric_check_every": 0}),
         ("metric_check_every", {"metric_check_every": -2}),
     ):
-        # the default constraint_abort_tol aborts random_band at 16^2
-        base = {"constraint_abort_tol": 1e-3, "scheme": "both"}
         initial = {"family": "random_band", "amplitude": 0.3, "seed": 11}
-        cfg = write_config(tmp_path / f"{name}.json", initial=initial, **{**base, **overrides})
+        cfg = write_config(tmp_path / f"{name}.json", initial=initial, **{"scheme": "both", **overrides})
         assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / name)]) == 1, overrides
         err = capsys.readouterr().err
         assert "configuration error" in err and name in err, err
@@ -373,7 +370,6 @@ def test_rescale_check_subcommand(tmp_path, capsys):
         initial={"family": "single_mode", "amplitude": 0.2},
         snapshot_every=5,
         t_end=4e-3,
-        constraint_abort_tol=1e-4,
     )
     assert main(["rescale-check", "--config", str(cfg), "--c", "2.0"]) == 0
     out = capsys.readouterr().out
@@ -391,8 +387,8 @@ def test_rescale_check_keeps_config_fields(tmp_path, capsys, monkeypatch):
         t_end=1e-3,
         snapshot_every=5,
     )
-    # at the default constraint_abort_tol the run aborts on drift alone
-    strict = write_config(tmp_path / "strict.json", **overrides)
+    # a zero constraint_abort_tol aborts on the integrator's first drift
+    strict = write_config(tmp_path / "strict.json", constraint_abort_tol=0.0, **overrides)
     assert main(["run", "--config", str(strict)]) == 2
     configs = []
     real_run = cli.run
@@ -405,9 +401,7 @@ def test_rescale_check_keeps_config_fields(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     # a "both" config compares the fx route only, so it integrates nothing else
     for scheme in ("fx", "both"):
-        cfg = write_config(
-            tmp_path / f"{scheme}.json", constraint_abort_tol=1e-3, scheme=scheme, **overrides
-        )
+        cfg = write_config(tmp_path / f"{scheme}.json", scheme=scheme, **overrides)
         configs.clear()
         assert main(["rescale-check", "--config", str(cfg), "--c", "2.0"]) == 0, scheme
         assert "max state discrepancy 0.000e+00" in capsys.readouterr().out

@@ -41,7 +41,6 @@ def residual_run(tables, n, dt, steps, amplitude=0.3, seed=7, track_frame=True):
         snapshot_every=1,
         diagnostics_every=steps,
         track_frame=track_frame,
-        constraint_abort_tol=1e-3,
     )
     traj = run(cfg, tables).fx
     assert not traj.events, traj.events
@@ -182,7 +181,6 @@ def run_frame(tables, grid, dt, integrator, initial, steps=1):
         integrator=integrator,
         scheme="fx",
         track_frame=True,
-        constraint_abort_tol=1e-3,
     )
     traj = run(cfg, tables).fx
     assert not traj.events, traj.events
@@ -228,7 +226,6 @@ def test_frame_beta_third_freezes_pullback(tables):
             snapshot_every=5,
             track_frame=True,
             frame_beta=beta,
-            constraint_abort_tol=1e-3,
         )
         traj = run(cfg, tables).fx
         assert not traj.events

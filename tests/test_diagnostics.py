@@ -137,7 +137,6 @@ def test_theta_parabolic_rescaling_invariance(tables, grid16):
         scheme="fx",
         snapshot_every=1,
         cfl_safety=0.9,
-        constraint_abort_tol=1e-4,
     )
     traj = run(cfg, tables).fx
     resc = parabolic_rescale(traj, 2.0)
@@ -168,7 +167,6 @@ def test_entropy_rescaling_invariance(tables, grid16):
         scheme="fx",
         snapshot_every=1,
         cfl_safety=0.9,
-        constraint_abort_tol=1e-4,
     )
     traj = run(cfg, tables).fx
     resc = parabolic_rescale(traj, 2.0)
@@ -327,7 +325,6 @@ def test_monotonicity_residual_refines_and_sign(tables):
             cfl_safety=1.0,
             snapshot_every=1,
             diagnostics_every=steps,
-            constraint_abort_tol=1e-3,
         )
         traj = run(cfg, tables).fx
         assert not traj.events
