@@ -24,12 +24,12 @@ from g2flow.states import IsometricState, torsion_rows_of_state
 AMPLITUDE, T_END, GRIDS = 0.4, 2e-3, (16, 32, 64)
 
 
-def great_circle(grid, t, component=2):
+def great_circle(grid, t):
     length = grid.length
     decay = AMPLITUDE * math.exp(-4.0 * math.pi**2 * t / length**2)
     theta = decay * np.sin(2.0 * math.pi * grid.coordinate(0) / length)
     u = np.zeros((8,) + grid.shape)
-    u[0], u[1 + component] = np.cos(theta), np.sin(theta)
+    u[0], u[3] = np.cos(theta), np.sin(theta)  # the circle through e_2
     return IsometricState(grid=grid, u=u, t=t)
 
 
