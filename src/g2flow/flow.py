@@ -229,7 +229,8 @@ class _FxWorkspace:
     """Buffers that the RK stages of an fx step reuse, and a run's steps too:
     ``rk`` is the RK driver's two rate buffers and one stage buffer, each a
     pair shaped like the stepped (u, iota) (iota's None without a frame);
-    ``lap`` and ``term`` are the Laplacian's output and per-direction term;
+    ``lap`` is the Laplacian's output and ``term`` its scratch, which holds
+    each later direction's neighbour sum, then the centre term;
     ``dot`` is the grid scalar <u, Lap u>.
 
     All are views of one block.  glibc's malloc raises its mmap threshold

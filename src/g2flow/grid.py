@@ -177,42 +177,42 @@ def partial(grid: Grid, arr: np.ndarray, dim: int, out: np.ndarray | None = None
 def laplacian(
     grid: Grid, arr: np.ndarray, out: np.ndarray | None = None, term: np.ndarray | None = None
 ) -> np.ndarray:
-    """Compact central Laplacian, summed over active directions.  Written into
-    ``out`` if given; ``term``, if given, holds each direction after the first.
-    Neither may overlap ``arr``."""
+    """Compact central Laplacian: each active direction's neighbour sum
+    (u[i+1] + u[i-1], or 16 (u[i+1] + u[i-1]) - u[i+2] - u[i-2] at order 4),
+    added in direction order, minus 2k u (30k u) once, over h^2 (12 h^2) once.
+    Written into ``out`` if given, with ``term`` (if given) as the scratch of
+    the later directions and the centre; neither may overlap ``arr``.  A
+    constant's order-2 Laplacian is exactly 0 for k <= 5 only (fl(10c) + 2c
+    need not be fl(12c)), its order-4 one only if its neighbour sums are
+    exact (u = 1, say)."""
     h2 = grid.h * grid.h
     if grid.stencil_order == 2:
-        shifts = (1, 0, -1)
+        shifts, centre, scale = (1, -1), 2.0 * grid.k, h2
 
-        def kernel(o, p1, c, m1):  # (u[i+1] - 2 u[i] + u[i-1]) / h^2
-            np.multiply(c, 2.0, out=o)
-            np.subtract(p1, o, out=o)
-            o += m1
-            o /= h2
+        def kernel(o, p1, m1):  # u[i+1] + u[i-1]
+            np.add(p1, m1, out=o)
 
     else:
-        shifts = (2, 1, 0, -1, -2)
+        shifts, centre, scale = (2, 1, -1, -2), 30.0 * grid.k, 12.0 * h2
 
-        def kernel(o, p2, p1, c, m1, m2):
-            # (-u[i+2] + 16 u[i+1] - 30 u[i] + 16 u[i-1] - u[i-2]) / 12h^2
-            np.multiply(p1, 16.0, out=o)
+        def kernel(o, p2, p1, m1, m2):  # 16 (u[i+1] + u[i-1]) - u[i+2] - u[i-2]
+            np.add(p1, m1, out=o)
+            o *= 16.0
             o -= p2
-            o -= 30.0 * c
-            o += 16.0 * m1
             o -= m2
-            o /= 12.0 * h2
 
     if out is None:
         out = np.empty(arr.shape, np.result_type(arr, 1.0))
-    if term is None and grid.k > 1:
+    if term is None:
         term = np.empty_like(out)
     for i, dim in enumerate(grid.active_dims):
         ax = grid.axis_of(dim, arr.ndim)
         if i == 0:
             _periodic(arr, ax, shifts, kernel, out)
-            out += 0.0  # the sum starts from +0.0, which turns a -0.0 term into +0.0
         else:
             out += _periodic(arr, ax, shifts, kernel, term)
+    out -= np.multiply(arr, centre, out=term)
+    out /= scale
     return out
 
 

@@ -88,7 +88,7 @@ class IsometricState:
 
     def norm_sq(self) -> np.ndarray:
         """f^2 + |X|^2 at every grid point."""
-        return self.f * self.f + np.sum(self.x * self.x, axis=0)
+        return np.einsum("a...,a...->...", self.u, self.u)
 
     def constraint_defect(self) -> float:
         return float(np.max(np.abs(self.norm_sq() - 1.0)))
@@ -132,11 +132,12 @@ def random_band_state(
     if max_mode < 1:  # no mode at all would be the flat state
         raise ValueError(f"max_mode must be at least 1, got {max_mode!r}")
     rng = np.random.default_rng(seed)
+    # each mode's sin and cos on the n coordinates of one direction, laid along it
+    coords = [grid.along(d, np.arange(grid.n) * grid.h) / grid.length for d in grid.active_dims]
     x = grid.zeros(1)
     for comp in range(7):
         field = np.zeros(grid.shape)
-        for dim in grid.active_dims:
-            coord = grid.coordinate(dim) / grid.length
+        for coord in coords:
             for mode in range(1, max_mode + 1):
                 a, b = rng.standard_normal(2)
                 field = field + a * np.sin(2 * np.pi * mode * coord) + b * np.cos(

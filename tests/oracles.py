@@ -12,6 +12,7 @@ import numpy as np
 from g2flow.algebra import _PAIRS3, _PAIRS4, _gather
 from g2flow.diagnostics import _wrapped_parts
 from g2flow.grid import integrate
+from g2flow.states import _state_from_x
 
 _FACT = {1: 1.0, 2: 2.0, 3: 6.0, 4: 24.0}
 
@@ -84,6 +85,27 @@ def antisymmetry_defect(alpha, rank):
     for ax in range(rank - 1):
         worst = max(worst, float(np.max(np.abs(alpha + np.swapaxes(alpha, ax, ax + 1)))))
     return worst
+
+
+def full_grid_band_state(grid, amplitude, max_mode, seed):
+    """``random_band_state`` with each mode's sin and cos evaluated on the
+    whole grid's coordinates."""
+    rng = np.random.default_rng(seed)
+    x = grid.zeros(1)
+    for comp in range(7):
+        field = np.zeros(grid.shape)
+        for dim in grid.active_dims:
+            coord = grid.coordinate(dim) / grid.length
+            for mode in range(1, max_mode + 1):
+                a, b = rng.standard_normal(2)
+                field = field + a * np.sin(2 * np.pi * mode * coord) + b * np.cos(
+                    2 * np.pi * mode * coord
+                )
+        x[comp] = field
+    sup = np.max(np.sqrt(np.sum(x * x, axis=0)))
+    if sup > 0:
+        x *= amplitude / sup
+    return _state_from_x(grid, x)
 
 
 def product_kernel(grid, tables):

@@ -95,6 +95,14 @@ def test_laplacian_eigenfunction(order):
     assert errs[0] / errs[1] >= (3.5 if order == 2 else 14.0)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_order_2_laplacian_of_a_constant_is_exactly_zero(k, rng):
+    # the neighbour sums 2c, 4c, fl(6c), 8c, fl(10c) equal fl(2k c), the centre
+    g = Grid(length=1.3, n=4, active_dims=tuple(range(7 - k, 7)))
+    arr = np.broadcast_to(rng.standard_normal(8).reshape((8,) + (1,) * k), (8,) + g.shape)
+    assert np.all(laplacian(g, arr) == 0.0)
+
+
 def test_div2_zero_and_product_rule(grid32):
     assert np.all(div2(grid32, grid32.zeros(2)) == 0.0)
     # T_pq = d_p(u) v_q with constant v: Div T = (Lap u) v
@@ -205,22 +213,24 @@ def roll_partial(grid, arr, dim):
 
 
 def roll_laplacian(grid, arr):
-    """The np.roll form of ``laplacian`` that the slice stencils replaced."""
+    """The np.roll form of ``laplacian``: the neighbour sums added up in
+    direction order, minus the centre once, divided once."""
     h2 = grid.h * grid.h
-    out = np.zeros_like(arr, dtype=float)
+    total = None
     for dim in grid.active_dims:
         ax = grid.axis_of(dim, arr.ndim)
         if grid.stencil_order == 2:
-            out += (np.roll(arr, -1, axis=ax) - 2.0 * arr + np.roll(arr, 1, axis=ax)) / h2
+            sums = np.roll(arr, -1, axis=ax) + np.roll(arr, 1, axis=ax)
         else:
-            out += (
-                -np.roll(arr, -2, axis=ax)
-                + 16.0 * np.roll(arr, -1, axis=ax)
-                - 30.0 * arr
-                + 16.0 * np.roll(arr, 1, axis=ax)
+            sums = (
+                16.0 * (np.roll(arr, -1, axis=ax) + np.roll(arr, 1, axis=ax))
+                - np.roll(arr, -2, axis=ax)
                 - np.roll(arr, 2, axis=ax)
-            ) / (12.0 * h2)
-    return out
+            )
+        total = sums if total is None else total + sums
+    if grid.stencil_order == 2:
+        return (total - 2.0 * grid.k * arr) / h2
+    return (total - 30.0 * grid.k * arr) / (12.0 * h2)
 
 
 @pytest.mark.parametrize("order, n", [(2, 2), (2, 8), (4, 6), (4, 10)])

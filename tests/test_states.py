@@ -11,6 +11,7 @@ from oracles import (
     dense_phi_of_state,
     dense_psi_of_state,
     first_slot_pairs_3,
+    full_grid_band_state,
     pair_slices_4,
 )
 from g2flow import algebra
@@ -50,6 +51,14 @@ def test_reference_state_gives_reference_forms(tables, grid16):
     psi = psi_of_state(tables, s)
     assert np.array_equal(phi, np.broadcast_to(tables.phi.astype(float).reshape(7, 7, 7, 1, 1), phi.shape))
     assert np.array_equal(psi, np.broadcast_to(tables.psi.astype(float).reshape(7, 7, 7, 7, 1, 1), psi.shape))
+
+
+@pytest.mark.parametrize("dims", [(3,), (0, 2), (0, 1, 5)])
+@pytest.mark.parametrize("max_mode", [1, 3])
+def test_random_band_state_from_1d_tables_is_the_full_grid_formula(dims, max_mode):
+    grid = Grid(length=1.3, n=8, active_dims=dims)
+    got = random_band_state(grid, 0.4, max_mode=max_mode, seed=9)
+    assert got.u.tobytes() == full_grid_band_state(grid, 0.4, max_mode, 9).u.tobytes()
 
 
 def test_antipodal_pair_gives_same_structure(tables, grid16):
