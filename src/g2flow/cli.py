@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import build_standard_tables, validate_tables
-from .diagnostics import entropy, record_for_torsion
+from .diagnostics import entropy, record_for_torsion, record_stride
 from .flow import ConfigError, FlowConfig, InitialSpec, parabolic_rescale, run, write_run_outputs
 from .grid import Grid, load_checkpoint
 from .states import DegenerateFormError, InvalidStateError, IsometricState, torsion_rows_of_state
@@ -212,7 +212,7 @@ def cmd_diagnose(args) -> int:
         grid, rows, state.t, state.constraint_defect(), theta_probes=[(center, sigma)]
     )
     del record["t"]
-    ent = entropy(grid, rows, sigma, sample_stride=max(1, grid.n // 8))
+    ent = entropy(grid, rows, sigma, sample_stride=record_stride(grid))
     record.update(
         checkpoint=args.checkpoint,
         entropy_estimate=ent.value,

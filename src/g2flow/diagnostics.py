@@ -34,6 +34,8 @@ __all__ = [
     "monotonicity_terms",
     "monotonicity_residual",
     "entropy",
+    "entropy_tables",
+    "record_stride",
     "decay_rate",
     "interpolation_monitor",
     "record_for_state",
@@ -238,6 +240,46 @@ class EntropyResult:
     scale: float
 
 
+@dataclass(frozen=True)
+class EntropyTables:
+    """The entropy's scales, upward, its sampled indices, and per scale the
+    1-D wrapped Gaussian w(x - x_c) at each sampled index c."""
+
+    scales: list
+    indices: range
+    kernels: list
+
+
+def entropy_tables(
+    grid: Grid,
+    sigma: float,
+    sample_stride: int = 2,
+    n_scales: int = 12,
+    image_radius: int = 3,
+    scale_floor: float = 0.01,
+) -> EntropyTables:
+    """The kernel tables of ``entropy`` with the same arguments.  They depend
+    on the grid and these arguments alone, so a run builds them once and
+    hands them to every record; ``entropy`` builds them when given none."""
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    scales = [float(tau) for tau in np.geomspace(scale_floor * sigma, sigma, n_scales)]
+    indices = range(0, grid.n, sample_stride)
+    kernels = [
+        {
+            c: _wrapped_parts(grid.length, tau, grid.displacement(c), image_radius)[0]
+            for c in indices
+        }
+        for tau in scales
+    ]
+    return EntropyTables(scales, indices, kernels)
+
+
+def record_stride(grid: Grid) -> int:
+    """The entropy's center stride in records and ``diagnose``: 8 per axis."""
+    return max(1, grid.n // 8)
+
+
 def entropy(
     grid: Grid,
     torsion: np.ndarray,
@@ -246,6 +288,7 @@ def entropy(
     n_scales: int = 12,
     image_radius: int = 3,
     scale_floor: float = 0.01,
+    tables: EntropyTables | None = None,
 ) -> EntropyResult:
     """Sampled maximization of t * int |T|^2 u_(x,t)(., 0) over centers and
     scales t in (0, sigma]; T dense or its active rows.
@@ -253,23 +296,16 @@ def entropy(
     A lower bound for the true maximum, with its argmax: the first maximizer, visiting centers
     in lattice order and at each the scales upward.  One wrapped Gaussian per (scale, sampled
     index) serves every center and axis; each kernel and its |T|^2 product reuse two buffers.
+    ``tables``, if given, must be ``entropy_tables`` of the same grid and arguments; without
+    them this call builds its own.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if tables is None:
+        tables = entropy_tables(grid, sigma, sample_stride, n_scales, image_radius, scale_floor)
     tsq = np.einsum("pq...,pq...->...", torsion, torsion)
-    scales = [float(tau) for tau in np.geomspace(scale_floor * sigma, sigma, n_scales)]
-    best = EntropyResult(0.0, (0,) * grid.k, scales[-1])
-    indices = range(0, grid.n, sample_stride)
-    tables = [
-        {
-            c: _wrapped_parts(grid.length, tau, grid.displacement(c), image_radius)[0]
-            for c in indices
-        }
-        for tau in scales
-    ]
+    best = EntropyResult(0.0, (0,) * grid.k, tables.scales[-1])
     u, weighted = np.empty(grid.shape), np.empty(grid.shape)
-    for center in itertools.product(indices, repeat=grid.k):
-        for tau, table in zip(scales, tables):
+    for center in itertools.product(tables.indices, repeat=grid.k):
+        for tau, table in zip(tables.scales, tables.kernels):
             _product_kernel(grid, [table[c] for c in center], out=u)
             val = tau * integrate(grid, np.multiply(tsq, u, out=weighted))
             if val > best.value:
@@ -355,10 +391,16 @@ def record_for_torsion(
     theta_probes=(),
     entropy_sigma: float | None = None,
     sup_t_reference: float | None = None,
+    entropy_kernels: EntropyTables | None = None,
 ) -> dict:
     """One diagnostics record, from the torsion's active rows (shape
     (k, 7, *grid), as ``torsion_rows_of_state`` returns them).  Each sum
-    runs in the order it has over the dense tensor, less its zero rows."""
+    runs in the order it has over the dense tensor, less its zero rows.
+
+    With ``entropy_sigma`` the record holds the entropy at center stride
+    ``record_stride(grid)``; ``entropy_kernels``, if given, are its tables
+    (``entropy_tables`` of that sigma and stride), which a run builds once
+    for all its records.  Without them the record builds its own."""
     if len(rows) != grid.k:
         raise ValueError(f"a record takes the torsion's {grid.k} active rows, got {len(rows)}")
     divt = div2(grid, rows, rows=True)
@@ -378,7 +420,7 @@ def record_for_torsion(
         rec["theta"] = thetas
     if entropy_sigma is not None:
         rec["entropy_estimate"] = entropy(
-            grid, rows, entropy_sigma, sample_stride=max(1, grid.n // 8)
+            grid, rows, entropy_sigma, sample_stride=record_stride(grid), tables=entropy_kernels
         ).value
     if sup_t_reference and sup_t_reference > 0 and t > 0:
         rec["shi_quantities"] = _shi_quantities(grid, rows, t, sup_t_reference)
@@ -391,6 +433,7 @@ def record_for_state(
     theta_probes=(),
     entropy_sigma: float | None = None,
     sup_t_reference: float | None = None,
+    entropy_kernels: EntropyTables | None = None,
 ) -> dict:
     return record_for_torsion(
         state.grid,
@@ -400,4 +443,5 @@ def record_for_state(
         theta_probes=theta_probes,
         entropy_sigma=entropy_sigma,
         sup_t_reference=sup_t_reference,
+        entropy_kernels=entropy_kernels,
     )

@@ -380,7 +380,9 @@ def step_fx(
     new = replace(state, u=u1, t=state.t + dt)
     # constraint_defect() and project() of new, from one f^2 + |X|^2
     norm_sq = new.norm_sq()
-    defect = float(np.max(np.abs(norm_sq - 1.0)))
+    # max |norm_sq - 1| without its two grid temporaries: fl(x - 1) is monotone
+    # in x and fl(1 - x) = -fl(x - 1), so the ends of norm_sq give it exactly
+    defect = max(float(norm_sq.max()) - 1.0, 1.0 - float(norm_sq.min()))
     if project:  # u1 is this step's own array
         np.divide(u1, np.sqrt(norm_sq, out=norm_sq), out=u1)
     return new, io1, defect
@@ -413,8 +415,14 @@ def _run_scheme(config: FlowConfig, traj: Trajectory, y, advance, measure, keep,
     ``advance(y, t, step)`` returns the stepped fields and None, or None and
     the event that ends the run; ``measure(y, t, **options)`` builds a
     diagnostics record; ``keep(y)`` stores a snapshot; ``min_f(y)``, given
-    for the (f, X) chart, is the least f for the chart-exit event.
+    for the (f, X) chart, is the least f for the chart-exit event.  With
+    ``entropy_sigma`` the entropy's kernel tables are built once, here, and
+    every record reuses them.
     """
+    kernels = None
+    if config.entropy_sigma is not None:
+        grid = config.grid
+        kernels = diag.entropy_tables(grid, config.entropy_sigma, diag.record_stride(grid))
 
     def emit(y, t, events, sup_t_reference=None):
         rec = measure(
@@ -423,6 +431,7 @@ def _run_scheme(config: FlowConfig, traj: Trajectory, y, advance, measure, keep,
             theta_probes=config.theta_probes,
             entropy_sigma=config.entropy_sigma,
             sup_t_reference=sup_t_reference,
+            entropy_kernels=kernels,
         )
         rec["events"] = events
         traj.records.append(rec)

@@ -13,6 +13,7 @@ from g2flow.diagnostics import (
     decay_rate,
     energy,
     entropy,
+    entropy_tables,
     grad_log_kernel,
     heat_kernel,
     interpolation_monitor,
@@ -24,7 +25,13 @@ from g2flow.diagnostics import (
 )
 from g2flow.flow import FlowConfig, InitialSpec, parabolic_rescale, run
 from g2flow.grid import Grid, div2, integrate, partial
-from g2flow.states import localized_state, random_band_state, torsion_of_state
+from g2flow.states import (
+    localized_state,
+    random_band_state,
+    torsion_of_state,
+    torsion_rows_from_sorted,
+    torsion_rows_of_state,
+)
 
 
 def test_energy_examples(tables, grid32):
@@ -297,7 +304,7 @@ def test_entropy_ties_go_to_the_first_center(length, n, dims, stride, sigma):
     assert (got.value, got.center, got.scale) == tied[0]
 
 
-def test_entropy_builds_one_table_per_scale_and_sampled_index(monkeypatch, grid32):
+def _count_wrapped_parts(monkeypatch):
     calls = []
     real = diagnostics._wrapped_parts
 
@@ -306,11 +313,81 @@ def test_entropy_builds_one_table_per_scale_and_sampled_index(monkeypatch, grid3
         return real(*args)
 
     monkeypatch.setattr(diagnostics, "_wrapped_parts", counted)
+    return calls
+
+
+def test_entropy_builds_one_table_per_scale_and_sampled_index(monkeypatch, grid32):
+    calls = _count_wrapped_parts(monkeypatch)
     torsion = np.random.default_rng(3).standard_normal((7, 7) + grid32.shape)
     entropy(grid32, torsion, 0.01, sample_stride=4)
     # 12 scales x 8 sampled indices, not one table per center, scale and axis (1536)
     assert len(calls) == 96
     assert len({(args[1], float(args[2][0])) for args in calls}) == 96
+
+
+@pytest.mark.parametrize("scheme", ["fx", "direct"])
+def test_a_run_builds_the_entropy_tables_once(monkeypatch, tables, grid32, scheme):
+    calls = _count_wrapped_parts(monkeypatch)
+    dt = 0.2 * grid32.h * grid32.h / (2 * grid32.k)
+    cfg = FlowConfig(
+        grid=grid32,
+        initial=InitialSpec(family="random_band", amplitude=0.3, seed=7),
+        dt=dt,
+        t_end=8 * dt,
+        scheme=scheme,
+        diagnostics_every=2,
+        entropy_sigma=0.01,
+    )
+    traj = getattr(run(cfg, tables), scheme)
+    assert len(traj.records) == 5
+    assert all(rec["entropy_estimate"] > 0 for rec in traj.records)
+    # 12 scales x 8 sampled indices for the whole run, not for each of its 5 records
+    assert len(calls) == 12 * 8
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        Grid(length=1.0, n=16, active_dims=(3,)),
+        Grid(length=1.0, n=16, active_dims=(0, 1)),
+        Grid(length=1.0, n=8, active_dims=(0, 2, 5)),
+    ],
+    ids=["1-D", "2-D", "3-D"],
+)
+def test_records_reusing_the_tables_equal_the_entropy_oracle_per_snapshot(tables, grid):
+    sigma = 0.015625
+    dt = 0.2 * grid.h * grid.h / (2 * grid.k)
+    cfg = FlowConfig(
+        grid=grid,
+        initial=InitialSpec(family="random_band", amplitude=0.3, seed=11),
+        dt=dt,
+        t_end=6 * dt,
+        scheme="both",
+        diagnostics_every=2,
+        snapshot_every=2,
+        entropy_sigma=sigma,
+    )
+    result = run(cfg, tables)
+    routes = [
+        (result.fx, [torsion_rows_of_state(tables, s) for s in result.fx.states]),
+        (result.direct, [torsion_rows_from_sorted(grid, s3) for s3 in result.direct.sorted_phis]),
+    ]
+    for traj, snapshots in routes:
+        assert len(traj.records) == len(snapshots) == 4
+        for rec, rows in zip(traj.records, snapshots):
+            want = oracles.entropy(grid, rows, sigma, sample_stride=max(1, grid.n // 8))[0]
+            assert repr(rec["entropy_estimate"]) == repr(want)
+
+
+def test_entropy_with_prebuilt_tables_equals_its_own_build(grid32):
+    rng = np.random.default_rng(8)
+    for stride, sigma in ((4, 0.01), (3, 0.05)):
+        kernels = entropy_tables(grid32, sigma, stride)
+        # one set of tables serves several torsions, as in a run's records
+        for _ in range(2):
+            torsion = rng.standard_normal((2, 7) + grid32.shape)
+            got = entropy(grid32, torsion, sigma, sample_stride=stride, tables=kernels)
+            assert repr(got) == repr(entropy(grid32, torsion, sigma, sample_stride=stride))
 
 
 def test_monotonicity_residual_refines_and_sign(tables):

@@ -678,9 +678,15 @@ def test_steps_reusing_one_workspace_equal_steps_with_fresh_ones(tables, integra
 
 
 @pytest.mark.parametrize(
-    "grid", [Grid(length=1.0, n=64), Grid(length=1.0, n=16, active_dims=(0, 1, 2))], ids=["64^2", "16^3"]
+    "grid, bound",
+    [
+        (Grid(length=1.0, n=64), 1.6),
+        (Grid(length=1.0, n=16, active_dims=(0, 1, 2)), 1.6),
+        (Grid(length=1.0, n=128), 1.2),
+    ],
+    ids=["64^2", "16^3", "128^2"],
 )
-def test_step_with_a_kept_workspace_allocates_little(tables, grid):
+def test_step_with_a_kept_workspace_allocates_little(tables, grid, bound):
     state = random_band_state(grid, 0.3, seed=2)
     dt = 0.2 * grid.h * grid.h / (2 * grid.k)
     work = flow._FxWorkspace(grid)
@@ -691,7 +697,8 @@ def test_step_with_a_kept_workspace_allocates_little(tables, grid):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the result, projected in place, and the grid scalars of the constraint,
-    # f^2 + |X|^2 and its distance from 1: about 1.38 u (a step allocating
-    # fresh stage arrays peaks near 8.9 u)
-    assert peak <= 1.6 * state.u.nbytes
+    # the result, projected in place, and the grid scalar f^2 + |X|^2, whose
+    # ends give the drift: about 1.13 u at 128^2.  At 64^2 and 16^3 a temporary
+    # of fixed size sets the peak, about 1.38 u (a step allocating fresh stage
+    # arrays peaks near 8.9 u)
+    assert peak <= bound * state.u.nbytes
