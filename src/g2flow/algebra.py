@@ -188,6 +188,11 @@ def contract(entries, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = Non
     return out
 
 
+# Entries (lp, m, index, sign) of (v -| phi)_lp = v_m phi_mlp on the sorted components
+# s3 of phi, for contract(INTERIOR_ENTRIES, v, s3): 5 products per l != p, none for l = p
+_PHI_LP_M = _index_table(3, list(itertools.product(range(7), repeat=2)), [(m,) for m in range(7)])
+INTERIOR_ENTRIES = _entries((np.arange(7), 1), _PHI_LP_M)
+
 # The direct route's psi contractions, on the sorted components s3 of phi:
 # T_pq = (1/4) (d_p phi)_s psi_qs over triples s: (d_p s3, s3) -> q;
 # (Div T -| psi)_s = (Div T)_p psi_ps: (Div T, s3) -> s;
@@ -198,6 +203,19 @@ TORSION_ENTRIES = _entries((np.arange(35), 1), _PSI_Q)
 DIV_PSI_ENTRIES = _entries((np.arange(7), 1), (_PSI_Q[0].T, _PSI_Q[1].T))
 METRIC_PW_ENTRIES = _entries((_PSI_PQ[0][None], _PSI_PQ[1][None]), (_W[0][:, None], _W[1][:, None]))
 METRIC_B_ENTRIES = _entries((_W[0][:, None], _W[1][:, None]), (np.arange(147).reshape(1, 7, 21), 1))
+
+
+def _metric_entries_of(v: int) -> tuple:
+    """The entry lists (pw_list, b_list) of one v, filtered from the full lists
+    with each row's order kept: pw_v = contract(pw_list, s3, s3) and
+    (B_0v, ..., B_vv) = -(1/6) contract(b_list, s3, pw_v).  B_uv with u <= v
+    reads only pw_v, the 21 rows p of its v."""
+    pw = [(o - 21 * v, i, j, s) for o, i, j, s in METRIC_PW_ENTRIES[1] if o // 21 == v]
+    b = [(o // 7, i, j - 21 * v, s) for o, i, j, s in METRIC_B_ENTRIES[1] if o % 7 == v >= o // 7]
+    return (21, tuple(pw)), (v + 1, tuple(b))
+
+
+METRIC_ENTRIES_BY_V = tuple(_metric_entries_of(v) for v in range(7))
 
 
 @dataclass(frozen=True)

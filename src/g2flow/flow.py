@@ -24,10 +24,11 @@ import numpy as np
 
 from . import diagnostics as diag
 from .algebra import (
+    CROSS_ENTRIES,
     DIV_PSI_ENTRIES,
+    INTERIOR_ENTRIES,
     StructureTables,
     contract,
-    cross,
     dense_from_sorted,
     sorted_components,
 )
@@ -37,7 +38,6 @@ from .states import (
     IsometricState,
     localized_state,
     metric_defect_sorted,
-    phi_of_state,
     random_band_state,
     require_isometric,
     single_mode_state,
@@ -348,9 +348,12 @@ def _fx_rates(tables, state, iota, beta, out, work=None) -> None:
     lu = _harmonic_map(state.grid, state.u, du, work)
     # Div T = 2 (Lap f) X - 2 f Lap X - 2 Lap X x X, from the same Laplacians;
     # the gauge flow uses the evolving structure's own cross product
-    divt = 2.0 * lu[0] * state.x - 2.0 * state.f * lu[1:] - 2.0 * cross(tables, lu[1:], state.x)
-    phi3 = phi_of_state(tables, state, check=False)
-    np.multiply(beta, np.einsum("mlp...,m...,la...->pa...", phi3, divt, iota), out=diota)
+    divt = 2.0 * lu[0] * state.x - 2.0 * state.f * lu[1:]
+    divt -= 2.0 * contract(CROSS_ENTRIES, lu[1:], state.x)
+    # two pairwise sums: (Div T -| phi)_lp on phi's sorted components, then with iota
+    rot = contract(INTERIOR_ENTRIES, divt, sorted_phi_of_state(tables, state, check=False))
+    np.einsum("lp...,la...->pa...", rot.reshape(iota.shape), iota, out=diota)
+    diota *= beta
 
 
 def step_fx(

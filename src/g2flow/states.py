@@ -24,8 +24,7 @@ import numpy as np
 
 from .algebra import (
     CROSS_ENTRIES,
-    METRIC_B_ENTRIES,
-    METRIC_PW_ENTRIES,
+    METRIC_ENTRIES_BY_V,
     TORSION_ENTRIES,
     _AXES,
     StructureTables,
@@ -60,6 +59,10 @@ __all__ = [
 ]
 
 CONSTRAINT_TOL = 1e-8
+
+# index pairs (v, u) of a 7x7 array: u <= v (by v, then u), and u > v
+_LOWER, _UPPER = np.tril_indices(7), np.triu_indices(7, 1)
+_DIAGONAL = np.flatnonzero(_LOWER[0] == _LOWER[1])  # the places of (v, v) in _LOWER
 
 
 class InvalidStateError(ValueError):
@@ -190,8 +193,9 @@ def sorted_phi_of_state(
     i, j, k = _AXES[3]
     xsq = np.sum(x * x, axis=0)
     out = (1.0 - 2.0 * xsq) * tables.phi[i, j, k].reshape((35,) + (1,) * state.grid.k)
-    out = out - 2.0 * np.einsum("ms,m...->s...", tables.psi[:, i, j, k], f * x)
-    c = np.einsum("m...,mjk->jk...", x, tables.phi)
+    # the integer tables as floats: the same sums, without einsum's buffered casts
+    out = out - 2.0 * np.einsum("ms,m...->s...", tables.psi[:, i, j, k].astype(float), f * x)
+    c = np.einsum("m...,mjk->jk...", x, tables.phi.astype(float))
     out = out + 2.0 * (x[i] * c[j, k])
     out = out - 2.0 * (x[j] * c[i, k])
     out = out + 2.0 * (x[k] * c[i, j])
@@ -271,6 +275,41 @@ def div_torsion_of_state(tables: StructureTables, state: IsometricState) -> np.n
     return out
 
 
+def _pairing(s3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairing B of ``metric_from_sorted`` and det B.  B_vu for u <= v
+    fills the lower triangle of a (7, 7, *grid) array, whose upper triangle
+    is left unset: row v is one pass, pw_v and then the v + 1 entries that
+    read it.
+
+    det B is the product of the pivots of the Cholesky factorization
+    B = L L^T, computed column by column over the whole grid at once.
+    Raises DegenerateFormError where a pivot is not > 0 (or is NaN), so
+    where B is not positive definite.
+    """
+    shape = s3.shape[1:]
+    b = np.empty((7, 7) + shape)
+    pw = np.empty((21,) + shape)
+    for v, (pw_entries, b_entries) in enumerate(METRIC_ENTRIES_BY_V):
+        contract(pw_entries, s3, s3, out=pw)
+        contract(b_entries, s3, pw, out=b[v, : v + 1])
+        b[v, : v + 1] *= -(1.0 / 6.0)
+    # column j of L: L_ij = (B_ij - L_ik L_jk over k < j) / L_jj for i >= j,
+    # where L_jj^2 is the pivot
+    low = np.empty_like(b)
+    scratch = np.empty((7,) + shape)
+    for j in range(7):
+        col = low[j:, j]
+        np.copyto(col, b[j:, j])
+        for k in range(j):
+            col -= np.multiply(low[j:, k], low[j, k], out=scratch[j:])
+        pivot = col[0]
+        if not np.all(pivot > 0):
+            raise DegenerateFormError("3-form does not induce a positive metric")
+        det = pivot.copy() if j == 0 else np.multiply(det, pivot, out=det)
+        col[1:] /= np.sqrt(pivot, out=pivot)
+    return b, det
+
+
 def metric_from_sorted(grid: Grid, s3: np.ndarray) -> np.ndarray:
     """Metric induced by a 3-form field, given by its sorted components, via
     B_uv * vol = -(1/6) (e_u -| phi) ^ (e_v -| phi) ^ phi and g = B / (det B)^(1/9).
@@ -278,25 +317,24 @@ def metric_from_sorted(grid: Grid, s3: np.ndarray) -> np.ndarray:
     Over sorted pairs p, q the pairing reads B_uv = -(1/6) w_up pw_vp with
     pw_vp = P_pq w_vq, w = e_u -| phi and P the pair-pair slices of
     psi = *phi.  Both sums run over their nonzero products only, as signed
-    products of two sorted components (``algebra.contract``).
+    products of two sorted components (``algebra.contract``).  B is
+    positive definite exactly when phi is a G2 form (Bryant, "Some remarks
+    on G2-structures", 2005); g is exactly symmetric.
     Raises DegenerateFormError when B fails to be positive definite.
     """
-    pw = contract(METRIC_PW_ENTRIES, s3, s3)
-    b = -(1.0 / 6.0) * contract(METRIC_B_ENTRIES, s3, pw).reshape((7, 7) + s3.shape[1:])
-    bp = np.moveaxis(b.reshape(7, 7, -1), -1, 0)
-    try:
-        np.linalg.cholesky(bp)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateFormError("3-form does not induce a positive metric") from exc
-    det = np.linalg.det(bp).reshape(grid.shape)
+    b, det = _pairing(s3)
+    b[_UPPER] = b[_UPPER[::-1]]  # B_uv for u < v, above the diagonal too
     return b / det ** (1.0 / 9.0)
 
 
 def metric_defect_sorted(grid: Grid, s3: np.ndarray) -> float:
-    """Sup-norm deviation of the induced metric from the flat identity."""
-    g = metric_from_sorted(grid, s3)
-    eye = np.eye(7).reshape((7, 7) + (1,) * grid.k)
-    return float(np.max(np.abs(g - eye)))
+    """Sup-norm deviation of the induced metric from the flat identity, read
+    from the 28 entries g_uv, u <= v, of ``metric_from_sorted``."""
+    b, det = _pairing(s3)
+    g = b[_LOWER]
+    g /= det ** (1.0 / 9.0)
+    g[_DIAGONAL] -= 1.0
+    return float(np.max(np.abs(g)))
 
 
 def require_isometric(

@@ -15,7 +15,9 @@ from hypothesis.extra.numpy import arrays
 from g2flow.algebra import (
     CROSS_ENTRIES,
     DIV_PSI_ENTRIES,
+    INTERIOR_ENTRIES,
     METRIC_B_ENTRIES,
+    METRIC_ENTRIES_BY_V,
     METRIC_PW_ENTRIES,
     ORIENTATION,
     TORSION_ENTRIES,
@@ -258,6 +260,29 @@ def test_sparse_entry_lists_hold_exactly_the_nonzero_products():
     # a-side rows are the contracted index itself: ascending within each row
     for terms in (TORSION_ENTRIES[1], DIV_PSI_ENTRIES[1]):
         assert [(o, i) for o, i, *_ in terms] == sorted((o, i) for o, i, *_ in terms)
+
+
+def test_metric_entries_by_v_are_the_full_lists_rows_in_their_order(rng):
+    # 150 products for pw_v, 15 per (u, v) with u <= v
+    assert [(pw[0], len(pw[1]), b[0], len(b[1])) for pw, b in METRIC_ENTRIES_BY_V] == [
+        (21, 150, v + 1, 15 * (v + 1)) for v in range(7)
+    ]
+    svals = rng.standard_normal((35, 5))
+    pw = contract(METRIC_PW_ENTRIES, svals, svals).reshape(7, 21, 5)
+    b = contract(METRIC_B_ENTRIES, svals, pw.reshape(147, 5)).reshape(7, 7, 5)
+    for v, (pw_entries, b_entries) in enumerate(METRIC_ENTRIES_BY_V):
+        pw_v = contract(pw_entries, svals, svals)
+        assert pw_v.tobytes() == pw[v].tobytes()
+        assert contract(b_entries, svals, pw_v).tobytes() == b[: v + 1, v].tobytes()
+
+
+def test_interior_entries_equal_the_dense_einsum(rng):
+    # (v -| phi)_lp = v_m phi_mlp: 5 products per l != p, summed as the einsum sums
+    assert INTERIOR_ENTRIES[0] == 49 and len(INTERIOR_ENTRIES[1]) == 210
+    svals, v = rng.standard_normal((35, 4, 6)), rng.standard_normal((7, 4, 6))
+    v[2], v[5] = 0.0, -0.0
+    want = np.einsum("mlp...,m...->lp...", dense_from_sorted(svals, 3), v)
+    assert contract(INTERIOR_ENTRIES, v, svals).tobytes() == want.reshape(49, 4, 6).tobytes()
 
 
 def test_contract_matches_dense_slices_at_a_single_point(rng):

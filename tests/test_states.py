@@ -1,5 +1,6 @@
 """The (f, X) parametrization: forms, torsion, divergence, metric."""
 
+import itertools
 import math
 
 import numpy as np
@@ -26,13 +27,16 @@ from g2flow.grid import Grid, div2, grad_scalar, grad_vector, laplacian, partial
 from g2flow.states import (
     DegenerateFormError,
     InvalidStateError,
+    _pairing,
     localized_state,
     metric_defect,
+    metric_defect_sorted,
     metric_from_phi,
     metric_from_sorted,
     phi_of_state,
     psi_of_state,
     random_band_state,
+    require_isometric,
     single_mode_state,
     sorted_phi_of_state,
     torsion_from_phi,
@@ -383,10 +387,15 @@ def dense_rhs(grid, s3):
     return np.einsum("p...,ps...->s...", div2(grid, dense_torsion(grid, s3)), slices)
 
 
-def dense_metric(grid, s3):
+def dense_pairing(s3):
     w = first_slot_pairs_3(s3)
     pw = np.einsum("pq...,vq...->vp...", pair_slices_4(star_sorted_3(s3)), w)
-    b = -(1.0 / 6.0) * np.einsum("up...,vp...->uv...", w, pw)
+    return -(1.0 / 6.0) * np.einsum("up...,vp...->uv...", w, pw)
+
+
+def dense_metric(grid, s3):
+    # the LAPACK determinant as the oracle of the product of the pivots
+    b = dense_pairing(s3)
     det = np.linalg.det(np.moveaxis(b.reshape(7, 7, -1), -1, 0)).reshape(grid.shape)
     return b / det ** (1.0 / 9.0)
 
@@ -406,18 +415,70 @@ SPARSE_GRIDS = [
 ]
 
 
-@pytest.mark.parametrize("grid", SPARSE_GRIDS, ids=lambda g: f"{g.active_dims}-order{g.stencil_order}")
-def test_sparse_psi_contractions_equal_dense_einsum(tables, grid):
+def sparse_fields(tables, grid):
     rng = np.random.default_rng(17)
     fields = []
     for state in (random_band_state(grid, 0.4, seed=5), single_mode_state(grid, 0.2)):
         fields.append(sorted_components(phi_of_state(tables, state), 3))
     # a 3-form off the isometric class, with no zero component
     fields.append(fields[0] + 0.05 * rng.standard_normal(fields[0].shape))
-    for s3 in fields:
+    return fields
+
+
+SPARSE_IDS = lambda g: f"{g.active_dims}-order{g.stencil_order}"
+
+
+@pytest.mark.parametrize("grid", SPARSE_GRIDS, ids=SPARSE_IDS)
+def test_sparse_psi_contractions_equal_dense_einsum(tables, grid):
+    lower = np.tril_indices(7)
+    for s3 in sparse_fields(tables, grid):
         assert_identical(torsion_from_sorted(grid, s3), dense_torsion(grid, s3))
         assert_identical(_rhs_direct_sorted(grid, s3), dense_rhs(grid, s3))
-        assert_identical(metric_from_sorted(grid, s3), dense_metric(grid, s3))
+        # the pairing's entries B_uv, u <= v (held at [v, u]), are the einsum's; its
+        # determinant is the product of the Cholesky pivots, LAPACK's at round-off
+        b, _ = _pairing(s3)
+        assert_identical(b[lower], dense_pairing(s3)[lower[::-1]])
+        assert np.max(np.abs(metric_from_sorted(grid, s3) - dense_metric(grid, s3))) <= 1e-15
+
+
+@pytest.mark.parametrize("grid", SPARSE_GRIDS, ids=SPARSE_IDS)
+def test_metric_is_exactly_symmetric_and_its_defect_is_read_from_it(tables, grid):
+    eye = np.eye(7).reshape((7, 7) + (1,) * grid.k)
+    for s3 in sparse_fields(tables, grid):
+        g = metric_from_sorted(grid, s3)
+        assert g.tobytes() == np.swapaxes(g, 0, 1).tobytes()
+        assert metric_defect_sorted(grid, s3) == float(np.max(np.abs(g - eye)))
+
+
+def split_g2_form(tables, grid):
+    """The sorted components of phi with the signs of e236 and e245 flipped,
+    on every grid point: a split G2 form, whose pairing B has det B = +1 but
+    signature (3, 4)."""
+    s0 = sorted_components(tables.phi.astype(float), 3)
+    triples = list(itertools.combinations(range(7), 3))
+    for triple in ((2, 3, 6), (2, 4, 5)):
+        s0[triples.index(triple)] *= -1.0
+    return np.broadcast_to(s0.reshape((35,) + (1,) * grid.k), (35,) + grid.shape).copy()
+
+
+def test_split_g2_pairing_has_unit_determinant_and_signature_3_4(tables, grid16):
+    b = dense_pairing(split_g2_form(tables, grid16)[:, 0, 0])
+    assert np.linalg.det(b) == pytest.approx(1.0, abs=1e-14)
+    eigs = np.linalg.eigvalsh(b)
+    assert (np.sum(eigs > 0.5), np.sum(eigs < -0.5)) == (3, 4)
+
+
+def test_metric_rejects_split_g2_forms_and_nan(tables, grid16):
+    # a determinant test alone would let the split form through
+    nan = sorted_components(phi_of_state(tables, random_band_state(grid16, 0.3, seed=2)), 3)
+    nan[4, 5, 9] = np.nan
+    for s3 in (split_g2_form(tables, grid16), nan):
+        with pytest.raises(DegenerateFormError, match="positive metric"):
+            metric_from_sorted(grid16, s3)
+        with pytest.raises(DegenerateFormError, match="positive metric"):
+            metric_defect_sorted(grid16, s3)
+        with pytest.raises(DegenerateFormError, match="positive metric"):
+            require_isometric(grid16, s3, 1e-6)
 
 
 def test_sparse_psi_contractions_use_no_einsum_or_gather(tables, grid16, monkeypatch):
