@@ -300,7 +300,7 @@ def first_variation_residual(
     torsion = torsion_of_state(tables, state)
     pert = np.einsum("p...,pijk...->ijk...", v, psi4)
     # raises DegenerateFormError if eps pushed the form out of the cone
-    metric_from_phi(grid, phi3 + eps * pert)
+    metric_from_phi(phi3 + eps * pert)
     t_plus = torsion_from_phi(grid, phi3 + eps * pert, metric_tol=None)
     t_minus = torsion_from_phi(grid, phi3 - eps * pert, metric_tol=None)
     numeric = (t_plus - t_minus) / (2.0 * eps)

@@ -110,7 +110,8 @@ def _kernel_axes(grid: Grid, spec: HeatKernelSpec, t: float):
 
 def _product_kernel(grid: Grid, tables, out=None) -> np.ndarray:
     """((L^-(7-k) w_0) w_1) ..., one outer product per active axis in axis order; only
-    the last spans the grid, written into ``out`` if given.  Every kernel here uses it."""
+    the last spans the grid, written into ``out`` if given.  Every kernel here but the
+    entropy's uses it; ``entropy`` forms the same products from its tables' heads."""
     u = grid.length ** -(7 - grid.k)
     for axis, w in enumerate(tables, 1):
         u = np.multiply.outer(u, w, out=out if axis == grid.k else None)
@@ -243,11 +244,30 @@ class EntropyResult:
 @dataclass(frozen=True)
 class EntropyTables:
     """The entropy's scales, upward, its sampled indices, and per scale the
-    1-D wrapped Gaussian w(x - x_c) at each sampled index c."""
+    1-D wrapped Gaussian w(x - x_c) at each sampled index c (``kernels``) and
+    its head L^-(7-k) w(x - x_c) (``heads``), the first outer product of
+    ``_product_kernel``.  The other fields are what the tables were built for."""
 
     scales: list
     indices: range
     kernels: list
+    heads: list
+    grid: Grid
+    sigma: float
+    sample_stride: int
+    n_scales: int
+    image_radius: int
+    scale_floor: float
+
+    def require(self, grid, sigma, sample_stride, n_scales, image_radius, scale_floor) -> None:
+        """Raise ValueError unless these tables were built for these arguments."""
+        built = (self.grid, self.sigma, self.sample_stride, self.n_scales, self.image_radius, self.scale_floor)
+        given = (grid, sigma, sample_stride, n_scales, image_radius, scale_floor)
+        if built != given:
+            raise ValueError(
+                "entropy tables built for (grid, sigma, sample_stride, n_scales, image_radius, "
+                f"scale_floor) = {built}, given {given}"
+            )
 
 
 def entropy_tables(
@@ -272,7 +292,11 @@ def entropy_tables(
         }
         for tau in scales
     ]
-    return EntropyTables(scales, indices, kernels)
+    factor = grid.length ** -(7 - grid.k)  # _product_kernel's first factor
+    heads = [{c: np.multiply.outer(factor, w) for c, w in table.items()} for table in kernels]
+    return EntropyTables(
+        scales, indices, kernels, heads, grid, sigma, sample_stride, n_scales, image_radius, scale_floor
+    )
 
 
 def record_stride(grid: Grid) -> int:
@@ -295,22 +319,35 @@ def entropy(
 
     A lower bound for the true maximum, with its argmax: the first maximizer, visiting centers
     in lattice order and at each the scales upward.  One wrapped Gaussian per (scale, sampled
-    index) serves every center and axis; each kernel and its |T|^2 product reuse two buffers.
-    ``tables``, if given, must be ``entropy_tables`` of the same grid and arguments; without
-    them this call builds its own.
+    index) serves every center and axis.  Each kernel is its first index's head times the later
+    axes' tables, as ``_product_kernel`` forms it; the last product, then |T|^2 times it, go
+    into one kept buffer, whose sum times the cell weight is ``integrate``'s.  ``tables``, if
+    given, must be ``entropy_tables`` of the same grid and arguments (ValueError otherwise);
+    without them this call builds its own.
     """
     if tables is None:
         tables = entropy_tables(grid, sigma, sample_stride, n_scales, image_radius, scale_floor)
+    else:
+        tables.require(grid, sigma, sample_stride, n_scales, image_radius, scale_floor)
     tsq = np.einsum("pq...,pq...->...", torsion, torsion)
-    best = EntropyResult(0.0, (0,) * grid.k, tables.scales[-1])
-    u, weighted = np.empty(grid.shape), np.empty(grid.shape)
+    weight = grid.cell_weight
+    outer = np.multiply.outer
+    per_scale = list(zip(tables.scales, tables.heads, tables.kernels))
+    best_value, best_center, best_tau = 0.0, (0,) * grid.k, tables.scales[-1]
+    u = np.empty(grid.shape)
     for center in itertools.product(tables.indices, repeat=grid.k):
-        for tau, table in zip(tables.scales, tables.kernels):
-            _product_kernel(grid, [table[c] for c in center], out=u)
-            val = tau * integrate(grid, np.multiply(tsq, u, out=weighted))
-            if val > best.value:
-                best = EntropyResult(val, center, tau)
-    return best
+        first, *rest = center
+        middle, last = rest[:-1], rest[-1:]
+        for tau, heads, table in per_scale:
+            v = heads[first]
+            for c in middle:
+                v = outer(v, table[c])
+            for c in last:
+                v = outer(v, table[c], out=u)
+            val = tau * (float(np.multiply(tsq, v, out=u).sum()) * weight)
+            if val > best_value:
+                best_value, best_center, best_tau = val, center, tau
+    return EntropyResult(best_value, best_center, best_tau)
 
 
 def decay_rate(times, div_l2_series, sup_series, length: float) -> dict:

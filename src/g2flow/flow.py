@@ -401,7 +401,7 @@ def step_direct(
 ) -> np.ndarray:
     """One explicit step of the direct 3-form flow."""
     s3 = sorted_components(phi, 3)
-    require_isometric(grid, s3, metric_tol)
+    require_isometric(s3, metric_tol)
     (s3,) = _rk(lambda y, out: _rhs_direct_sorted(grid, *y, *out), (s3,), dt, integrator)
     return dense_from_sorted(s3, 3)
 
@@ -524,12 +524,12 @@ def _run_direct(config: FlowConfig, s30: np.ndarray) -> Trajectory:
 
     def defect_at(s3, t):
         if measured[0] != t:
-            measured[:] = t, metric_defect_sorted(grid, s3)
+            measured[:] = t, metric_defect_sorted(s3)
         return measured[1]
 
     def advance(s3, t, step):
         if step % config.metric_check_every == 0:
-            require_isometric(grid, s3, config.metric_tol, t, defect_at(s3, t))
+            require_isometric(s3, config.metric_tol, t, defect_at(s3, t))
         (s3_new,) = _rk(
             lambda y, out: _rhs_direct_sorted(grid, *y, *out), (s3,), config.dt, config.integrator
         )

@@ -310,7 +310,7 @@ def _pairing(s3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return b, det
 
 
-def metric_from_sorted(grid: Grid, s3: np.ndarray) -> np.ndarray:
+def metric_from_sorted(s3: np.ndarray) -> np.ndarray:
     """Metric induced by a 3-form field, given by its sorted components, via
     B_uv * vol = -(1/6) (e_u -| phi) ^ (e_v -| phi) ^ phi and g = B / (det B)^(1/9).
 
@@ -327,7 +327,7 @@ def metric_from_sorted(grid: Grid, s3: np.ndarray) -> np.ndarray:
     return b / det ** (1.0 / 9.0)
 
 
-def metric_defect_sorted(grid: Grid, s3: np.ndarray) -> float:
+def metric_defect_sorted(s3: np.ndarray) -> float:
     """Sup-norm deviation of the induced metric from the flat identity, read
     from the 28 entries g_uv, u <= v, of ``metric_from_sorted``."""
     b, det = _pairing(s3)
@@ -338,7 +338,7 @@ def metric_defect_sorted(grid: Grid, s3: np.ndarray) -> float:
 
 
 def require_isometric(
-    grid: Grid, s3: np.ndarray, metric_tol: float | None, t: float | None = None, defect=None
+    s3: np.ndarray, metric_tol: float | None, t: float | None = None, defect=None
 ) -> None:
     """Raise DegenerateFormError when the metric defect of the sorted 3-form
     s3 (``defect``, if already measured) exceeds ``metric_tol``; None skips
@@ -346,7 +346,7 @@ def require_isometric(
     if metric_tol is None:
         return
     if defect is None:
-        defect = metric_defect_sorted(grid, s3)
+        defect = metric_defect_sorted(s3)
     if defect > metric_tol:
         at = "" if t is None else f" at t={t:g}"
         raise DegenerateFormError(f"3-form metric defect {defect:g} exceeds {metric_tol:g}{at}")
@@ -370,14 +370,14 @@ def torsion_from_sorted(grid: Grid, s3: np.ndarray) -> np.ndarray:
     return _scatter_rows(grid, torsion_rows_from_sorted(grid, s3))
 
 
-def metric_from_phi(grid: Grid, phi: np.ndarray) -> np.ndarray:
+def metric_from_phi(phi: np.ndarray) -> np.ndarray:
     """Metric induced by a dense 3-form field; see ``metric_from_sorted``."""
-    return metric_from_sorted(grid, sorted_components(phi, 3))
+    return metric_from_sorted(sorted_components(phi, 3))
 
 
-def metric_defect(grid: Grid, phi: np.ndarray) -> float:
+def metric_defect(phi: np.ndarray) -> float:
     """Sup-norm deviation of the metric of a dense 3-form from the identity."""
-    return metric_defect_sorted(grid, sorted_components(phi, 3))
+    return metric_defect_sorted(sorted_components(phi, 3))
 
 
 def torsion_from_phi(
@@ -389,5 +389,5 @@ def torsion_from_phi(
     the check (for callers that already track the metric drift).
     """
     s3 = sorted_components(phi, 3)
-    require_isometric(grid, s3, metric_tol)
+    require_isometric(s3, metric_tol)
     return torsion_from_sorted(grid, s3)

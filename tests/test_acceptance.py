@@ -73,7 +73,7 @@ def test_criterion_02_isometry_of_states():
     for seed in range(100):
         amp = 0.1 + 0.7 * (seed / 99.0)
         state = random_band_state(grid, amplitude=amp, max_mode=2, seed=seed)
-        worst = max(worst, metric_defect(grid, phi_of_state(TABLES, state)))
+        worst = max(worst, metric_defect(phi_of_state(TABLES, state)))
     assert worst <= 1e-10
     report(f"PASS criterion 2: metric identity over 100 random states, worst defect {worst:.2e}")
 

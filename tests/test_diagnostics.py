@@ -390,6 +390,81 @@ def test_entropy_with_prebuilt_tables_equals_its_own_build(grid32):
             assert repr(got) == repr(entropy(grid32, torsion, sigma, sample_stride=stride))
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        Grid(length=1.0, n=16, active_dims=(0, 1)),
+        Grid(length=2.0, n=32, active_dims=(0, 1)),
+    ],
+    ids=["16^2", "length-2"],
+)
+def test_entropy_rejects_tables_built_for_another_grid(grid32, grid):
+    kernels = entropy_tables(grid32, 0.01, 4)
+    torsion = np.random.default_rng(2).standard_normal((2, 7) + grid.shape)
+    with pytest.raises(ValueError, match="entropy tables built for"):
+        entropy(grid, torsion, 0.01, sample_stride=4, tables=kernels)
+
+
+@pytest.mark.parametrize(
+    "argument, value",
+    [
+        ("sigma", 0.02),
+        ("sample_stride", 2),
+        ("n_scales", 6),
+        ("image_radius", 4),
+        ("scale_floor", 0.1),
+    ],
+)
+def test_entropy_rejects_tables_built_for_other_arguments(grid32, argument, value):
+    kernels = entropy_tables(grid32, 0.01, 4)
+    torsion = np.random.default_rng(2).standard_normal((2, 7) + grid32.shape)
+    arguments = {"sigma": 0.01, "sample_stride": 4, argument: value}
+    with pytest.raises(ValueError, match="entropy tables built for"):
+        entropy(grid32, torsion, tables=kernels, **arguments)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        Grid(length=0.5, n=12, active_dims=(3,)),
+        Grid(length=2.0, n=16, active_dims=(1, 4)),
+        Grid(length=1.5, n=8, active_dims=(0, 2, 5)),
+    ],
+    ids=["1-D", "2-D", "3-D"],
+)
+def test_entropy_starts_each_kernel_from_the_tables_heads(monkeypatch, grid):
+    sigma, stride = 0.1 * grid.length**2, 3
+    kernels = entropy_tables(grid, sigma, stride)
+    # each head is the oracle kernel's first factor L^-(7-k) w_c, along the first axis
+    ones = [np.ones(grid.n)] * (grid.k - 1)
+    for table, heads in zip(kernels.kernels, kernels.heads):
+        assert heads.keys() == table.keys()
+        for c, w in table.items():
+            first = oracles.product_kernel(grid, [w] + ones)[(...,) + (0,) * (grid.k - 1)]
+            assert heads[c].tobytes() == first.tobytes()
+    torsion = np.random.default_rng(grid.n).standard_normal((grid.k, 7) + grid.shape)
+    want = repr(entropy(grid, torsion, sigma, sample_stride=stride, tables=kernels))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("_product_kernel called")
+
+    reads = []
+    weight = grid.cell_weight
+
+    def cell_weight(self):
+        reads.append(self)
+        return weight
+
+    monkeypatch.setattr(diagnostics, "_product_kernel", forbidden)
+    monkeypatch.setattr(Grid, "cell_weight", property(cell_weight))
+    got = entropy(grid, torsion, sigma, sample_stride=stride, tables=kernels)
+    assert reads == [grid]
+    assert repr(got) == want
+    assert repr((got.value, got.center, got.scale)) == repr(
+        oracles.entropy(grid, torsion, sigma, sample_stride=stride)
+    )
+
+
 def test_monotonicity_residual_refines_and_sign(tables):
     def study(n, dt, steps):
         g = Grid(length=1.0, n=n, active_dims=(0, 1))

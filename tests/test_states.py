@@ -161,17 +161,17 @@ def test_psi_of_state_is_the_star_of_phi_and_within_1e15_of_the_dense_formula(ta
 def test_metric_identity_for_states(tables, grid16):
     for seed in range(5):
         s = random_band_state(grid16, 0.1 + 0.15 * seed, seed=seed)
-        assert metric_defect(grid16, phi_of_state(tables, s)) <= 1e-10
+        assert metric_defect(phi_of_state(tables, s)) <= 1e-10
 
 
 def test_metric_scaling_and_reference(tables, grid16):
     phi = np.broadcast_to(
         tables.phi.astype(float).reshape(7, 7, 7, 1, 1), (7, 7, 7) + grid16.shape
     ).copy()
-    g = metric_from_phi(grid16, phi)
+    g = metric_from_phi(phi)
     eye = np.eye(7).reshape(7, 7, 1, 1)
     assert np.max(np.abs(g - eye)) <= 1e-13
-    g_scaled = metric_from_phi(grid16, (2.0**3) * phi)
+    g_scaled = metric_from_phi((2.0**3) * phi)
     assert np.max(np.abs(g_scaled - 4.0 * eye)) <= 1e-12
 
 
@@ -184,13 +184,13 @@ def test_metric_of_pullback_is_gram_matrix(tables, rng):
     assert np.all(np.linalg.det(np.moveaxis(a, (0, 1), (-2, -1))) > 0)
     phi = np.einsum("ai...,bj...,ck...,abc->ijk...", a, a, a, tables.phi)
     gram = np.einsum("ai...,aj...->ij...", a, a)
-    assert np.max(np.abs(metric_from_phi(grid, phi) - gram)) <= 1e-12
-    assert abs(metric_defect(grid, phi) - np.max(np.abs(gram - eye))) <= 1e-12
+    assert np.max(np.abs(metric_from_phi(phi) - gram)) <= 1e-12
+    assert abs(metric_defect(phi) - np.max(np.abs(gram - eye))) <= 1e-12
 
 
 def test_metric_rejects_degenerate(tables, grid16):
     with pytest.raises(DegenerateFormError):
-        metric_from_phi(grid16, np.zeros((7, 7, 7) + grid16.shape))
+        metric_from_phi(np.zeros((7, 7, 7) + grid16.shape))
 
 
 def test_torsion_zero_for_constant_states(tables, grid16):
@@ -438,16 +438,16 @@ def test_sparse_psi_contractions_equal_dense_einsum(tables, grid):
         # determinant is the product of the Cholesky pivots, LAPACK's at round-off
         b, _ = _pairing(s3)
         assert_identical(b[lower], dense_pairing(s3)[lower[::-1]])
-        assert np.max(np.abs(metric_from_sorted(grid, s3) - dense_metric(grid, s3))) <= 1e-15
+        assert np.max(np.abs(metric_from_sorted(s3) - dense_metric(grid, s3))) <= 1e-15
 
 
 @pytest.mark.parametrize("grid", SPARSE_GRIDS, ids=SPARSE_IDS)
 def test_metric_is_exactly_symmetric_and_its_defect_is_read_from_it(tables, grid):
     eye = np.eye(7).reshape((7, 7) + (1,) * grid.k)
     for s3 in sparse_fields(tables, grid):
-        g = metric_from_sorted(grid, s3)
+        g = metric_from_sorted(s3)
         assert g.tobytes() == np.swapaxes(g, 0, 1).tobytes()
-        assert metric_defect_sorted(grid, s3) == float(np.max(np.abs(g - eye)))
+        assert metric_defect_sorted(s3) == float(np.max(np.abs(g - eye)))
 
 
 def split_g2_form(tables, grid):
@@ -474,11 +474,11 @@ def test_metric_rejects_split_g2_forms_and_nan(tables, grid16):
     nan[4, 5, 9] = np.nan
     for s3 in (split_g2_form(tables, grid16), nan):
         with pytest.raises(DegenerateFormError, match="positive metric"):
-            metric_from_sorted(grid16, s3)
+            metric_from_sorted(s3)
         with pytest.raises(DegenerateFormError, match="positive metric"):
-            metric_defect_sorted(grid16, s3)
+            metric_defect_sorted(s3)
         with pytest.raises(DegenerateFormError, match="positive metric"):
-            require_isometric(grid16, s3, 1e-6)
+            require_isometric(s3, 1e-6)
 
 
 def test_sparse_psi_contractions_use_no_einsum_or_gather(tables, grid16, monkeypatch):
@@ -491,4 +491,4 @@ def test_sparse_psi_contractions_use_no_einsum_or_gather(tables, grid16, monkeyp
     monkeypatch.setattr(algebra, "_gather", forbidden)
     torsion_from_sorted(grid16, s3)
     _rhs_direct_sorted(grid16, s3)
-    metric_from_sorted(grid16, s3)
+    metric_from_sorted(s3)
