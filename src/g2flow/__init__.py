@@ -24,4 +24,4 @@ from .states import (
     torsion_of_state,
 )
 from .flow import FlowConfig, InitialSpec, Trajectory, parabolic_rescale, run
-from .diagnostics import HeatKernelSpec, energy, entropy, heat_kernel, theta
+from .diagnostics import HeatKernelSpec, energy, entropy, entropy_tables, heat_kernel, theta

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import build_standard_tables, validate_tables
-from .diagnostics import entropy, record_for_torsion, record_stride
+from .diagnostics import entropy, entropy_tables, record_for_torsion
 from .flow import ConfigError, FlowConfig, InitialSpec, parabolic_rescale, run, write_run_outputs
 from .grid import Grid, load_checkpoint
 from .states import DegenerateFormError, InvalidStateError, IsometricState, torsion_rows_of_state
@@ -212,7 +213,7 @@ def cmd_diagnose(args) -> int:
         grid, rows, state.t, state.constraint_defect(), theta_probes=[(center, sigma)]
     )
     del record["t"]
-    ent = entropy(grid, rows, sigma, sample_stride=record_stride(grid))
+    ent = entropy(entropy_tables(grid, sigma), rows)
     record.update(
         checkpoint=args.checkpoint,
         entropy_estimate=ent.value,
@@ -223,13 +224,18 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_rescale_check(args) -> int:
+    c, tol = args.c, args.tol
+    # checked before the base run: a NaN passes every `if x > bound` gate
+    if not (math.isfinite(c) and c > 0):
+        raise ConfigError(f"--c must be finite and positive, got {c!r}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ConfigError(f"--tol must be finite and non-negative, got {tol!r}")
     config = load_config(args.config)
     if config.scheme == "direct":
         print("rescale-check needs an fx trajectory", file=sys.stderr)
         return EXIT_CONFIG
     # only the fx route is compared, so a "both" config integrates it alone
     config = replace(config, scheme="fx")
-    c = float(args.c)
     rescaled = parabolic_rescale(run(config).fx, c)
     big = replace(
         config,
@@ -249,8 +255,8 @@ def cmd_rescale_check(args) -> int:
         float(np.max(np.abs(s_resc.u - s_big.u)))
         for s_resc, s_big in zip(rescaled.states, second.fx.states)
     )
-    print(f"rescale-check c={c}: max state discrepancy {worst:.3e} (tolerance {args.tol:g})")
-    return EXIT_OK if worst <= args.tol else EXIT_VERIFY
+    print(f"rescale-check c={c}: max state discrepancy {worst:.3e} (tolerance {tol:g})")
+    return EXIT_OK if worst <= tol else EXIT_VERIFY
 
 
 def main(argv=None) -> int:

@@ -35,7 +35,6 @@ __all__ = [
     "monotonicity_residual",
     "entropy",
     "entropy_tables",
-    "record_stride",
     "decay_rate",
     "interpolation_monitor",
     "record_for_state",
@@ -43,6 +42,13 @@ __all__ = [
 ]
 
 UNIT_BALL_VOLUME_7D = 16.0 * math.pi**3 / 105.0
+
+IMAGE_RADIUS = 3  # every kernel's least wrapped-Gaussian truncation radius, in periods
+# the entropy's scales, SCALE_COUNT of them geometric from SCALE_RATIO * sigma up to
+# sigma, and its centers, every max(1, n // CENTERS_PER_AXIS)-th index on each axis
+SCALE_COUNT = 12
+SCALE_RATIO = 0.01
+CENTERS_PER_AXIS = 8
 
 
 @dataclass(frozen=True)
@@ -57,7 +63,7 @@ class HeatKernelSpec:
 
     center: tuple[int, ...]
     t0: float
-    image_radius: int = 3
+    image_radius: int = IMAGE_RADIUS
 
 
 def energy(grid: Grid, torsion: np.ndarray) -> float:
@@ -243,92 +249,48 @@ class EntropyResult:
 
 @dataclass(frozen=True)
 class EntropyTables:
-    """The entropy's scales, upward, its sampled indices, and per scale the
-    1-D wrapped Gaussian w(x - x_c) at each sampled index c (``kernels``) and
-    its head L^-(7-k) w(x - x_c) (``heads``), the first outer product of
-    ``_product_kernel``.  The other fields are what the tables were built for."""
+    """The entropy's tables on ``grid``: its scales, upward, its sampled
+    indices, and per scale the 1-D wrapped Gaussian w(x - x_c) at each sampled
+    index c (``kernels``) and its head L^-(7-k) w(x - x_c) (``heads``), the
+    first outer product of ``_product_kernel``."""
 
+    grid: Grid
     scales: list
     indices: range
     kernels: list
     heads: list
-    grid: Grid
-    sigma: float
-    sample_stride: int
-    n_scales: int
-    image_radius: int
-    scale_floor: float
-
-    def require(self, grid, sigma, sample_stride, n_scales, image_radius, scale_floor) -> None:
-        """Raise ValueError unless these tables were built for these arguments."""
-        built = (self.grid, self.sigma, self.sample_stride, self.n_scales, self.image_radius, self.scale_floor)
-        given = (grid, sigma, sample_stride, n_scales, image_radius, scale_floor)
-        if built != given:
-            raise ValueError(
-                "entropy tables built for (grid, sigma, sample_stride, n_scales, image_radius, "
-                f"scale_floor) = {built}, given {given}"
-            )
 
 
-def entropy_tables(
-    grid: Grid,
-    sigma: float,
-    sample_stride: int = 2,
-    n_scales: int = 12,
-    image_radius: int = 3,
-    scale_floor: float = 0.01,
-) -> EntropyTables:
-    """The kernel tables of ``entropy`` with the same arguments.  They depend
-    on the grid and these arguments alone, so a run builds them once and
-    hands them to every record; ``entropy`` builds them when given none."""
+def entropy_tables(grid: Grid, sigma: float) -> EntropyTables:
+    """The entropy's kernel tables up to scale ``sigma``.  They depend on the
+    grid and sigma alone, so a run builds them once for all its records."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    scales = [float(tau) for tau in np.geomspace(scale_floor * sigma, sigma, n_scales)]
-    indices = range(0, grid.n, sample_stride)
+    scales = [float(tau) for tau in np.geomspace(SCALE_RATIO * sigma, sigma, SCALE_COUNT)]
+    indices = range(0, grid.n, max(1, grid.n // CENTERS_PER_AXIS))
     kernels = [
         {
-            c: _wrapped_parts(grid.length, tau, grid.displacement(c), image_radius)[0]
+            c: _wrapped_parts(grid.length, tau, grid.displacement(c), IMAGE_RADIUS)[0]
             for c in indices
         }
         for tau in scales
     ]
     factor = grid.length ** -(7 - grid.k)  # _product_kernel's first factor
     heads = [{c: np.multiply.outer(factor, w) for c, w in table.items()} for table in kernels]
-    return EntropyTables(
-        scales, indices, kernels, heads, grid, sigma, sample_stride, n_scales, image_radius, scale_floor
-    )
+    return EntropyTables(grid, scales, indices, kernels, heads)
 
 
-def record_stride(grid: Grid) -> int:
-    """The entropy's center stride in records and ``diagnose``: 8 per axis."""
-    return max(1, grid.n // 8)
-
-
-def entropy(
-    grid: Grid,
-    torsion: np.ndarray,
-    sigma: float,
-    sample_stride: int = 2,
-    n_scales: int = 12,
-    image_radius: int = 3,
-    scale_floor: float = 0.01,
-    tables: EntropyTables | None = None,
-) -> EntropyResult:
-    """Sampled maximization of t * int |T|^2 u_(x,t)(., 0) over centers and
-    scales t in (0, sigma]; T dense or its active rows.
+def entropy(tables: EntropyTables, torsion: np.ndarray) -> EntropyResult:
+    """Sampled maximization of t * int |T|^2 u_(x,t)(., 0) over the tables'
+    centers and scales t in (0, sigma]; T dense or its active rows.
 
     A lower bound for the true maximum, with its argmax: the first maximizer, visiting centers
     in lattice order and at each the scales upward.  One wrapped Gaussian per (scale, sampled
     index) serves every center and axis.  Each kernel is its first index's head times the later
     axes' tables, as ``_product_kernel`` forms it; the last product, then |T|^2 times it, go
-    into one kept buffer, whose sum times the cell weight is ``integrate``'s.  ``tables``, if
-    given, must be ``entropy_tables`` of the same grid and arguments (ValueError otherwise);
-    without them this call builds its own.
+    into one kept buffer, whose sum times the cell weight is ``integrate``'s.
     """
-    if tables is None:
-        tables = entropy_tables(grid, sigma, sample_stride, n_scales, image_radius, scale_floor)
-    else:
-        tables.require(grid, sigma, sample_stride, n_scales, image_radius, scale_floor)
+    grid = tables.grid
     tsq = np.einsum("pq...,pq...->...", torsion, torsion)
     weight = grid.cell_weight
     outer = np.multiply.outer
@@ -426,18 +388,15 @@ def record_for_torsion(
     t: float,
     constraint_defect: float,
     theta_probes=(),
-    entropy_sigma: float | None = None,
     sup_t_reference: float | None = None,
-    entropy_kernels: EntropyTables | None = None,
+    ent_tables: EntropyTables | None = None,
 ) -> dict:
     """One diagnostics record, from the torsion's active rows (shape
     (k, 7, *grid), as ``torsion_rows_of_state`` returns them).  Each sum
     runs in the order it has over the dense tensor, less its zero rows.
 
-    With ``entropy_sigma`` the record holds the entropy at center stride
-    ``record_stride(grid)``; ``entropy_kernels``, if given, are its tables
-    (``entropy_tables`` of that sigma and stride), which a run builds once
-    for all its records.  Without them the record builds its own."""
+    With ``ent_tables``, ``entropy_tables`` of this grid, the record holds the
+    entropy; a run builds them once for all its records."""
     if len(rows) != grid.k:
         raise ValueError(f"a record takes the torsion's {grid.k} active rows, got {len(rows)}")
     divt = div2(grid, rows, rows=True)
@@ -455,30 +414,14 @@ def record_for_torsion(
             thetas.append([list(center), float(t0), theta(grid, rows, spec, t)])
     if thetas:
         rec["theta"] = thetas
-    if entropy_sigma is not None:
-        rec["entropy_estimate"] = entropy(
-            grid, rows, entropy_sigma, sample_stride=record_stride(grid), tables=entropy_kernels
-        ).value
+    if ent_tables is not None:
+        rec["entropy_estimate"] = entropy(ent_tables, rows).value
     if sup_t_reference and sup_t_reference > 0 and t > 0:
         rec["shi_quantities"] = _shi_quantities(grid, rows, t, sup_t_reference)
     return rec
 
 
-def record_for_state(
-    tables: StructureTables,
-    state: IsometricState,
-    theta_probes=(),
-    entropy_sigma: float | None = None,
-    sup_t_reference: float | None = None,
-    entropy_kernels: EntropyTables | None = None,
-) -> dict:
-    return record_for_torsion(
-        state.grid,
-        torsion_rows_of_state(tables, state),
-        t=state.t,
-        constraint_defect=state.constraint_defect(),
-        theta_probes=theta_probes,
-        entropy_sigma=entropy_sigma,
-        sup_t_reference=sup_t_reference,
-        entropy_kernels=entropy_kernels,
-    )
+def record_for_state(tables: StructureTables, state: IsometricState, **options) -> dict:
+    """``record_for_torsion`` of the state's torsion rows, at its time."""
+    rows = torsion_rows_of_state(tables, state)
+    return record_for_torsion(state.grid, rows, state.t, state.constraint_defect(), **options)

@@ -149,9 +149,10 @@ class FlowConfig:
         # wider than L^2, a wrapped Gaussian is flat to ~exp(-4 pi^2) yet needs ~sqrt(scale) images
         max_scale = min(g.length * g.length, np.finfo(float).max)
         for center, t0 in self.theta_probes:
-            if len(center) != g.k or not all(map(is_integer, center)):
+            if len(center) != g.k or not all(is_integer(i) and 0 <= i < g.n for i in center):
                 raise ConfigError(
-                    f"theta probe center {list(center)!r} needs {g.k} integer grid indices"
+                    f"theta probe center {list(center)!r} needs {g.k} integer grid indices "
+                    f"in 0..{g.n - 1}"
                 )
             # a probe records only while t < t0, so one with t0 <= 0 never records
             if not (math.isfinite(t0) and 0 < t0 <= max_scale):
@@ -422,19 +423,16 @@ def _run_scheme(config: FlowConfig, traj: Trajectory, y, advance, measure, keep,
     ``entropy_sigma`` the entropy's kernel tables are built once, here, and
     every record reuses them.
     """
-    kernels = None
-    if config.entropy_sigma is not None:
-        grid = config.grid
-        kernels = diag.entropy_tables(grid, config.entropy_sigma, diag.record_stride(grid))
+    sigma = config.entropy_sigma
+    ent_tables = None if sigma is None else diag.entropy_tables(config.grid, sigma)
 
     def emit(y, t, events, sup_t_reference=None):
         rec = measure(
             y,
             t,
             theta_probes=config.theta_probes,
-            entropy_sigma=config.entropy_sigma,
             sup_t_reference=sup_t_reference,
-            entropy_kernels=kernels,
+            ent_tables=ent_tables,
         )
         rec["events"] = events
         traj.records.append(rec)

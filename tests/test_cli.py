@@ -143,6 +143,10 @@ def test_unvalidated_run_inputs_exit_1(tmp_path, capsys):
         ("max_mode_negative", {"initial": {"family": "random_band", "max_mode": -3}}),
         ("t0_negative", {"theta_probes": [[[8, 4], -1.0]]}),
         ("t0_zero", {"theta_probes": [[[8, 4], 0.0]]}),
+        # each used to record the probe at the wrapped index 8, under its own name
+        ("center_above_n", {"theta_probes": [[[40, 4], 0.05]]}),
+        ("center_n", {"theta_probes": [[[16, 4], 0.05]]}),
+        ("center_negative", {"theta_probes": [[[-8, 4], 0.05]]}),
     ):
         cfg = write_config(tmp_path / f"{name}.json", **overrides)
         assert main(["run", "--config", str(cfg)]) == 1, name
@@ -377,6 +381,27 @@ def test_rescale_check_subcommand(tmp_path, capsys):
     direct = write_config(tmp_path / "direct.json", scheme="direct")
     assert main(["rescale-check", "--config", str(direct), "--c", "2.0"]) == 1
     assert "needs an fx trajectory" in capsys.readouterr().err
+
+
+def test_rescale_check_rejects_bad_c_and_tol_before_any_run(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path / "cfg.json", snapshot_every=5)
+
+    def no_run(config):
+        raise AssertionError("rescale-check ran a flow")
+
+    # each used to run the base flow first: --c -1 and 0 then raised a traceback,
+    # --c nan failed on dt, and --tol nan exited 3 on a discrepancy of 0
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "run", no_run)
+        for flag, value in (
+            ("--c", "-1"), ("--c", "0"), ("--c", "nan"), ("--c", "inf"),
+            ("--tol", "nan"), ("--tol", "-1e-9"), ("--tol", "inf"),
+        ):
+            assert main(["rescale-check", "--config", str(cfg), f"{flag}={value}"]) == 1, value
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error") and flag in err, err
+    # the edge stays valid: c = 2 rescales exactly, within a tolerance of 0
+    assert main(["rescale-check", "--config", str(cfg), "--tol", "0"]) == 0
 
 
 def test_rescale_check_keeps_config_fields(tmp_path, capsys, monkeypatch):

@@ -155,10 +155,11 @@ def test_theta_parabolic_rescaling_invariance(tables, grid16):
 
 
 def test_entropy_trivial_and_uniform(tables, grid16):
-    assert entropy(grid16, grid16.zeros(2), 0.01).value == 0.0
+    kernels = entropy_tables(grid16, 0.02)
+    assert entropy(kernels, grid16.zeros(2)).value == 0.0
     t = grid16.zeros(2)
     t[2, 3] = 1.0  # uniform |T|^2 = 1: objective is t, argmax at sigma
-    out = entropy(grid16, t, 0.02, sample_stride=8, n_scales=6)
+    out = entropy(kernels, t)
     assert out.value == pytest.approx(0.02, rel=1e-8)
     assert out.scale == pytest.approx(0.02)
 
@@ -178,8 +179,8 @@ def test_entropy_rescaling_invariance(tables, grid16):
     traj = run(cfg, tables).fx
     resc = parabolic_rescale(traj, 2.0)
     t2 = torsion_of_state(tables, resc.states[0])
-    e1 = entropy(grid16, t1, 0.01, sample_stride=4)
-    e2 = entropy(resc.grid, t2, 0.04, sample_stride=4)
+    e1 = entropy(entropy_tables(grid16, 0.01), t1)
+    e2 = entropy(entropy_tables(resc.grid, 0.04), t2)
     assert e2.value == pytest.approx(e1.value, rel=1e-6)
     assert e2.center == e1.center
     assert e2.scale == pytest.approx(4.0 * e1.scale, rel=1e-12)
@@ -199,20 +200,23 @@ def _entropy_per_center_kernels(grid, torsion, sigma, sample_stride, n_scales=12
     return best
 
 
+# the entropy samples every max(1, n // 8)-th index: the stride each row states
 @pytest.mark.parametrize(
     "n, dims, stride, sigma, uniform",
     [
-        (16, (0,), 1, 0.01, False),
-        (32, (0, 1), 4, 0.01, False),  # a record's stride n/8
-        (32, (0, 1), 2, 0.01, False),
-        (16, (0, 1), 1, 0.01, False),
-        (8, (0, 2, 5), 2, 0.02, False),
+        (12, (0,), 1, 0.01, False),
+        (32, (0, 1), 4, 0.01, False),
+        (24, (0, 1), 3, 0.01, False),
+        (8, (0, 1), 1, 0.01, False),
+        (16, (0, 2, 5), 2, 0.02, False),
         (16, (0, 1), 2, 0.5, False),  # needs more images than image_radius
         (16, (0, 1), 2, 0.01, True),  # every center ties up to round-off
+        (24, (3,), 3, 0.01, False),
     ],
 )
 def test_entropy_tables_equal_per_center_kernels_bit_for_bit(n, dims, stride, sigma, uniform):
     grid = Grid(length=1.0, n=n, active_dims=dims)
+    assert max(1, n // 8) == stride
     if uniform:
         torsion = grid.zeros(2)
         torsion[2, 3] = 0.7
@@ -220,12 +224,26 @@ def test_entropy_tables_equal_per_center_kernels_bit_for_bit(n, dims, stride, si
         torsion = np.random.default_rng(n + stride).standard_normal((7, 7) + grid.shape)
     if sigma > 0.1:
         assert diagnostics._auto_radius(grid.length, sigma, 3) > 3
-    got = entropy(grid, torsion, sigma, sample_stride=stride)
+    got = entropy(entropy_tables(grid, sigma), torsion)
     want = _entropy_per_center_kernels(grid, torsion, sigma, stride)
     assert repr((got.value, got.center, got.scale)) == repr(want)
 
 
-# (length, n, active_dims, sample_stride): 1-D, 2-D and 3-D grids with non-unit periods
+# (length, n, active_dims, stride): 1-D, 2-D and 3-D grids with non-unit periods, whose
+# entropy samples every stride-th index (max(1, n // 8)): strides 1, 2 and 3 in each
+ENTROPY_GRIDS = [
+    (0.5, 12, (0,), 1),
+    (0.5, 24, (3,), 3),
+    (2.0, 16, (0, 1), 2),
+    (2.0, 24, (1, 4), 3),
+    (1.5, 8, (0, 2, 5), 1),
+    (1.5, 24, (0, 2, 5), 3),
+    (0.5, 16, (3,), 2),
+    (2.0, 8, (0, 1), 1),
+    (1.5, 16, (0, 2, 5), 2),
+]
+
+# (length, n, active_dims, stride): the kernels' centers are every stride-th index
 ORACLE_GRIDS = [
     (0.5, 12, (0,), 1),
     (0.5, 12, (3,), 3),
@@ -240,12 +258,13 @@ def _oracle_sigmas(length):
     return (1e-3, 0.1 * length**2, length**2)
 
 
-@pytest.mark.parametrize("length, n, dims, stride", ORACLE_GRIDS)
+@pytest.mark.parametrize("length, n, dims, stride", ENTROPY_GRIDS)
 def test_entropy_equals_full_grid_oracle_byte_for_byte(length, n, dims, stride):
     grid = Grid(length=length, n=n, active_dims=dims)
+    assert max(1, n // 8) == stride
     torsion = np.random.default_rng(n * stride).standard_normal((7, 7) + grid.shape)
     for sigma in _oracle_sigmas(length):
-        got = entropy(grid, torsion, sigma, sample_stride=stride)
+        got = entropy(entropy_tables(grid, sigma), torsion)
         want = oracles.entropy(grid, torsion, sigma, sample_stride=stride)
         assert repr((got.value, got.center, got.scale)) == repr(want), sigma
 
@@ -278,16 +297,17 @@ def test_kernels_equal_full_grid_oracle_byte_for_byte(monkeypatch, length, n, di
 @pytest.mark.parametrize(
     "length, n, dims, stride, sigma",
     [
-        (1.0, 16, (0,), 8, 0.01),
+        (1.0, 24, (0,), 3, 0.01),
         (1.0, 16, (0, 1), 2, 0.01),
-        (2.0, 16, (0, 1), 4, 4.0),
-        (1.0, 8, (0, 2, 5), 4, 0.01),
+        (2.0, 32, (0, 1), 4, 4.0),
+        (1.0, 8, (0, 2, 5), 1, 0.01),
     ],
 )
 def test_entropy_ties_go_to_the_first_center(length, n, dims, stride, sigma):
     # a translation-invariant |T|^2: each center's table is the first one's
     # rolled, so some centers tie exactly (asserted below)
     grid = Grid(length=length, n=n, active_dims=dims)
+    assert max(1, n // 8) == stride
     torsion = grid.zeros(2)
     torsion[2, 3] = 0.7
     tsq = np.einsum("pq...,pq...->...", torsion, torsion)
@@ -300,7 +320,7 @@ def test_entropy_ties_go_to_the_first_center(length, n, dims, stride, sigma):
     top = max(v for v, _, _ in values)
     tied = [entry for entry in values if entry[0] == top]
     assert len({center for _, center, _ in tied}) > 1
-    got = entropy(grid, torsion, sigma, sample_stride=stride)
+    got = entropy(entropy_tables(grid, sigma), torsion)
     assert (got.value, got.center, got.scale) == tied[0]
 
 
@@ -319,7 +339,7 @@ def _count_wrapped_parts(monkeypatch):
 def test_entropy_builds_one_table_per_scale_and_sampled_index(monkeypatch, grid32):
     calls = _count_wrapped_parts(monkeypatch)
     torsion = np.random.default_rng(3).standard_normal((7, 7) + grid32.shape)
-    entropy(grid32, torsion, 0.01, sample_stride=4)
+    entropy(entropy_tables(grid32, 0.01), torsion)
     # 12 scales x 8 sampled indices, not one table per center, scale and axis (1536)
     assert len(calls) == 96
     assert len({(args[1], float(args[2][0])) for args in calls}) == 96
@@ -381,60 +401,44 @@ def test_records_reusing_the_tables_equal_the_entropy_oracle_per_snapshot(tables
 
 def test_entropy_with_prebuilt_tables_equals_its_own_build(grid32):
     rng = np.random.default_rng(8)
-    for stride, sigma in ((4, 0.01), (3, 0.05)):
-        kernels = entropy_tables(grid32, sigma, stride)
+    for sigma in (0.01, 0.05):
+        kernels = entropy_tables(grid32, sigma)
         # one set of tables serves several torsions, as in a run's records
         for _ in range(2):
             torsion = rng.standard_normal((2, 7) + grid32.shape)
-            got = entropy(grid32, torsion, sigma, sample_stride=stride, tables=kernels)
-            assert repr(got) == repr(entropy(grid32, torsion, sigma, sample_stride=stride))
+            got = entropy(kernels, torsion)
+            assert repr(got) == repr(entropy(entropy_tables(grid32, sigma), torsion))
+
+
+@pytest.mark.parametrize("n, stride", [(4, 1), (14, 1), (16, 2), (24, 3), (32, 4), (62, 7)])
+def test_entropy_tables_sample_every_eighth_of_an_axis_at_twelve_scales(n, stride):
+    sigma = 0.3
+    grid = Grid(length=2.0, n=n, active_dims=(1, 4))
+    kernels = entropy_tables(grid, sigma)
+    assert kernels.grid == grid
+    assert kernels.indices == range(0, n, stride)
+    # 12 scales, geometric from sigma / 100 up to sigma
+    scales = kernels.scales
+    assert len(scales) == 12 and scales == sorted(scales)
+    assert scales[0] == pytest.approx(sigma / 100, rel=1e-15) and scales[-1] == sigma
+    assert np.allclose(np.diff(np.log(scales)), math.log(100.0) / 11, rtol=1e-12, atol=0)
+    for table in (*kernels.kernels, *kernels.heads):
+        assert list(table) == list(range(0, n, stride))
 
 
 @pytest.mark.parametrize(
     "grid",
     [
-        Grid(length=1.0, n=16, active_dims=(0, 1)),
-        Grid(length=2.0, n=32, active_dims=(0, 1)),
-    ],
-    ids=["16^2", "length-2"],
-)
-def test_entropy_rejects_tables_built_for_another_grid(grid32, grid):
-    kernels = entropy_tables(grid32, 0.01, 4)
-    torsion = np.random.default_rng(2).standard_normal((2, 7) + grid.shape)
-    with pytest.raises(ValueError, match="entropy tables built for"):
-        entropy(grid, torsion, 0.01, sample_stride=4, tables=kernels)
-
-
-@pytest.mark.parametrize(
-    "argument, value",
-    [
-        ("sigma", 0.02),
-        ("sample_stride", 2),
-        ("n_scales", 6),
-        ("image_radius", 4),
-        ("scale_floor", 0.1),
-    ],
-)
-def test_entropy_rejects_tables_built_for_other_arguments(grid32, argument, value):
-    kernels = entropy_tables(grid32, 0.01, 4)
-    torsion = np.random.default_rng(2).standard_normal((2, 7) + grid32.shape)
-    arguments = {"sigma": 0.01, "sample_stride": 4, argument: value}
-    with pytest.raises(ValueError, match="entropy tables built for"):
-        entropy(grid32, torsion, tables=kernels, **arguments)
-
-
-@pytest.mark.parametrize(
-    "grid",
-    [
-        Grid(length=0.5, n=12, active_dims=(3,)),
+        Grid(length=0.5, n=24, active_dims=(3,)),
         Grid(length=2.0, n=16, active_dims=(1, 4)),
         Grid(length=1.5, n=8, active_dims=(0, 2, 5)),
     ],
     ids=["1-D", "2-D", "3-D"],
 )
 def test_entropy_starts_each_kernel_from_the_tables_heads(monkeypatch, grid):
-    sigma, stride = 0.1 * grid.length**2, 3
-    kernels = entropy_tables(grid, sigma, stride)
+    # record strides 3, 2 and 1
+    sigma, stride = 0.1 * grid.length**2, max(1, grid.n // 8)
+    kernels = entropy_tables(grid, sigma)
     # each head is the oracle kernel's first factor L^-(7-k) w_c, along the first axis
     ones = [np.ones(grid.n)] * (grid.k - 1)
     for table, heads in zip(kernels.kernels, kernels.heads):
@@ -443,7 +447,7 @@ def test_entropy_starts_each_kernel_from_the_tables_heads(monkeypatch, grid):
             first = oracles.product_kernel(grid, [w] + ones)[(...,) + (0,) * (grid.k - 1)]
             assert heads[c].tobytes() == first.tobytes()
     torsion = np.random.default_rng(grid.n).standard_normal((grid.k, 7) + grid.shape)
-    want = repr(entropy(grid, torsion, sigma, sample_stride=stride, tables=kernels))
+    want = repr(entropy(kernels, torsion))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("_product_kernel called")
@@ -457,7 +461,7 @@ def test_entropy_starts_each_kernel_from_the_tables_heads(monkeypatch, grid):
 
     monkeypatch.setattr(diagnostics, "_product_kernel", forbidden)
     monkeypatch.setattr(Grid, "cell_weight", property(cell_weight))
-    got = entropy(grid, torsion, sigma, sample_stride=stride, tables=kernels)
+    got = entropy(kernels, torsion)
     assert reads == [grid]
     assert repr(got) == want
     assert repr((got.value, got.center, got.scale)) == repr(
@@ -663,8 +667,9 @@ def test_record_from_the_active_rows_equals_the_dense_sums(tables, grid):
     dense = torsion_of_state(tables, random_band_state(grid, 0.4, seed=5))
     rows = dense[list(grid.active_dims)]
     center, t0, sigma = (grid.n // 2,) * grid.k, 0.05, 0.01
+    kernels = entropy_tables(grid, sigma)
     rec = record_for_torsion(
-        grid, rows, 0.01, 0.0, theta_probes=[(center, t0)], entropy_sigma=sigma, sup_t_reference=1.0
+        grid, rows, 0.01, 0.0, theta_probes=[(center, t0)], sup_t_reference=1.0, ent_tables=kernels
     )
     # each quantity as it is computed on the dense tensor, its zero rows included
     divt = div2(grid, dense)
@@ -673,7 +678,7 @@ def test_record_from_the_active_rows_equals_the_dense_sums(tables, grid):
         "sup_T": float(np.sqrt(np.max(np.sum(dense * dense, axis=(0, 1))))),
         "div_T_l2": integrate(grid, np.einsum("q...,q...->...", divt, divt)),
         "theta": [[list(center), t0, theta(grid, dense, HeatKernelSpec(center, t0), 0.01)]],
-        "entropy_estimate": entropy(grid, dense, sigma, sample_stride=max(1, grid.n // 8)).value,
+        "entropy_estimate": entropy(kernels, dense).value,
     }
     for key, value in want.items():
         assert repr(rec[key]) == repr(value), key
