@@ -8,7 +8,7 @@ Subcommands:
   diagnose          recompute all functionals from a checkpoint
   rescale-check     end-to-end parabolic-rescaling equivariance check
 
-Exit codes: 0 success, 1 configuration error, 2 numerical abort
+Exit codes: 0 success, 1 configuration or usage error, 2 numerical abort
 (NaN / constraint), 3 failed verification.
 """
 
@@ -210,7 +210,7 @@ def cmd_diagnose(args) -> int:
     peak = np.argmax(np.einsum("pq...,pq...->...", rows, rows))
     center = tuple(int(i) for i in np.unravel_index(int(peak), grid.shape))
     record = record_for_torsion(
-        grid, rows, state.t, state.constraint_defect(), theta_probes=[(center, sigma)]
+        grid, rows, 0.0, state.constraint_defect(), theta_probes=[(center, sigma)]
     )
     del record["t"]
     ent = entropy(entropy_tables(grid, sigma), rows)
@@ -259,8 +259,16 @@ def cmd_rescale_check(args) -> int:
     return EXIT_OK if worst <= tol else EXIT_VERIFY
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A parser whose usage errors exit 1, as configuration errors; its
+    subparsers take its class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="g2flow",
         description="isometric-flow numerical laboratory on the flat 7-torus",
     )
@@ -285,7 +293,6 @@ def main(argv=None) -> int:
     p_resc.add_argument("--c", default=2.0, type=float)
     p_resc.add_argument("--tol", default=1e-8, type=float)
 
-    args = parser.parse_args(argv)
     handlers = {
         "validate-tables": cmd_validate_tables,
         "run": cmd_run,
@@ -294,6 +301,7 @@ def main(argv=None) -> int:
         "rescale-check": cmd_rescale_check,
     }
     try:
+        args = parser.parse_args(argv)
         return handlers[args.command](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -421,7 +421,7 @@ def record_for_torsion(
     return rec
 
 
-def record_for_state(tables: StructureTables, state: IsometricState, **options) -> dict:
-    """``record_for_torsion`` of the state's torsion rows, at its time."""
+def record_for_state(tables: StructureTables, state: IsometricState, t: float, **options) -> dict:
+    """``record_for_torsion`` of the state's torsion rows, at time t."""
     rows = torsion_rows_of_state(tables, state)
-    return record_for_torsion(state.grid, rows, state.t, state.constraint_defect(), **options)
+    return record_for_torsion(state.grid, rows, t, state.constraint_defect(), **options)

@@ -381,7 +381,7 @@ def step_fx(
         _fx_rates(tables, replace(state, u=u), io, beta, out, work)
 
     u1, io1 = _rk(rates, (state.u, iota), dt, integrator, work.rk)
-    new = replace(state, u=u1, t=state.t + dt)
+    new = replace(state, u=u1)
     # constraint_defect() and project() of new, from one f^2 + |X|^2
     norm_sq = new.norm_sq()
     # max |norm_sq - 1| without its two grid temporaries: fl(x - 1) is monotone
@@ -403,25 +403,29 @@ def step_direct(
     """One explicit step of the direct 3-form flow."""
     s3 = sorted_components(phi, 3)
     require_isometric(s3, metric_tol)
+    return dense_from_sorted(_step_direct_sorted(grid, s3, dt, integrator), 3)
+
+
+def _step_direct_sorted(grid: Grid, s3: np.ndarray, dt: float, integrator: str) -> np.ndarray:
+    """One explicit step of the direct flow on the sorted components s3."""
     (s3,) = _rk(lambda y, out: _rhs_direct_sorted(grid, *y, *out), (s3,), dt, integrator)
-    return dense_from_sorted(s3, 3)
-
-
-def _should_snapshot(step: int, n_steps: int, every: int) -> bool:
-    if step == 0 or step == n_steps:
-        return True
-    return every > 0 and step % every == 0
+    return s3
 
 
 def _run_scheme(config: FlowConfig, traj: Trajectory, y, advance, measure, keep, min_f=None):
     """Snapshot, record and event loop shared by both schemes, from t = 0.
 
-    ``advance(y, t, step)`` returns the stepped fields and None, or None and
-    the event that ends the run; ``measure(y, t, **options)`` builds a
-    diagnostics record; ``keep(y)`` stores a snapshot; ``min_f(y)``, given
-    for the (f, X) chart, is the least f for the chart-exit event.  With
-    ``entropy_sigma`` the entropy's kernel tables are built once, here, and
-    every record reuses them.
+    The loop's ``t`` is the run's only clock: it stamps every record and
+    every event.  ``advance(y, t, step)`` returns the stepped fields and
+    None, or None and the unstamped event that rejects the step;
+    ``measure(y, t, **options)`` builds a diagnostics record; ``keep(y)``
+    stores a snapshot; ``min_f(y)``, given for the (f, X) chart, is the
+    least f for the chart-exit event.  Whatever ends the run (its last
+    step, the torsion ceiling or a rejected step) keeps the current state,
+    the last good one, as the last snapshot, and the ending record carries
+    the events no record has carried yet.  With ``entropy_sigma`` the
+    entropy's kernel tables are built once, here, and every record reuses
+    them.
     """
     sigma = config.entropy_sigma
     ent_tables = None if sigma is None else diag.entropy_tables(config.grid, sigma)
@@ -438,43 +442,44 @@ def _run_scheme(config: FlowConfig, traj: Trajectory, y, advance, measure, keep,
         traj.records.append(rec)
         return rec
 
+    def stamp(ev):
+        ev = {**ev, "t": t}
+        traj.events.append(ev)
+        return ev
+
     t = 0.0
     sup_t0 = emit(y, t, [])["sup_T"]
-    doubling_seen = False
-    chart_seen = False
-    pending_events: list[dict] = []
-    n_steps = config.n_steps
-    for step in range(n_steps + 1):
-        if _should_snapshot(step, n_steps, config.snapshot_every):
+    doubling_seen = chart_seen = False
+    pending: list[dict] = []
+    rejected = None
+    every, n_steps = config.snapshot_every, config.n_steps
+    for step in range(n_steps):
+        if step == 0 or every and step % every == 0:
             traj.times.append(t)
             keep(y)
-        if step == n_steps:
-            break
-        y_new, ev = advance(y, t, step)
-        if ev is not None:
-            traj.events.append(ev)
-            traj.records.append({"t": ev["t"], "events": [ev]})
+        y_new, rejected = advance(y, t, step)
+        if rejected is not None:
             break
         y, t = y_new, t + config.dt
         if config.chart_positive and min_f is not None and not chart_seen and min_f(y) < 0.0:
             chart_seen = True
-            ev = {"type": "chart_exit", "t": t}
-            traj.events.append(ev)
-            pending_events.append(ev)
+            pending.append(stamp({"type": "chart_exit"}))
         if (step + 1) % config.diagnostics_every == 0 or step + 1 == n_steps:
-            rec = emit(y, t, pending_events, sup_t0)
-            pending_events = []
+            rec = emit(y, t, pending, sup_t0)
+            pending = []
             if sup_t0 > 0 and not doubling_seen and rec["sup_T"] > 2.0 * sup_t0:
                 doubling_seen = True
-                ev = {"type": "doubling_time", "t": t, "empirical_C": 1.0 / (t * sup_t0 * sup_t0)}
-                traj.events.append(ev)
+                stamp({"type": "doubling_time", "empirical_C": 1.0 / (t * sup_t0 * sup_t0)})
             if rec["sup_T"] > config.torsion_ceiling:
-                ev = {"type": "singularity_suspected", "t": t, "sup_T": rec["sup_T"]}
-                traj.events.append(ev)
-                if not _should_snapshot(step + 1, n_steps, config.snapshot_every):
-                    traj.times.append(t)
-                    keep(y)
+                stamp({"type": "singularity_suspected", "sup_T": rec["sup_T"]})
                 break
+    if rejected is not None:
+        pending.append(stamp(rejected))
+    if pending:
+        traj.records.append({"t": t, "events": pending})
+    if traj.times[-1] != t:  # a rejected step's state may be its step's snapshot already
+        traj.times.append(t)
+        keep(y)
     return traj
 
 
@@ -493,9 +498,9 @@ def _run_fx(tables: StructureTables, config: FlowConfig, state0: IsometricState)
             tables, state, config.dt, config.integrator, io, config.frame_beta, work=work
         )
         if not np.isfinite(new.u).all():
-            return None, {"type": "blow_up", "t": t, "detail": "non-finite state"}
+            return None, {"type": "blow_up", "detail": "non-finite state"}
         if defect > config.constraint_abort_tol:
-            return None, {"type": "constraint_abort", "t": new.t, "defect": defect}
+            return None, {"type": "constraint_abort", "defect": defect}
         return (new, io), None
 
     def keep(y):
@@ -508,7 +513,7 @@ def _run_fx(tables: StructureTables, config: FlowConfig, state0: IsometricState)
         traj,
         (state0.project(), iota),
         advance,
-        lambda y, t, **options: diag.record_for_state(tables, y[0], **options),
+        lambda y, t, **options: diag.record_for_state(tables, y[0], t, **options),
         keep,
         min_f=lambda y: float(np.min(y[0].f)),
     )
@@ -528,11 +533,9 @@ def _run_direct(config: FlowConfig, s30: np.ndarray) -> Trajectory:
     def advance(s3, t, step):
         if step % config.metric_check_every == 0:
             require_isometric(s3, config.metric_tol, t, defect_at(s3, t))
-        (s3_new,) = _rk(
-            lambda y, out: _rhs_direct_sorted(grid, *y, *out), (s3,), config.dt, config.integrator
-        )
+        s3_new = _step_direct_sorted(grid, s3, config.dt, config.integrator)
         if not np.isfinite(s3_new).all():
-            return None, {"type": "blow_up", "t": t, "detail": "non-finite 3-form"}
+            return None, {"type": "blow_up", "detail": "non-finite 3-form"}
         return s3_new, None
 
     def measure(s3, t, **options):
@@ -587,9 +590,7 @@ def parabolic_rescale(traj: Trajectory, c: float) -> Trajectory:
         events=list(traj.events),
     )
     if traj.states is not None:
-        out.states = [
-            replace(s, grid=new_grid, t=c * c * s.t) for s in traj.states
-        ]
+        out.states = [replace(s, grid=new_grid) for s in traj.states]
     if traj.sorted_phis is not None:
         out.sorted_phis = [p.copy() for p in traj.sorted_phis]
     if traj.frames is not None:

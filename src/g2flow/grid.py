@@ -267,7 +267,8 @@ def save_checkpoint(path, grid: Grid, u: np.ndarray) -> None:
 def load_checkpoint(path) -> tuple[Grid, np.ndarray]:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
-    Raises ValueError for a file that is not a complete checkpoint.
+    Raises ValueError for a file that is not a complete checkpoint, or
+    whose payload holds a non-finite number.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -287,4 +288,7 @@ def load_checkpoint(path) -> tuple[Grid, np.ndarray]:
         raise ValueError(
             f"checkpoint payload has {len(payload)} bytes, a {n}^{grid.k} grid needs {8 * 8 * npts}"
         )
-    return grid, np.frombuffer(payload, dtype="<f8").reshape((8,) + grid.shape).copy()
+    u = np.frombuffer(payload, dtype="<f8").reshape((8,) + grid.shape).copy()
+    if not np.isfinite(u).all():
+        raise ValueError("checkpoint payload holds a non-finite number")
+    return grid, u

@@ -79,7 +79,6 @@ class IsometricState:
 
     grid: Grid
     u: np.ndarray
-    t: float = 0.0
 
     @property
     def f(self) -> np.ndarray:

@@ -6,9 +6,9 @@ from g2flow.grid import Grid
 from g2flow.states import IsometricState
 
 
-def fx_state(grid, f, x, t=0.0):
+def fx_state(grid, f, x):
     """The state with fields (f, X), held as the one field u = (f, X)."""
-    return IsometricState(grid=grid, u=np.concatenate((f[None], x)), t=t)
+    return IsometricState(grid=grid, u=np.concatenate((f[None], x)))
 
 
 @pytest.fixture(scope="session")

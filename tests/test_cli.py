@@ -327,6 +327,39 @@ def test_numerical_abort_exit_code(tmp_path, capsys):
     assert main(["run", "--config", str(cfg)]) == 2
 
 
+def test_aborted_run_checkpoints_its_last_good_state(tmp_path, capsys, monkeypatch):
+    from g2flow import flow
+
+    # the third step breaks the constraint: the run ends at t = 2 dt, and its
+    # final checkpoint is that of a run of two steps, byte for byte
+    real, calls = flow.step_fx, []
+
+    def third_step_rejected(*args, **kwargs):
+        calls.append(1)
+        new, iota, defect = real(*args, **kwargs)
+        return new, iota, 1.0 if len(calls) == 3 else defect
+
+    two_steps, aborted = tmp_path / "two", tmp_path / "aborted"
+    cfg = write_config(tmp_path / "two.json", t_end=4e-4)
+    assert main(["run", "--config", str(cfg), "--out-dir", str(two_steps)]) == 0
+    monkeypatch.setattr(flow, "step_fx", third_step_rejected)
+    cfg = write_config(tmp_path / "cfg.json")
+    assert main(["run", "--config", str(cfg), "--out-dir", str(aborted)]) == 2
+    last = json.loads((aborted / "diagnostics_fx.ndjson").read_text().splitlines()[-1])
+    assert [ev["type"] for ev in last["events"]] == ["constraint_abort"]
+    assert last["t"] == last["events"][0]["t"] == 4e-4
+    assert (aborted / "final_fx.g2fl").read_bytes() == (two_steps / "final_fx.g2fl").read_bytes()
+
+
+def test_usage_errors_exit_1_and_help_exits_0(capsys):
+    for argv in ([], ["bogus"], ["run"], ["verify", "--suite", "nope"], ["rescale-check", "--c"]):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("configuration error"), argv
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+
+
 def test_verify_suite_exit_codes(capsys):
     assert main(["verify", "--suite", "identities"]) == 0
     out = capsys.readouterr().out
@@ -347,13 +380,18 @@ def test_diagnose_checkpoint(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["diagnose", "run"])
-@pytest.mark.parametrize("nbytes", [10, 200])
-def test_truncated_checkpoint_exit_code(tmp_path, capsys, command, nbytes):
+@pytest.mark.parametrize("corruption", [10, 200, "nan"])
+def test_truncated_checkpoint_exit_code(tmp_path, capsys, command, corruption):
     cfg = write_config(tmp_path / "cfg.json", t_end=4e-4)
     out_dir = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
     truncated = tmp_path / "truncated.g2fl"
-    truncated.write_bytes((out_dir / "final_fx.g2fl").read_bytes()[:nbytes])
+    data = (out_dir / "final_fx.g2fl").read_bytes()
+    if corruption == "nan":  # one NaN in the last value of u, a full-length file
+        data = data[:-8] + np.array([np.nan], dtype="<f8").tobytes()
+    else:  # the first bytes only
+        data = data[:corruption]
+    truncated.write_bytes(data)
     capsys.readouterr()
     if command == "diagnose":
         argv = ["diagnose", "--checkpoint", str(truncated)]
@@ -364,7 +402,11 @@ def test_truncated_checkpoint_exit_code(tmp_path, capsys, command, nbytes):
         )
         argv = ["run", "--config", str(resumed)]
     assert main(argv) == 1
-    expected = "truncated checkpoint header" if nbytes == 10 else "payload has 178 bytes"
+    expected = {
+        10: "truncated checkpoint header",
+        200: "payload has 178 bytes",
+        "nan": "payload holds a non-finite number",
+    }[corruption]
     assert expected in capsys.readouterr().err
 
 
@@ -397,9 +439,11 @@ def test_rescale_check_rejects_bad_c_and_tol_before_any_run(tmp_path, capsys, mo
             ("--c", "-1"), ("--c", "0"), ("--c", "nan"), ("--c", "inf"),
             ("--tol", "nan"), ("--tol", "-1e-9"), ("--tol", "inf"),
         ):
-            assert main(["rescale-check", "--config", str(cfg), f"{flag}={value}"]) == 1, value
-            err = capsys.readouterr().err
-            assert err.startswith("configuration error") and flag in err, err
+            # the space form of a negative exponent is an argparse usage error, which exits 1 too
+            for args in ([f"{flag}={value}"], [flag, value]):
+                assert main(["rescale-check", "--config", str(cfg), *args]) == 1, args
+                err = capsys.readouterr().err
+                assert err.startswith("configuration error") and flag in err, err
     # the edge stays valid: c = 2 rescales exactly, within a tolerance of 0
     assert main(["rescale-check", "--config", str(cfg), "--tol", "0"]) == 0
 

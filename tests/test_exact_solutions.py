@@ -30,7 +30,7 @@ def great_circle(grid, t):
     theta = decay * np.sin(2.0 * math.pi * grid.coordinate(0) / length)
     u = np.zeros((8,) + grid.shape)
     u[0], u[3] = np.cos(theta), np.sin(theta)  # the circle through e_2
-    return IsometricState(grid=grid, u=u, t=t)
+    return IsometricState(grid=grid, u=u)
 
 
 def great_circle_energy(grid, t):

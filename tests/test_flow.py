@@ -242,7 +242,6 @@ def test_step_fx_matches_pair_form_stepper(tables, integrator, with_frame, n, di
             assert np.array_equal(iota, ref_iota)
         else:
             assert iota is None and ref_iota is None
-    assert state.t == 2 * dt
 
 
 @pytest.mark.parametrize("integrator,min_order", [("euler", 1.9), ("rk4", 4.5)])
@@ -622,6 +621,113 @@ def test_snapshot_cadence(tables, grid16):
     assert len(traj.states) == 6  # steps 0,2,4,6,8,10
     assert traj.times == sorted(traj.times)
     assert all(b > a for a, b in zip(traj.times, traj.times[1:]))
+
+
+def _stop_config(grid, scheme, **overrides):
+    cfg = FlowConfig(
+        grid=grid,
+        initial=InitialSpec(family="single_mode", amplitude=0.2),
+        dt=2e-4,
+        t_end=2e-3,
+        scheme=scheme,
+        cfl_safety=0.9,
+    )
+    return replace(cfg, **overrides)
+
+
+def _stepped_twice(tables, cfg):
+    """The last kept field of a run stopped after two steps: the state u, or
+    the direct route's sorted 3-form."""
+    state = flow.initial_state(cfg).project()
+    if cfg.scheme == "fx":
+        for _ in range(2):
+            state, _, _ = step_fx(tables, state, cfg.dt, cfg.integrator)
+        return state.u
+    phi = phi_of_state(tables, state)
+    for _ in range(2):
+        phi = step_direct(tables, cfg.grid, phi, cfg.dt, cfg.integrator)
+    return sorted_components(phi, 3)
+
+
+def _last_kept(traj):
+    return traj.states[-1].u if traj.scheme == "fx" else traj.sorted_phis[-1]
+
+
+def _reject_call(monkeypatch, name, call, spoil):
+    """Patch ``flow.<name>`` so that its ``call``-th call returns its result spoiled."""
+    real, calls = getattr(flow, name), []
+
+    def patched(*args, **kwargs):
+        calls.append(1)
+        out = real(*args, **kwargs)
+        return spoil(out) if len(calls) == call else out
+
+    monkeypatch.setattr(flow, name, patched)
+
+
+@pytest.mark.parametrize("scheme", ["fx", "direct"])
+@pytest.mark.parametrize(
+    "stop", [dict(snapshot_every=2), dict(t_end=4e-4)], ids=["snapshot-step", "last-step"]
+)
+def test_a_ceiling_stop_keeps_the_state_that_tripped_it(tables, grid16, scheme, stop):
+    # the step-2 record trips the ceiling on a snapshot step, or on the last step
+    cfg = _stop_config(grid16, scheme, diagnostics_every=2, torsion_ceiling=1e-6, **stop)
+    traj = getattr(run(cfg, tables), scheme)
+    assert [ev["type"] for ev in traj.events] == ["singularity_suspected"]
+    assert traj.events[0]["t"] == traj.records[-1]["t"] == 2 * cfg.dt
+    assert traj.times == [0.0, 2 * cfg.dt]
+    assert np.array_equal(_last_kept(traj), _stepped_twice(tables, cfg))
+
+
+@pytest.mark.parametrize("snapshot_every", [0, 2])
+@pytest.mark.parametrize(
+    "scheme, name, spoil, kind",
+    [
+        ("fx", "step_fx", lambda out: (*out[:2], 1.0), "constraint_abort"),
+        ("direct", "_step_direct_sorted", lambda s3: np.full_like(s3, np.nan), "blow_up"),
+    ],
+    ids=["fx", "direct"],
+)
+def test_a_rejected_step_ends_on_the_last_good_state(
+    tables, grid16, monkeypatch, snapshot_every, scheme, name, spoil, kind
+):
+    # the third step is rejected; with snapshot_every 2 the last good state
+    # is its step's snapshot already, and is kept once
+    _reject_call(monkeypatch, name, 3, spoil)
+    cfg = _stop_config(grid16, scheme, snapshot_every=snapshot_every)
+    traj = getattr(run(cfg, tables), scheme)
+    assert [ev["type"] for ev in traj.events] == [kind]
+    assert traj.events[0]["t"] == 2 * cfg.dt
+    assert traj.records[-1] == {"t": 2 * cfg.dt, "events": traj.events}
+    assert traj.times == [0.0, 2 * cfg.dt]
+    assert np.array_equal(_last_kept(traj), _stepped_twice(tables, cfg))
+
+
+def test_the_ending_record_carries_pending_chart_exits(tables, grid16, tmp_path, monkeypatch):
+    from g2flow.grid import save_checkpoint
+
+    # the chart_exit state of test_chart_exit_event: f < 0 after the first step,
+    # whose record is due at step 10 but never comes, as the second step is rejected
+    sweep = 0.5 * np.pi + 0.3
+    theta = 0.5 * sweep * (1.0 - np.cos(2 * np.pi * grid16.coordinate(0) / grid16.length))
+    x = grid16.zeros(1)
+    x[2] = np.sin(theta)
+    path = tmp_path / "chart.g2fl"
+    save_checkpoint(path, grid16, np.concatenate((np.cos(theta)[None], x)))
+    _reject_call(monkeypatch, "step_fx", 2, lambda out: (*out[:2], 1.0))
+    cfg = _stop_config(
+        grid16,
+        "fx",
+        chart_positive=True,
+        initial=InitialSpec(family="checkpoint", checkpoint=str(path)),
+    )
+    traj = run(cfg, tables).fx
+    assert [(ev["type"], ev["t"]) for ev in traj.events] == [
+        ("chart_exit", cfg.dt),
+        ("constraint_abort", cfg.dt),
+    ]
+    assert traj.records[-1] == {"t": cfg.dt, "events": traj.events}
+    assert traj.times == [0.0, cfg.dt]
 
 
 @pytest.mark.parametrize("integrator", ["euler", "rk4"])
