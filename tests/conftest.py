@@ -11,6 +11,20 @@ def fx_state(grid, f, x):
     return IsometricState(grid=grid, u=np.concatenate((f[None], x)))
 
 
+def reject_call(monkeypatch, name, call, spoil):
+    """Patch ``g2flow.flow.<name>`` so that its ``call``-th call returns its result spoiled."""
+    from g2flow import flow
+
+    real, calls = getattr(flow, name), []
+
+    def patched(*args, **kwargs):
+        calls.append(1)
+        out = real(*args, **kwargs)
+        return spoil(out) if len(calls) == call else out
+
+    monkeypatch.setattr(flow, name, patched)
+
+
 @pytest.fixture(scope="session")
 def tables():
     return build_standard_tables()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reject_call
 from g2flow import cli
 from g2flow.cli import load_config, main
 from g2flow.flow import FlowConfig, InitialSpec
@@ -328,21 +329,12 @@ def test_numerical_abort_exit_code(tmp_path, capsys):
 
 
 def test_aborted_run_checkpoints_its_last_good_state(tmp_path, capsys, monkeypatch):
-    from g2flow import flow
-
     # the third step breaks the constraint: the run ends at t = 2 dt, and its
     # final checkpoint is that of a run of two steps, byte for byte
-    real, calls = flow.step_fx, []
-
-    def third_step_rejected(*args, **kwargs):
-        calls.append(1)
-        new, iota, defect = real(*args, **kwargs)
-        return new, iota, 1.0 if len(calls) == 3 else defect
-
     two_steps, aborted = tmp_path / "two", tmp_path / "aborted"
     cfg = write_config(tmp_path / "two.json", t_end=4e-4)
     assert main(["run", "--config", str(cfg), "--out-dir", str(two_steps)]) == 0
-    monkeypatch.setattr(flow, "step_fx", third_step_rejected)
+    reject_call(monkeypatch, "step_fx", 3, lambda out: (*out[:2], 1.0))
     cfg = write_config(tmp_path / "cfg.json")
     assert main(["run", "--config", str(cfg), "--out-dir", str(aborted)]) == 2
     last = json.loads((aborted / "diagnostics_fx.ndjson").read_text().splitlines()[-1])

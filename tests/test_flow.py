@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import fx_state
+from conftest import fx_state, reject_call
 from g2flow import flow
 from g2flow.algebra import dense_from_sorted, sorted_components
 from g2flow.flow import (
@@ -653,18 +653,6 @@ def _last_kept(traj):
     return traj.states[-1].u if traj.scheme == "fx" else traj.sorted_phis[-1]
 
 
-def _reject_call(monkeypatch, name, call, spoil):
-    """Patch ``flow.<name>`` so that its ``call``-th call returns its result spoiled."""
-    real, calls = getattr(flow, name), []
-
-    def patched(*args, **kwargs):
-        calls.append(1)
-        out = real(*args, **kwargs)
-        return spoil(out) if len(calls) == call else out
-
-    monkeypatch.setattr(flow, name, patched)
-
-
 @pytest.mark.parametrize("scheme", ["fx", "direct"])
 @pytest.mark.parametrize(
     "stop", [dict(snapshot_every=2), dict(t_end=4e-4)], ids=["snapshot-step", "last-step"]
@@ -693,7 +681,7 @@ def test_a_rejected_step_ends_on_the_last_good_state(
 ):
     # the third step is rejected; with snapshot_every 2 the last good state
     # is its step's snapshot already, and is kept once
-    _reject_call(monkeypatch, name, 3, spoil)
+    reject_call(monkeypatch, name, 3, spoil)
     cfg = _stop_config(grid16, scheme, snapshot_every=snapshot_every)
     traj = getattr(run(cfg, tables), scheme)
     assert [ev["type"] for ev in traj.events] == [kind]
@@ -714,7 +702,7 @@ def test_the_ending_record_carries_pending_chart_exits(tables, grid16, tmp_path,
     x[2] = np.sin(theta)
     path = tmp_path / "chart.g2fl"
     save_checkpoint(path, grid16, np.concatenate((np.cos(theta)[None], x)))
-    _reject_call(monkeypatch, "step_fx", 2, lambda out: (*out[:2], 1.0))
+    reject_call(monkeypatch, "step_fx", 2, lambda out: (*out[:2], 1.0))
     cfg = _stop_config(
         grid16,
         "fx",
