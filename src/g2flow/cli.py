@@ -234,16 +234,14 @@ def cmd_rescale_check(args) -> int:
     if config.scheme == "direct":
         print("rescale-check needs an fx trajectory", file=sys.stderr)
         return EXIT_CONFIG
+    try:  # before the base run: c L must be a period that Grid accepts
+        big_grid = replace(config.grid, length=c * config.grid.length)
+    except ValueError as exc:
+        raise ConfigError(f"--c {c!r} rescales the grid out of range: {exc}") from exc
     # only the fx route is compared, so a "both" config integrates it alone
     config = replace(config, scheme="fx")
     rescaled = parabolic_rescale(run(config).fx, c)
-    big = replace(
-        config,
-        grid=replace(config.grid, length=c * config.grid.length),
-        dt=c * c * config.dt,
-        t_end=c * c * config.t_end,
-    )
-    second = run(big)
+    second = run(replace(config, grid=big_grid, dt=c * c * config.dt, t_end=c * c * config.t_end))
     if len(second.fx.states) != len(rescaled.states):
         print(
             f"rescale-check c={c}: the rescaled run kept {len(second.fx.states)} "

@@ -361,25 +361,29 @@ def interpolation_monitor(grid: Grid, torsion: np.ndarray, grad_torsion: np.ndar
 
 
 def _shi_sups(grid: Grid, rows: np.ndarray) -> tuple[float, float]:
-    """(sup|grad T|, sup|grad^2 T|) from the torsion's active rows, summing
-    |d_a T|^2 and |d_b d_a T|^2 one derivative at a time so that no stacked
-    gradient is held (the other rows vanish, since d_p does there)."""
+    """(sup|grad T|, sup|grad^2 T|) from the torsion's active rows (the other
+    rows vanish, since d_p does there), one row's d_a T and d_b d_a T at a time
+    in two kept buffers, each squared in place once read.  Each derivative's
+    |.|^2 is summed term by term in (p, q) order into its own grid scalar
+    before it joins the total, as ``np.einsum("pq...,pq...->...")`` sums it."""
     sq1 = np.zeros(grid.shape)
     sq2 = np.zeros(grid.shape)
-    da, dba = np.empty_like(rows), np.empty_like(rows)
+    sums = np.empty((1 + grid.k,) + grid.shape)  # |d_a T|^2, then |d_b d_a T|^2 per b
+    da, dba = np.empty_like(rows[0]), np.empty_like(rows[0])
     for a in grid.active_dims:
-        partial(grid, rows, a, out=da)
-        sq1 += np.einsum("pq...,pq...->...", da, da)
-        for b in grid.active_dims:
-            partial(grid, da, b, out=dba)
-            sq2 += np.einsum("pq...,pq...->...", dba, dba)
+        sums.fill(0.0)
+        for row in rows:
+            partial(grid, row, a, out=da)
+            for s, b in zip(sums[1:], grid.active_dims):
+                partial(grid, da, b, out=dba)
+                for term in np.multiply(dba, dba, out=dba):
+                    s += term
+            for term in np.multiply(da, da, out=da):
+                sums[0] += term
+        sq1 += sums[0]
+        for s in sums[1:]:
+            sq2 += s
     return float(np.sqrt(np.max(sq1))), float(np.sqrt(np.max(sq2)))
-
-
-def _shi_quantities(grid: Grid, rows: np.ndarray, t: float, sup_t0: float) -> dict:
-    """Scale-invariant derivative quantities sup|grad^m T| t^(m/2) / sup|T(0)|."""
-    m1, m2 = _shi_sups(grid, rows)
-    return {"m1": m1 * math.sqrt(t) / sup_t0, "m2": m2 * t / sup_t0}
 
 
 def record_for_torsion(
@@ -394,19 +398,23 @@ def record_for_torsion(
     """One diagnostics record, from the torsion's active rows (shape
     (k, 7, *grid), as ``torsion_rows_of_state`` returns them).  Each sum
     runs in the order it has over the dense tensor, less its zero rows.
+    After t = 0, with a positive ``sup_t_reference`` = sup|T(0)|, it holds the
+    scale-invariant Shi quantities sup|grad^m T| t^(m/2) / sup|T(0)|.
 
     With ``ent_tables``, ``entropy_tables`` of this grid, the record holds the
     entropy; a run builds them once for all its records."""
     if len(rows) != grid.k:
         raise ValueError(f"a record takes the torsion's {grid.k} active rows, got {len(rows)}")
     divt = div2(grid, rows, rows=True)
+    tsq = np.einsum("pq...,pq...->...", rows, rows)  # |T|^2, as energy and sup_norm sum it
     rec = {
         "t": t,
-        "energy": energy(grid, rows),
-        "sup_T": sup_norm(rows, 2),
+        "energy": 0.5 * integrate(grid, tsq),
+        "sup_T": float(np.sqrt(np.max(tsq))),
         "div_T_l2": integrate(grid, np.einsum("q...,q...->...", divt, divt)),
         "constraint_defect": constraint_defect,
     }
+    del divt, tsq  # not held through the Shi sums' buffers
     thetas = []
     for center, t0 in theta_probes:
         spec = HeatKernelSpec(center=tuple(center), t0=float(t0))
@@ -417,7 +425,8 @@ def record_for_torsion(
     if ent_tables is not None:
         rec["entropy_estimate"] = entropy(ent_tables, rows).value
     if sup_t_reference and sup_t_reference > 0 and t > 0:
-        rec["shi_quantities"] = _shi_quantities(grid, rows, t, sup_t_reference)
+        m1, m2 = _shi_sups(grid, rows)
+        rec["shi_quantities"] = {"m1": m1 * math.sqrt(t) / sup_t_reference, "m2": m2 * t / sup_t_reference}
     return rec
 
 

@@ -230,9 +230,10 @@ class _FxWorkspace:
     """Buffers that the RK stages of an fx step reuse, and a run's steps too:
     ``rk`` is the RK driver's two rate buffers and one stage buffer, each a
     pair shaped like the stepped (u, iota) (iota's None without a frame);
-    ``lap`` is the Laplacian's output and ``term`` its scratch, which holds
-    each later direction's neighbour sum, then the centre term;
-    ``dot`` is the grid scalar <u, Lap u>.
+    ``lap`` is the Laplacian's output and ``dot`` the grid scalar
+    <u, Lap u>.  The Laplacian's scratch, which holds each later direction's
+    neighbour sum, then the centre term, is the rate buffer it is computing,
+    so four state-sized buffers serve a step.
 
     All are views of one block.  glibc's malloc raises its mmap threshold
     to the size of a mapping it frees, so once a run frees the block, later
@@ -242,11 +243,11 @@ class _FxWorkspace:
 
     def __init__(self, grid: Grid, frame: bool = False):
         n = math.prod(grid.shape)
-        sizes = [8 * n] * 5 + [n] + [49 * n] * (3 if frame else 0)
+        sizes = [8 * n] * 4 + [n] + [49 * n] * (3 if frame else 0)
         parts = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
-        ka, kb, stage, self.lap, self.term = (p.reshape((8,) + grid.shape) for p in parts[:5])
-        self.dot = parts[5].reshape(grid.shape)
-        io = [p.reshape((7, 7) + grid.shape) for p in parts[6:]] or [None] * 3
+        ka, kb, stage, self.lap = (p.reshape((8,) + grid.shape) for p in parts[:4])
+        self.dot = parts[4].reshape(grid.shape)
+        io = [p.reshape((7, 7) + grid.shape) for p in parts[5:]] or [None] * 3
         self.rk = ((ka, io[0]), (kb, io[1]), (stage, io[2]))
 
 
@@ -257,10 +258,11 @@ def _harmonic_map(grid: Grid, u: np.ndarray, out: np.ndarray, work: _FxWorkspace
     du = Lap u - <u, Lap u> u,
 
     the tangent projection of the discrete Laplacian (Alouges, SIAM J.
-    Numer. Anal. 34, 1997), so <u, du> = (1 - |u|^2) <u, Lap u>.
+    Numer. Anal. 34, 1997), so <u, du> = (1 - |u|^2) <u, Lap u>.  ``out``
+    serves as the Laplacian's scratch before it takes the rates.
     """
     work = work or _FxWorkspace(grid)
-    lu = laplacian(grid, u, work.lap, work.term)
+    lu = laplacian(grid, u, work.lap, out)
     dot = np.einsum("a...,a...->...", u, lu, out=work.dot)
     np.multiply(dot, u, out=out)
     np.subtract(lu, out, out=out)
@@ -422,10 +424,11 @@ def _run_scheme(config: FlowConfig, traj: Trajectory, y, advance, measure, keep,
     stores a snapshot; ``min_f(y)``, given for the (f, X) chart, is the
     least f for the chart-exit event.  Whatever ends the run (its last
     step, the torsion ceiling or a rejected step) keeps the current state,
-    the last good one, as the last snapshot, and the ending record carries
-    the events no record has carried yet.  With ``entropy_sigma`` the
-    entropy's kernel tables are built once, here, and every record reuses
-    them.
+    the last good one, as the last snapshot.  A record's own sup|T| events
+    go into that record; a chart exit goes into the next record, and it or a
+    rejected step's event into an ending record when no record follows.
+    With ``entropy_sigma`` the entropy's kernel tables are built once, here,
+    and every record reuses them.
     """
     sigma = config.entropy_sigma
     ent_tables = None if sigma is None else diag.entropy_tables(config.grid, sigma)
@@ -442,10 +445,10 @@ def _run_scheme(config: FlowConfig, traj: Trajectory, y, advance, measure, keep,
         traj.records.append(rec)
         return rec
 
-    def stamp(ev):
+    def stamp(ev, events):
         ev = {**ev, "t": t}
         traj.events.append(ev)
-        return ev
+        events.append(ev)
 
     t = 0.0
     sup_t0 = emit(y, t, [])["sup_T"]
@@ -463,18 +466,18 @@ def _run_scheme(config: FlowConfig, traj: Trajectory, y, advance, measure, keep,
         y, t = y_new, t + config.dt
         if config.chart_positive and min_f is not None and not chart_seen and min_f(y) < 0.0:
             chart_seen = True
-            pending.append(stamp({"type": "chart_exit"}))
+            stamp({"type": "chart_exit"}, pending)
         if (step + 1) % config.diagnostics_every == 0 or step + 1 == n_steps:
             rec = emit(y, t, pending, sup_t0)
             pending = []
             if sup_t0 > 0 and not doubling_seen and rec["sup_T"] > 2.0 * sup_t0:
                 doubling_seen = True
-                stamp({"type": "doubling_time", "empirical_C": 1.0 / (t * sup_t0 * sup_t0)})
+                stamp({"type": "doubling_time", "empirical_C": 1.0 / (t * sup_t0 * sup_t0)}, rec["events"])
             if rec["sup_T"] > config.torsion_ceiling:
-                stamp({"type": "singularity_suspected", "sup_T": rec["sup_T"]})
+                stamp({"type": "singularity_suspected", "sup_T": rec["sup_T"]}, rec["events"])
                 break
     if rejected is not None:
-        pending.append(stamp(rejected))
+        stamp(rejected, pending)
     if pending:
         traj.records.append({"t": t, "events": pending})
     if traj.times[-1] != t:  # a rejected step's state may be its step's snapshot already
@@ -484,6 +487,7 @@ def _run_scheme(config: FlowConfig, traj: Trajectory, y, advance, measure, keep,
 
 
 def _run_fx(tables: StructureTables, config: FlowConfig, state0: IsometricState) -> Trajectory:
+    """The fx route from the projected initial state0."""
     grid = config.grid
     traj = Trajectory(scheme="fx", grid=grid, times=[], states=[], frames=[] if config.track_frame else None)
     iota = None
@@ -511,7 +515,7 @@ def _run_fx(tables: StructureTables, config: FlowConfig, state0: IsometricState)
     return _run_scheme(
         config,
         traj,
-        (state0.project(), iota),
+        (state0, iota),
         advance,
         lambda y, t, **options: diag.record_for_state(tables, y[0], t, **options),
         keep,
@@ -563,12 +567,12 @@ def run(config: FlowConfig, tables: StructureTables | None = None) -> RunResult:
 
     config.validate()
     tables = tables or build_standard_tables()
-    state0 = initial_state(config)
+    state0 = initial_state(config).project()  # both routes start from this one copy
     result = RunResult()
     if config.scheme in ("fx", "both"):
         result.fx = _run_fx(tables, config, state0)
     if config.scheme in ("direct", "both"):
-        result.direct = _run_direct(config, sorted_phi_of_state(tables, state0.project()))
+        result.direct = _run_direct(config, sorted_phi_of_state(tables, state0))
     return result
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,14 +57,24 @@ class Grid:
     stencil_order: int = 2
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise ValueError("grid period must be positive")
+        if not self.length > 0:
+            raise ValueError(f"grid period must be positive, got {self.length!r}")
         if not is_integer(self.n) or self.n <= 0 or self.n % 2 != 0:
             raise ValueError("points per dimension must be a positive even integer")
         dims = self.active_dims
         if not (len(dims) and all(is_integer(d) and 0 <= d <= 6 for d in dims)):
             raise ValueError("active_dims must be a nonempty subset of the integers 0..6")
         object.__setattr__(self, "active_dims", tuple(sorted(set(int(d) for d in dims))))
+        # every integral scales by these two: neither may overflow, underflow or be NaN
+        try:
+            scales = (self.length**7, self.cell_weight)
+        except OverflowError:
+            scales = (math.inf,)
+        if not all(sys.float_info.min <= s <= sys.float_info.max for s in scales):
+            raise ValueError(
+                f"grid period {self.length!r} gives a torus volume or cell weight "
+                "outside the normal floats"
+            )
         if self.stencil_order not in (2, 4):
             raise ValueError("stencil_order must be 2 or 4")
         if self.stencil_order == 4 and self.n < 6:
@@ -281,6 +292,8 @@ def load_checkpoint(path) -> tuple[Grid, np.ndarray]:
     version, n, length, bitmask, order = struct.unpack(_CHECKPOINT_HEADER, header)
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
+    if bitmask >> 7:
+        raise ValueError(f"corrupted checkpoint header: active-dims bitmask {bitmask:#010b}")
     dims = tuple(d for d in range(7) if bitmask & (1 << d))
     grid = Grid(length=length, n=n, active_dims=dims, stencil_order=order)
     npts = n ** grid.k

@@ -222,24 +222,28 @@ def torsion_rows_of_state(tables: StructureTables, state: IsometricState) -> np.
     -2 d_p X_m X_l phi_mlq + 2 d_p f X_q - 2 f d_p X_q
 
     Shape (k, 7, *grid): row i is p = the i-th active direction.  The rows
-    of inactive p vanish, since d_p does there.
+    of inactive p vanish, since d_p does there.  Each row is built from
+    d_p u alone, in one (8, *grid) buffer, so no stacked gradient is held.
     """
     grid = state.grid
     f, x = state.f, state.x
-    du = np.empty((grid.k,) + state.u.shape)
-    for i, dim in enumerate(grid.active_dims):
-        partial(grid, state.u, dim, out=du[i])
-    gf, gx = du[:, 0], du[:, 1:]       # gx[i, m] = d_p X_m for the i-th active p
     rows = np.empty((grid.k, 7) + grid.shape)
-    # d_p X_m X_l phi_mlq = (d_p X x X)_q on phi's 42 nonzero entries, summed from +0 in
-    # ascending m as a dense einsum over m sums (its m = q term, +-0, never changes the sum)
-    for row, g in zip(rows, gx):
-        contract(CROSS_ENTRIES, g, x, out=row)
-    rows *= -2.0
-    # an einsum, not gf * x: it sums the product into +0, so a -0 product comes out +0
-    rows += 2.0 * np.einsum("p...,q...->pq...", gf, x)
-    gx *= 2.0 * f
-    rows -= gx
+    du = np.empty_like(state.u)
+    gfx = np.empty_like(x)
+    two_f = 2.0 * f
+    for row, dim in zip(rows, grid.active_dims):
+        partial(grid, state.u, dim, out=du)
+        gf, gx = du[0], du[1:]         # d_p f and d_p X_m
+        # d_p X_m X_l phi_mlq = (d_p X x X)_q on phi's 42 nonzero entries, summed from +0 in
+        # ascending m as a dense einsum over m sums (its m = q term, +-0, never changes the sum)
+        contract(CROSS_ENTRIES, gx, x, out=row)
+        row *= -2.0
+        # an einsum, not gf * x: it sums the product into +0, so a -0 product comes out +0
+        np.einsum("...,q...->q...", gf, x, out=gfx)
+        gfx *= 2.0
+        row += gfx
+        gx *= two_f
+        row -= gx
     return rows
 
 

@@ -9,9 +9,9 @@ import itertools
 
 import numpy as np
 
-from g2flow.algebra import _PAIRS3, _PAIRS4, _gather
+from g2flow.algebra import _PAIRS3, _PAIRS4, CROSS_ENTRIES, _gather, contract
 from g2flow.diagnostics import _wrapped_parts
-from g2flow.grid import integrate
+from g2flow.grid import integrate, partial
 from g2flow.states import _state_from_x
 
 _FACT = {1: 1.0, 2: 2.0, 3: 6.0, 4: 24.0}
@@ -54,6 +54,26 @@ def dense_psi_of_state(tables, state):
     out -= 2.0 * np.einsum("k...,qjl...->qjkl...", x, c)
     out += 2.0 * np.einsum("l...,qjk...->qjkl...", x, c)
     return out
+
+
+def stacked_torsion_rows(state):
+    """The torsion's active rows from all k gradients of u at once, stacked,
+    as ``states.torsion_rows_of_state`` computed them before it took one
+    direction at a time."""
+    grid = state.grid
+    f, x = state.f, state.x
+    du = np.empty((grid.k,) + state.u.shape)
+    for i, dim in enumerate(grid.active_dims):
+        partial(grid, state.u, dim, out=du[i])
+    gf, gx = du[:, 0], du[:, 1:]
+    rows = np.empty((grid.k, 7) + grid.shape)
+    for row, g in zip(rows, gx):
+        contract(CROSS_ENTRIES, g, x, out=row)
+    rows *= -2.0
+    rows += 2.0 * np.einsum("p...,q...->pq...", gf, x)
+    gx *= 2.0 * f
+    rows -= gx
+    return rows
 
 
 def first_slot_pairs_3(s3):

@@ -1,6 +1,10 @@
 """Command-line surface: subcommands, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import math
+import struct
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -13,6 +17,7 @@ from g2flow import cli
 from g2flow.cli import load_config, main
 from g2flow.flow import FlowConfig, InitialSpec
 from g2flow.grid import Grid, load_checkpoint, save_checkpoint
+from g2flow.states import random_band_state
 
 
 def write_config(path, **overrides):
@@ -118,6 +123,12 @@ def test_config_error_exit_codes(tmp_path, capsys):
     )
     assert main(["run", "--config", str(mismatch)]) == 1
     assert "configuration error" in capsys.readouterr().err
+    # a period whose 7-volume L^7 or cell weight is no positive normal float: 1e100
+    # used to run into an OverflowError traceback in Grid.cell_weight
+    for length in (1e45, 1e100, 1e-45, 1e-300):
+        far = write_config(tmp_path / "far.json", grid={"length": length, "n": 16})
+        assert main(["run", "--config", str(far)]) == 1, length
+        assert "grid period" in capsys.readouterr().err
     # a misspelt key is named, not silently replaced by its default
     for key, overrides in (
         ("diagnostic_every", {"diagnostic_every": 2}),
@@ -402,6 +413,95 @@ def test_truncated_checkpoint_exit_code(tmp_path, capsys, command, corruption):
     assert expected in capsys.readouterr().err
 
 
+# magic, version, N, L, active-dims bitmask, stencil order
+CHECKPOINT_HEADER = struct.Struct("<4sIIdBB")
+# per field, in the header's order, values that keep a valid 8^2 order-2 header valid
+# (with its payload) or not; the first valid value is the header's own
+HEADER_VALUES = {
+    "magic": ([b"G2FL"], [b"G2FK", b"\0\0\0\0", b"LF2G"]),
+    "version": ([1], [0, 2, 2**32 - 1]),
+    "n": ([8], [0, 7, 16, 2**31]),
+    "length": (
+        [1.0, 1e-3, 7.5, 1e30],
+        [0.0, -1.0, math.nan, math.inf, -math.inf, 1e45, 1e150, 1e308, 1e-45, 1e-300, 5e-324],
+    ),
+    "bitmask": ([0b11, 0b101, 0b1100000], [0, 0b1, 0b111, 0b10000011, 0b11111111]),
+    "order": ([2, 4], [0, 1, 3, 255]),
+}
+
+
+def checkpoint_bytes(payload, **fields):
+    """A checkpoint of an 8^2 order-2 grid's field u, with the given header fields replaced."""
+    header = {name: good[0] for name, (good, _) in HEADER_VALUES.items()}
+    header.update(fields)
+    return CHECKPOINT_HEADER.pack(*header.values()) + payload.astype("<f8").tobytes()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("length", math.nan),
+        ("length", math.inf),
+        ("length", 1e150),
+        ("length", 1e308),
+        ("length", 1e-300),
+        ("bitmask", 0b10000011),
+    ],
+)
+def test_out_of_range_checkpoint_header_exits_1(tmp_path, capsys, field, value):
+    # each used to end in a traceback, or, for the bitmask, to load as dims (0, 1) and exit 0
+    path = tmp_path / "state.g2fl"
+    path.write_bytes(checkpoint_bytes(random_band_state(Grid(1.0, 8), 0.3).u, **{field: value}))
+    assert main(["diagnose", "--checkpoint", str(path)]) == 1
+    assert "bad checkpoint" in capsys.readouterr().err
+
+
+@st.composite
+def corruptions(draw):
+    """(kind, value, still valid): one header field of a valid 8^2 checkpoint
+    replaced, its file cut at some offset, or one payload value made non-finite."""
+    kind = draw(st.sampled_from((*HEADER_VALUES, "cut", "payload")))
+    if kind == "cut":
+        return kind, draw(st.integers(0, CHECKPOINT_HEADER.size + 8 * 8 * 64 - 1)), False
+    if kind == "payload":
+        spoiler = st.sampled_from([math.nan, math.inf, -math.inf])
+        return kind, draw(st.tuples(st.integers(0, 8 * 64 - 1), spoiler)), False
+    good, bad = HEADER_VALUES[kind]
+    valid = draw(st.booleans())
+    return kind, draw(st.sampled_from(good if valid else bad)), valid
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=corruptions())
+def test_corrupted_checkpoints_exit_0_or_1(tmp_path_factory, case):
+    kind, value, valid = case
+    payload = random_band_state(Grid(length=1.0, n=8), 0.3, seed=1).u
+    if kind == "payload":
+        payload.reshape(-1)[value[0]] = value[1]
+    data = checkpoint_bytes(payload, **({kind: value} if kind in HEADER_VALUES else {}))
+    if kind == "cut":
+        data = data[:value]
+    folder = tmp_path_factory.mktemp("corrupted")
+    path = folder / "state.g2fl"
+    path.write_bytes(data)
+    config = write_config(
+        folder / "resume.json",
+        grid={"length": 1.0, "n": 8},
+        initial={"family": "checkpoint", "checkpoint": str(path)},
+        t_end=4e-4,
+    )
+    for argv, ok in (
+        (["diagnose", "--checkpoint", str(path)], valid),
+        # a run takes the checkpoint only on the grid of its config
+        (["run", "--config", str(config)], valid and value == HEADER_VALUES[kind][0][0]),
+    ):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == (0 if ok else 1), (argv[0], kind, value, err.getvalue())
+        assert ok or "checkpoint" in err.getvalue()
+
+
 def test_rescale_check_subcommand(tmp_path, capsys):
     cfg = write_config(
         tmp_path / "cfg.json",
@@ -429,6 +529,8 @@ def test_rescale_check_rejects_bad_c_and_tol_before_any_run(tmp_path, capsys, mo
         patched.setattr(cli, "run", no_run)
         for flag, value in (
             ("--c", "-1"), ("--c", "0"), ("--c", "nan"), ("--c", "inf"),
+            # c L outside Grid's periods: --c 1e50 used to exit 0 on an infinite cell weight
+            ("--c", "1e50"), ("--c", "1e-50"),
             ("--tol", "nan"), ("--tol", "-1e-9"), ("--tol", "inf"),
         ):
             # the space form of a negative exponent is an argparse usage error, which exits 1 too

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import oracles
@@ -19,6 +20,7 @@ from g2flow.diagnostics import (
     interpolation_monitor,
     monotonicity_residual,
     monotonicity_terms,
+    record_for_state,
     record_for_torsion,
     sup_norm,
     theta,
@@ -686,6 +688,26 @@ def test_record_from_the_active_rows_equals_the_dense_sums(tables, grid):
     # a record takes the rows only: the dense tensor would be read as k rows
     with pytest.raises(ValueError, match="active rows"):
         record_for_torsion(grid, dense, 0.01, 0.0)
+
+
+@pytest.mark.parametrize(
+    "grid, bound",
+    [(Grid(length=1.0, n=128), 5.5), (Grid(length=1.0, n=16, active_dims=(0, 1, 2)), 6.5)],
+    ids=["128^2", "16^3"],
+)
+def test_a_record_after_t0_allocates_little(tables, grid, bound):
+    state = random_band_state(grid, 0.3, seed=2)
+    tracemalloc.start()
+    try:
+        rec = record_for_state(tables, state, 1e-4, sup_t_reference=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert set(rec["shi_quantities"]) == {"m1", "m2"}
+    # the k torsion rows (1.75 u at 128^2, 2.63 u at 16^3), the two derivative
+    # buffers of the Shi sums and k + 3 grid scalars: about 4.2 u and 5.3 u
+    # (a record holding stacked gradients peaked at 6.5 u and 9.5 u)
+    assert peak <= bound * state.u.nbytes
 
 
 def test_sup_norm_takes_the_rank(tables, grid16):

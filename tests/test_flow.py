@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import fx_state, reject_call
-from g2flow import flow
+from g2flow import diagnostics, flow
 from g2flow.algebra import dense_from_sorted, sorted_components
 from g2flow.flow import (
     ConfigError,
@@ -521,6 +521,8 @@ def test_direct_records_carry_theta_entropy_and_ceiling_snapshot(tables, grid16)
         assert rec["theta"][0][0] == [8, 8]
         assert rec["entropy_estimate"] > 0.0
     assert [ev["type"] for ev in traj.events] == ["singularity_suspected"]
+    # the step-2 record trips the ceiling and carries its event
+    assert traj.records[-1]["t"] == 2 * cfg.dt and traj.records[-1]["events"] == traj.events
     # the run stops at its step-2 record and keeps that state as a snapshot
     assert traj.times == [0.0, 2 * cfg.dt]
     phi0 = phi_of_state(tables, single_mode_state(grid16, 0.2).project())
@@ -691,6 +693,35 @@ def test_a_rejected_step_ends_on_the_last_good_state(
     assert np.array_equal(_last_kept(traj), _stepped_twice(tables, cfg))
 
 
+@pytest.mark.parametrize("scheme", ["fx", "direct"])
+@pytest.mark.parametrize("ceiling", [1e300, 1e-6], ids=["no-stop", "ceiling-stop"])
+def test_every_stamped_event_reaches_a_record(tables, grid16, monkeypatch, scheme, ceiling):
+    # records after t = 0 read sup|T| three times over, so the step-2 record
+    # doubles it; its doubling_time used to reach no record, nor did the ceiling's event,
+    # and a record carries the events its own sup|T| trips
+    real = diagnostics.record_for_torsion
+
+    def tripled(grid, rows, t, *args, **kwargs):
+        rec = real(grid, rows, t, *args, **kwargs)
+        if t > 0:
+            rec["sup_T"] *= 3.0
+        return rec
+
+    monkeypatch.setattr(diagnostics, "record_for_torsion", tripled)
+    cfg = _stop_config(grid16, scheme, diagnostics_every=2, t_end=8e-4, torsion_ceiling=ceiling)
+    traj = getattr(run(cfg, tables), scheme)
+    carried = [(i, ev) for i, rec in enumerate(traj.records) for ev in rec["events"]]
+    assert [ev for _, ev in carried] == traj.events
+    assert all("energy" in rec for rec in traj.records)  # no ending record of events alone
+    if ceiling > 1:
+        assert [(i, ev["type"], ev["t"]) for i, ev in carried] == [(1, "doubling_time", 2 * cfg.dt)]
+        assert [rec["t"] for rec in traj.records] == [0.0, 2 * cfg.dt, 4 * cfg.dt]
+    else:  # the step-2 record carries both events and ends the run
+        assert [(i, ev["type"]) for i, ev in carried] == [(1, "doubling_time"), (1, "singularity_suspected")]
+        assert [rec["t"] for rec in traj.records] == [0.0, 2 * cfg.dt]
+        assert all(ev["t"] == 2 * cfg.dt for ev in traj.events)
+
+
 def test_the_ending_record_carries_pending_chart_exits(tables, grid16, tmp_path, monkeypatch):
     from g2flow.grid import save_checkpoint
 
@@ -735,9 +766,10 @@ def test_steppers_leave_their_inputs_unmodified(tables, grid16, integrator):
 
 
 def _poisoned_workspace(grid, frame):
-    # every buffer starts as NaN, so a read before a write shows in the result
+    # every buffer starts as NaN, so a read before a write shows in the result;
+    # the rate buffers are the Laplacian's scratch too
     work = flow._FxWorkspace(grid, frame)
-    buffers = [work.lap, work.term, work.dot]
+    buffers = [work.lap, work.dot]
     for part in work.rk:
         buffers += [b for b in part if b is not None]
     for b in buffers:

@@ -1,5 +1,6 @@
 """Finite-difference calculus on the periodic reduced-dimension lattice."""
 
+import math
 import struct
 
 import numpy as np
@@ -48,6 +49,21 @@ def test_grid_rejects_non_integers(n, dims):
     # a float or bool is never cast: (0.5, 1) would silently become (0, 1)
     with pytest.raises(ValueError):
         Grid(length=1.0, n=n, active_dims=dims)
+
+
+@pytest.mark.parametrize(
+    "length", [math.nan, math.inf, 1e45, 1e100, 1e308, 1e-45, 1e-300, 5e-324]
+)
+def test_grid_rejects_periods_without_a_normal_volume(length):
+    # L^7 or the cell weight h^k L^(7-k) overflows, underflows or is NaN
+    with pytest.raises(ValueError, match="grid period"):
+        Grid(length=length, n=16)
+
+
+def test_grid_accepts_the_extreme_normal_periods():
+    for length in (1e44, 1e-43, 3):
+        grid = Grid(length=length, n=16, active_dims=(0, 1, 2))
+        assert 0 < grid.cell_weight < math.inf and 0 < grid.length**7 < math.inf
 
 
 def test_grid_accepts_numpy_integers():

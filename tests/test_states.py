@@ -14,6 +14,7 @@ from oracles import (
     first_slot_pairs_3,
     full_grid_band_state,
     pair_slices_4,
+    stacked_torsion_rows,
 )
 from g2flow import algebra
 from g2flow.algebra import (
@@ -42,6 +43,7 @@ from g2flow.states import (
     torsion_from_phi,
     torsion_from_sorted,
     torsion_of_state,
+    torsion_rows_of_state,
 )
 
 
@@ -220,6 +222,22 @@ def test_torsion_oracle_equivalence_and_order(tables):
     order2 = math.log2(errs[32] / errs[64])
     assert 1.6 <= order1 <= 2.4
     assert 1.6 <= order2 <= 2.4
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        Grid(length=1.0, n=16, active_dims=(3,)),
+        Grid(length=1.0, n=32, active_dims=(0, 1)),
+        Grid(length=2.0, n=16, active_dims=(1, 4), stencil_order=4),
+        Grid(length=1.0, n=8, active_dims=(0, 2, 5)),
+    ],
+)
+def test_torsion_rows_equal_the_stacked_gradient_formula(tables, grid):
+    # bit for bit, signed zeros included: a single mode leaves most products +-0
+    for state in (random_band_state(grid, 0.4, seed=5), single_mode_state(grid, 0.3)):
+        want = stacked_torsion_rows(state)
+        assert torsion_rows_of_state(tables, state).tobytes() == want.tobytes()
 
 
 def test_single_mode_torsion_sparsity(tables, grid16):
