@@ -363,23 +363,30 @@ def interpolation_monitor(grid: Grid, torsion: np.ndarray, grad_torsion: np.ndar
 def _shi_sups(grid: Grid, rows: np.ndarray) -> tuple[float, float]:
     """(sup|grad T|, sup|grad^2 T|) from the torsion's active rows (the other
     rows vanish, since d_p does there), one row's d_a T and d_b d_a T at a time
-    in two kept buffers, each squared in place once read.  Each derivative's
-    |.|^2 is summed term by term in (p, q) order into its own grid scalar
-    before it joins the total, as ``np.einsum("pq...,pq...->...")`` sums it."""
+    in two kept buffers.  Each derivative's |.|^2 is summed term by term in
+    (p, q) order into its own grid scalar before it joins the total, as
+    ``np.einsum("pq...,pq...->...")`` sums it."""
+
+    def add_sq(d, s, first):
+        # s += sum_q d_q^2 term by term, squaring d in place; the first row's
+        # sum is written by one einsum, which sums from +0 in q order
+        if first:
+            np.einsum("q...,q...->...", d, d, out=s)
+            return
+        for term in np.multiply(d, d, out=d):
+            s += term
+
     sq1 = np.zeros(grid.shape)
     sq2 = np.zeros(grid.shape)
     sums = np.empty((1 + grid.k,) + grid.shape)  # |d_a T|^2, then |d_b d_a T|^2 per b
     da, dba = np.empty_like(rows[0]), np.empty_like(rows[0])
     for a in grid.active_dims:
-        sums.fill(0.0)
-        for row in rows:
+        for p, row in enumerate(rows):
             partial(grid, row, a, out=da)
             for s, b in zip(sums[1:], grid.active_dims):
                 partial(grid, da, b, out=dba)
-                for term in np.multiply(dba, dba, out=dba):
-                    s += term
-            for term in np.multiply(da, da, out=da):
-                sums[0] += term
+                add_sq(dba, s, p == 0)
+            add_sq(da, sums[0], p == 0)
         sq1 += sums[0]
         for s in sums[1:]:
             sq2 += s

@@ -252,17 +252,19 @@ class _FxWorkspace:
 
 
 def _harmonic_map(grid: Grid, u: np.ndarray, out: np.ndarray, work: _FxWorkspace | None = None):
-    """Write the rates of the state field u = (f, X), shape (8, *grid), into
-    ``out`` and return Lap u (held in the workspace, allocated if not given):
+    """Write the lattice rates of the state field u = (f, X), shape (8, *grid),
+    into ``out`` and return the lattice Laplacian N u (held in the workspace,
+    allocated if not given):
 
-    du = Lap u - <u, Lap u> u,
+    s du = N u - <u, N u> u,  N u = s Lap u,  s = grid.laplacian_scale,
 
     the tangent projection of the discrete Laplacian (Alouges, SIAM J.
-    Numer. Anal. 34, 1997), so <u, du> = (1 - |u|^2) <u, Lap u>.  ``out``
-    serves as the Laplacian's scratch before it takes the rates.
+    Numer. Anal. 34, 1997), so <u, du> = (1 - |u|^2) <u, Lap u>.  The rates
+    are du/dt in lattice time t / s, so a step takes s once, through dt / s.
+    ``out`` serves as the Laplacian's scratch before it takes the rates.
     """
     work = work or _FxWorkspace(grid)
-    lu = laplacian(grid, u, work.lap, out)
+    lu = laplacian(grid, u, work.lap, out, lattice=True)
     dot = np.einsum("a...,a...->...", u, lu, out=work.dot)
     np.multiply(dot, u, out=out)
     np.subtract(lu, out, out=out)
@@ -283,11 +285,13 @@ def rhs_fx(
     There df = (Lap f) |X|^2 - f <X, Lap X>, which equals (1/2) <X, Div T>
     (the cross-product term of Div T is orthogonal to X), and dX differs
     from the divergence form Lap X + |grad u|^2 X at the stencil order.
-    Written into ``out`` if given, with the scratch of ``work`` if given.
+    Written into ``out`` if given, with the scratch of ``work`` if given:
+    the lattice rates, divided once by ``grid.laplacian_scale``.
     """
     if out is None:
         out = np.empty_like(state.u)
     _harmonic_map(state.grid, state.u, out, work)
+    out /= state.grid.laplacian_scale
     return out
 
 
@@ -343,13 +347,13 @@ def _rk(rates, y: tuple, dt: float, integrator: str, work=None) -> tuple:
 
 
 def _fx_rates(tables, state, iota, beta, out, work=None) -> None:
-    """Write the rates of (u, iota) into the pair ``out``."""
+    """Write the rates of (u, iota) in lattice time, ``grid.laplacian_scale``
+    times d/dt, into the pair ``out``."""
     du, diota = out
-    if iota is None:
-        rhs_fx(state, du, work)
-        return
     lu = _harmonic_map(state.grid, state.u, du, work)
-    # Div T = 2 (Lap f) X - 2 f Lap X - 2 Lap X x X, from the same Laplacians;
+    if iota is None:
+        return
+    # Div T = 2 (Lap f) X - 2 f Lap X - 2 Lap X x X, from the same lattice Laplacians;
     # the gauge flow uses the evolving structure's own cross product
     divt = 2.0 * lu[0] * state.x - 2.0 * state.f * lu[1:]
     divt -= 2.0 * contract(CROSS_ENTRIES, lu[1:], state.x)
@@ -371,7 +375,10 @@ def step_fx(
 ):
     """One explicit step of the (f, X) system, then constraint projection.
 
-    Returns (projected state, new iota or None, pre-projection defect).
+    Returns (projected state, new iota or None, pre-projection defect).  The
+    defect is NaN or inf exactly when f^2 + |X|^2 is not finite somewhere:
+    when the stepped u holds a NaN or an inf, or its square sum overflows.
+    The stages run in lattice time, so the step is dt / ``grid.laplacian_scale``.
     ``project=False`` skips the normalization, exposing the raw integrator
     for order studies.  ``work`` (``_FxWorkspace(grid, frame=iota is not
     None)``) lets a run reuse its buffers; without it the step allocates one.
@@ -382,12 +389,13 @@ def step_fx(
         u, io = y
         _fx_rates(tables, replace(state, u=u), io, beta, out, work)
 
-    u1, io1 = _rk(rates, (state.u, iota), dt, integrator, work.rk)
+    u1, io1 = _rk(rates, (state.u, iota), dt / state.grid.laplacian_scale, integrator, work.rk)
     new = replace(state, u=u1)
     # constraint_defect() and project() of new, from one f^2 + |X|^2
     norm_sq = new.norm_sq()
     # max |norm_sq - 1| without its two grid temporaries: fl(x - 1) is monotone
-    # in x and fl(1 - x) = -fl(x - 1), so the ends of norm_sq give it exactly
+    # in x and fl(1 - x) = -fl(x - 1), so the ends of norm_sq give it exactly;
+    # a NaN anywhere makes the max NaN, and the defect with it
     defect = max(float(norm_sq.max()) - 1.0, 1.0 - float(norm_sq.min()))
     if project:  # u1 is this step's own array
         np.divide(u1, np.sqrt(norm_sq, out=norm_sq), out=u1)
@@ -501,7 +509,7 @@ def _run_fx(tables: StructureTables, config: FlowConfig, state0: IsometricState)
         new, io, defect = step_fx(
             tables, state, config.dt, config.integrator, io, config.frame_beta, work=work
         )
-        if not np.isfinite(new.u).all():
+        if not math.isfinite(defect):  # the stepped u, or its |u|^2, is not finite
             return None, {"type": "blow_up", "detail": "non-finite state"}
         if defect > config.constraint_abort_tol:
             return None, {"type": "constraint_abort", "defect": defect}

@@ -93,6 +93,12 @@ class Grid:
         return (self.n,) * self.k
 
     @property
+    def laplacian_scale(self) -> float:
+        """The Laplacian stencil's one divisor: h^2 at order 2, 12 h^2 at order 4."""
+        h2 = self.h * self.h
+        return h2 if self.stencil_order == 2 else 12.0 * h2
+
+    @property
     def cell_weight(self) -> float:
         # quadrature weight per grid point: h per active dim, full period
         # per inactive dim
@@ -186,25 +192,30 @@ def partial(grid: Grid, arr: np.ndarray, dim: int, out: np.ndarray | None = None
 
 
 def laplacian(
-    grid: Grid, arr: np.ndarray, out: np.ndarray | None = None, term: np.ndarray | None = None
+    grid: Grid,
+    arr: np.ndarray,
+    out: np.ndarray | None = None,
+    term: np.ndarray | None = None,
+    lattice: bool = False,
 ) -> np.ndarray:
     """Compact central Laplacian: each active direction's neighbour sum
     (u[i+1] + u[i-1], or 16 (u[i+1] + u[i-1]) - u[i+2] - u[i-2] at order 4),
-    added in direction order, minus 2k u (30k u) once, over h^2 (12 h^2) once.
+    added in direction order, minus 2k u (30k u) once, over h^2 (12 h^2,
+    ``grid.laplacian_scale``) once.  With ``lattice`` that division is left
+    out: the stencil in lattice units, ``laplacian_scale`` times Lap u.
     Written into ``out`` if given, with ``term`` (if given) as the scratch of
     the later directions and the centre; neither may overlap ``arr``.  A
     constant's order-2 Laplacian is exactly 0 for k <= 5 only (fl(10c) + 2c
     need not be fl(12c)), its order-4 one only if its neighbour sums are
     exact (u = 1, say)."""
-    h2 = grid.h * grid.h
     if grid.stencil_order == 2:
-        shifts, centre, scale = (1, -1), 2.0 * grid.k, h2
+        shifts, centre = (1, -1), 2.0 * grid.k
 
         def kernel(o, p1, m1):  # u[i+1] + u[i-1]
             np.add(p1, m1, out=o)
 
     else:
-        shifts, centre, scale = (2, 1, -1, -2), 30.0 * grid.k, 12.0 * h2
+        shifts, centre = (2, 1, -1, -2), 30.0 * grid.k
 
         def kernel(o, p2, p1, m1, m2):  # 16 (u[i+1] + u[i-1]) - u[i+2] - u[i-2]
             np.add(p1, m1, out=o)
@@ -223,7 +234,8 @@ def laplacian(
         else:
             out += _periodic(arr, ax, shifts, kernel, term)
     out -= np.multiply(arr, centre, out=term)
-    out /= scale
+    if not lattice:
+        out /= grid.laplacian_scale
     return out
 
 

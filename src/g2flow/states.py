@@ -121,7 +121,9 @@ def single_mode_state(
     if wave_dim is None:
         wave_dim = grid.active_dims[0]
     x = grid.zeros(1)
-    x[component] = amplitude * np.sin(2.0 * np.pi * grid.coordinate(wave_dim) / grid.length)
+    # the phase x_d / L first, as random_band_state takes it: a rescaled grid then
+    # gets the same phases wherever its c h and c L are exact
+    x[component] = amplitude * np.sin(2.0 * np.pi * (grid.coordinate(wave_dim) / grid.length))
     return _state_from_x(grid, x)
 
 

@@ -538,8 +538,11 @@ def test_rescale_check_rejects_bad_c_and_tol_before_any_run(tmp_path, capsys, mo
                 assert main(["rescale-check", "--config", str(cfg), *args]) == 1, args
                 err = capsys.readouterr().err
                 assert err.startswith("configuration error") and flag in err, err
-    # the edge stays valid: c = 2 rescales exactly, within a tolerance of 0
+    # the edge stays valid: c = 2 rescales exactly, within a tolerance of 0, and so
+    # do c = 3 and 1.5, since the step takes h^2 once, through dt / h^2
     assert main(["rescale-check", "--config", str(cfg), "--tol", "0"]) == 0
+    for c in ("3", "1.5"):
+        assert main(["rescale-check", "--config", str(cfg), "--c", c, "--tol", "0"]) == 0, c
 
 
 def test_rescale_check_keeps_config_fields(tmp_path, capsys, monkeypatch):

@@ -100,13 +100,16 @@ def _divergence_form_rhs_fx(tables, state):
 
 
 def _divergence_form_fx_rates(tables, state, iota, beta, out, work=None):
+    # in the step's lattice time: the rates times grid.laplacian_scale
     du, diota = out
     du[0], du[1:] = _divergence_form_rhs_fx(tables, state)
+    du *= state.grid.laplacian_scale
     if iota is None:
         return
     divt = div_torsion_of_state(tables, state)
     phi3 = phi_of_state(tables, state, check=False)
     diota[...] = beta * np.einsum("mlp...,m...,la...->pa...", phi3, divt, iota)
+    diota *= state.grid.laplacian_scale
 
 
 @pytest.mark.parametrize(
@@ -203,8 +206,9 @@ def test_rhs_direct_matches_fx_pushforward(tables):
 
 
 def _pair_form_step_fx(tables, grid, f, x, dt, integrator, iota, beta=0.5):
-    # the stepper with f and X held apart: _rk over the triple (f, X, iota),
-    # then the pre-projection defect and the projection of each part
+    # the stepper with f and X held apart: _rk over the triple (f, X, iota)
+    # in the lattice time of flow._fx_rates, then the pre-projection defect
+    # and the projection of each part
     def rates(y, out):
         f, x, io = y
         du, diota = np.empty((8,) + grid.shape), None if io is None else np.empty_like(io)
@@ -213,12 +217,25 @@ def _pair_form_step_fx(tables, grid, f, x, dt, integrator, iota, beta=0.5):
         if io is not None:
             out[2][...] = diota
 
-    f1, x1, io1 = flow._rk(rates, (f, x, iota), dt, integrator)
+    f1, x1, io1 = flow._rk(rates, (f, x, iota), dt / grid.laplacian_scale, integrator)
     norm_sq = f1 * f1  # then X_0^2 through X_6^2, in that order
     for xm in x1:
         norm_sq = norm_sq + xm * xm
     norm = np.sqrt(norm_sq)
     return f1 / norm, x1 / norm, io1, float(np.max(np.abs(norm_sq - 1.0)))
+
+
+@pytest.mark.parametrize("n,order,exact", [(16, 2, True), (24, 2, False), (16, 4, False)])
+def test_the_lattice_time_step_is_the_du_dt_step(tables, n, order, exact):
+    # RK4 on rhs_fx's du/dt with the step dt gives step_fx's bytes where h^2 is a
+    # power of two, since s = laplacian_scale then scales every product exactly;
+    # elsewhere they part at round-off
+    grid = Grid(length=1.0, n=n, active_dims=(0, 1), stencil_order=order)
+    state = random_band_state(grid, 0.3, seed=6)
+    dt = 0.2 * grid.h * grid.h / (2 * grid.k)
+    (want,) = flow._rk(lambda y, out: rhs_fx(replace(state, u=y[0]), out[0]), (state.u,), dt, "rk4")
+    got = step_fx(tables, state, dt, project=False)[0].u
+    assert np.array_equal(got, want) if exact else np.max(np.abs(got - want)) <= 4e-16
 
 
 @pytest.mark.parametrize("integrator", ["euler", "rk4"])
@@ -669,14 +686,27 @@ def test_a_ceiling_stop_keeps_the_state_that_tripped_it(tables, grid16, scheme, 
     assert np.array_equal(_last_kept(traj), _stepped_twice(tables, cfg))
 
 
+def _spoil_u(value):
+    """Set one value of the integrator's stepped u to ``value``."""
+
+    def spoil(out):
+        out[0][3, 5, 7] = value
+        return out
+
+    return spoil
+
+
 @pytest.mark.parametrize("snapshot_every", [0, 2])
 @pytest.mark.parametrize(
     "scheme, name, spoil, kind",
     [
         ("fx", "step_fx", lambda out: (*out[:2], 1.0), "constraint_abort"),
+        # step_fx reads these from the ends of its f^2 + |X|^2, as it reads a
+        # finite u whose square overflows
+        *[("fx", "_rk", _spoil_u(v), "blow_up") for v in (np.nan, np.inf, -np.inf, 1e200)],
         ("direct", "_step_direct_sorted", lambda s3: np.full_like(s3, np.nan), "blow_up"),
     ],
-    ids=["fx", "direct"],
+    ids=["fx", "fx-nan", "fx-inf", "fx-minus-inf", "fx-overflowing-square", "direct"],
 )
 def test_a_rejected_step_ends_on_the_last_good_state(
     tables, grid16, monkeypatch, snapshot_every, scheme, name, spoil, kind
@@ -685,7 +715,8 @@ def test_a_rejected_step_ends_on_the_last_good_state(
     # is its step's snapshot already, and is kept once
     reject_call(monkeypatch, name, 3, spoil)
     cfg = _stop_config(grid16, scheme, snapshot_every=snapshot_every)
-    traj = getattr(run(cfg, tables), scheme)
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = getattr(run(cfg, tables), scheme)
     assert [ev["type"] for ev in traj.events] == [kind]
     assert traj.events[0]["t"] == 2 * cfg.dt
     assert traj.records[-1] == {"t": 2 * cfg.dt, "events": traj.events}

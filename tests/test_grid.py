@@ -279,6 +279,9 @@ def test_stencils_write_into_given_buffers(order, dims, rng):
     out, term = np.full_like(arr, np.nan), np.full_like(arr, np.nan)
     assert laplacian(g, arr, out, term) is out
     assert out.tobytes() == laplacian(g, arr).tobytes()
+    # in lattice units the stencil stops before its one division by laplacian_scale
+    lattice = laplacian(g, arr, lattice=True)
+    assert (lattice / g.laplacian_scale).tobytes() == out.tobytes()
     # the divergence of the active rows alone equals that of the dense tensor
     t = g.zeros(2)
     t[list(dims)] = rng.standard_normal((g.k, 7) + g.shape)
