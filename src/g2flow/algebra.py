@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
+    "PHI",
+    "PSI",
     "StructureTables",
     "build_standard_tables",
     "validate_tables",
@@ -218,6 +219,25 @@ def _metric_entries_of(v: int) -> tuple:
 METRIC_ENTRIES_BY_V = tuple(_metric_entries_of(v) for v in range(7))
 
 
+def hodge_star_3(alpha: np.ndarray) -> np.ndarray:
+    """Flat Hodge star of a 3-form (dense components), giving a 4-form."""
+    return dense_from_sorted(star_sorted_3(sorted_components(alpha, 3)), 4)
+
+
+def hodge_star_4(beta: np.ndarray) -> np.ndarray:
+    """Flat Hodge star of a 4-form, giving a 3-form; inverse of hodge_star_3."""
+    return dense_from_sorted(_gather(sorted_components(beta, 4), _STAR[4]), 3)
+
+
+# The reference 3-form phi = e012 + e034 + e056 + e135 - e146 - e236 - e245, from its
+# sorted components (the base triples are sorted), and psi = *phi, dense and read-only:
+# the flow keeps this one structure for its whole life
+PHI = _gather(np.array([dict(_BASE_TRIPLES).get(t, 0) for t in _SORTED3]), _DENSE[3]).reshape(7, 7, 7)
+PSI = np.rint(hodge_star_3(PHI)).astype(np.int64)
+PHI.setflags(write=False)
+PSI.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class StructureTables:
     """Integer structure constants of the reference G2-structure.
@@ -231,32 +251,14 @@ class StructureTables:
     psi: np.ndarray
 
 
-@lru_cache(maxsize=1)
 def build_standard_tables() -> StructureTables:
-    """Tables for phi = e012 + e034 + e056 + e135 - e146 - e236 - e245."""
-    phi = np.zeros((7, 7, 7), dtype=np.int64)
-    for triple, val in _BASE_TRIPLES:
-        for perm in itertools.permutations(range(3)):
-            phi[tuple(triple[i] for i in perm)] = val * _parity(perm)
-    psi = np.rint(hodge_star_3(phi)).astype(np.int64)
-    phi.setflags(write=False)
-    psi.setflags(write=False)
-    return StructureTables(phi=phi, psi=psi)
+    """The tables of PHI and PSI."""
+    return StructureTables(phi=PHI, psi=PSI)
 
 
-def hodge_star_3(alpha: np.ndarray) -> np.ndarray:
-    """Flat Hodge star of a 3-form (dense components), giving a 4-form."""
-    return dense_from_sorted(star_sorted_3(sorted_components(alpha, 3)), 4)
-
-
-def hodge_star_4(beta: np.ndarray) -> np.ndarray:
-    """Flat Hodge star of a 4-form, giving a 3-form; inverse of hodge_star_3."""
-    return dense_from_sorted(_gather(sorted_components(beta, 4), _STAR[4]), 3)
-
-
-def cross(tables: StructureTables, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Cross product (x × y)_k = x_a y_b phi_abk; broadcasts over trailing axes."""
-    return np.einsum("abk,a...,b...->k...", tables.phi, x, y)
+    return np.einsum("abk,a...,b...->k...", PHI, x, y)
 
 
 def diamond(h: np.ndarray, phi3: np.ndarray) -> np.ndarray:

@@ -120,8 +120,7 @@ def load_config(path: str) -> FlowConfig:
 
 
 def cmd_validate_tables(args) -> int:
-    tables = build_standard_tables()
-    report = validate_tables(tables)
+    report = validate_tables(build_standard_tables())
     width = max(len(name) for name, _ in report)
     print(f"{'identity':<{width}}  defect")
     for name, defect in report:
@@ -204,7 +203,7 @@ def cmd_diagnose(args) -> int:
     except (OSError, ValueError) as exc:
         raise ConfigError(f"bad checkpoint {args.checkpoint}: {exc}") from exc
     state = IsometricState(grid=grid, u=u)
-    rows = torsion_rows_of_state(build_standard_tables(), state)
+    rows = torsion_rows_of_state(state)
     # one theta probe, at the torsion's peak, and the entropy, both at scale (L/8)^2
     sigma = (grid.length / 8.0) ** 2
     peak = np.argmax(np.einsum("pq...,pq...->...", rows, rows))
@@ -241,7 +240,11 @@ def cmd_rescale_check(args) -> int:
     # only the fx route is compared, so a "both" config integrates it alone
     config = replace(config, scheme="fx")
     rescaled = parabolic_rescale(run(config).fx, c)
-    second = run(replace(config, grid=big_grid, dt=c * c * config.dt, t_end=c * c * config.t_end))
+    initial = config.initial
+    if initial.family == "localized":  # the bump's width is a length: it scales with L
+        initial = replace(initial, width=c * initial.width)
+    big = replace(config, grid=big_grid, initial=initial, dt=c * c * config.dt, t_end=c * c * config.t_end)
+    second = run(big)
     if len(second.fx.states) != len(rescaled.states):
         print(
             f"rescale-check c={c}: the rescaled run kept {len(second.fx.states)} "

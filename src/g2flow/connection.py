@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import StructureTables, diamond
+from .algebra import PHI, StructureTables, diamond
 from .grid import Grid, div2, grad_vector, laplacian, partial
 from .states import (
     IsometricState,
@@ -183,7 +183,7 @@ def reaction_diffusion_residual(
     grid = traj.grid
 
     def mixed(j):
-        t = torsion_of_state(tables, traj.states[j])
+        t = torsion_of_state(traj.states[j])
         return t, np.einsum("im...,ma...->ia...", t, traj.frames[j])
 
     t_prev, m_prev = mixed(index - 1)
@@ -214,9 +214,9 @@ def torsion_evolution_residual(
     """
     index = _interior_index(traj, index)
     grid = traj.grid
-    t_prev = torsion_of_state(tables, traj.states[index - 1])
-    t_mid = torsion_of_state(tables, traj.states[index])
-    t_next = torsion_of_state(tables, traj.states[index + 1])
+    t_prev = torsion_of_state(traj.states[index - 1])
+    t_mid = torsion_of_state(traj.states[index])
+    t_next = torsion_of_state(traj.states[index + 1])
     dt2 = traj.times[index + 1] - traj.times[index - 1]
     resid = (t_next - t_prev) / dt2 - laplacian(grid, t_mid)
     if include_gradient_term:
@@ -268,7 +268,7 @@ def lie_decomposition_residual(
     grid = state.grid
     phi3 = phi_of_state(tables, state)
     psi4 = psi_of_state(tables, state)
-    torsion = torsion_of_state(tables, state)
+    torsion = torsion_of_state(state)
     lhs = lie_derivative_phi(grid, y, phi3)
 
     gy = grad_vector(grid, y)
@@ -297,7 +297,7 @@ def first_variation_residual(
     grid = state.grid
     phi3 = phi_of_state(tables, state)
     psi4 = psi_of_state(tables, state)
-    torsion = torsion_of_state(tables, state)
+    torsion = torsion_of_state(state)
     pert = np.einsum("p...,pijk...->ijk...", v, psi4)
     # raises DegenerateFormError if eps pushed the form out of the cone
     metric_from_phi(phi3 + eps * pert)
@@ -311,10 +311,7 @@ def first_variation_residual(
 
 
 def second_variation_pointwise_defect(
-    tables: StructureTables,
-    grad_x: np.ndarray,
-    torsion: np.ndarray,
-    x: np.ndarray,
+    grad_x: np.ndarray, torsion: np.ndarray, x: np.ndarray
 ) -> np.ndarray:
     """Pointwise defect of the twisted-gradient identity
 
@@ -324,11 +321,11 @@ def second_variation_pointwise_defect(
     with (D X)_kp = (grad X)_kp - (1/2) T_km X_l phi_mlp.  The identity is
     algebraic and holds for arbitrary (grad X, T, X) triples.
     """
-    twist = np.einsum("km...,l...,mlp->kp...", torsion, x, tables.phi)
+    twist = np.einsum("km...,l...,mlp->kp...", torsion, x, PHI)
     dx = grad_x - 0.5 * twist
     lhs = np.einsum("kp...,kp...->...", dx, dx)
     rhs = np.einsum("kp...,kp...->...", grad_x, grad_x)
-    rhs -= np.einsum("km...,kp...,l...,mlp->...", torsion, grad_x, x, tables.phi)
+    rhs -= np.einsum("km...,kp...,l...,mlp->...", torsion, grad_x, x, PHI)
     tsq = np.einsum("km...,km...->...", torsion, torsion)
     xsq = np.einsum("l...,l...->...", x, x)
     ttxx = np.einsum("km...,kl...,m...,l...->...", torsion, torsion, x, x)
@@ -337,7 +334,6 @@ def second_variation_pointwise_defect(
 
 
 def shrinker_soliton_residual(
-    tables: StructureTables,
     state: IsometricState,
     center: tuple[int, ...],
     t0: float,
@@ -353,7 +349,7 @@ def shrinker_soliton_residual(
     if t >= t0:
         raise ValueError("shrinker residual requires t < t0")
     grid = state.grid
-    torsion = torsion_of_state(tables, state)
+    torsion = torsion_of_state(state)
     divt = div2(grid, torsion)
     scale = 0.5 / (t0 - t)
     pulled = np.zeros(torsion.shape[1:])
@@ -374,7 +370,7 @@ def soliton_residual(
     """
     grid = state.grid
     phi3 = phi_of_state(tables, state)
-    torsion = torsion_of_state(tables, state)
+    torsion = torsion_of_state(state)
     divt = div2(grid, torsion)
     gx0 = grad_vector(grid, x0)
     curl = np.einsum("ij...,ijm...->m...", gx0, phi3)

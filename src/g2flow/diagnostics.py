@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import StructureTables
 from .grid import Grid, div2, integrate, partial
 from .states import IsometricState, torsion_of_state, torsion_rows_of_state
 
@@ -55,15 +54,13 @@ CENTERS_PER_AXIS = 8
 class HeatKernelSpec:
     """Backwards heat kernel centered at a grid point, final time t0.
 
-    ``center`` holds one grid index per active dimension.  ``image_radius``
-    is the minimum wrapped-Gaussian truncation radius in periods; the sum
-    is automatically extended whenever more images are needed to keep the
-    kernel mass within 1e-8 of 1.
+    ``center`` holds one grid index per active dimension.  The image sum
+    runs over at least ``IMAGE_RADIUS`` periods each way, and over more
+    whenever more images are needed to keep the kernel mass within 1e-8 of 1.
     """
 
     center: tuple[int, ...]
     t0: float
-    image_radius: int = IMAGE_RADIUS
 
 
 def energy(grid: Grid, torsion: np.ndarray) -> float:
@@ -108,19 +105,19 @@ def _kernel_axes(grid: Grid, spec: HeatKernelSpec, t: float):
     if len(spec.center) != grid.k:
         raise ValueError("kernel center needs one index per active dimension")
     axes = [
-        _wrapped_parts(grid.length, tau, grid.displacement(c), spec.image_radius)
+        _wrapped_parts(grid.length, tau, grid.displacement(c), IMAGE_RADIUS)
         for c in spec.center
     ]
     return tau, axes
 
 
-def _product_kernel(grid: Grid, tables, out=None) -> np.ndarray:
+def _product_kernel(grid: Grid, tables) -> np.ndarray:
     """((L^-(7-k) w_0) w_1) ..., one outer product per active axis in axis order; only
-    the last spans the grid, written into ``out`` if given.  Every kernel here but the
-    entropy's uses it; ``entropy`` forms the same products from its tables' heads."""
+    the last spans the grid.  Every kernel here but the entropy's uses it; ``entropy``
+    forms the same products from its tables' heads."""
     u = grid.length ** -(7 - grid.k)
-    for axis, w in enumerate(tables, 1):
-        u = np.multiply.outer(u, w, out=out if axis == grid.k else None)
+    for w in tables:
+        u = np.multiply.outer(u, w)
     return u
 
 
@@ -152,10 +149,11 @@ def theta(grid: Grid, torsion: np.ndarray, spec: HeatKernelSpec, t: float) -> fl
     return tau * integrate(grid, np.einsum("pq...,pq...->...", torsion, torsion) * u)
 
 
-def _inactive_hessian_integral(length: float, tau: float, radius: int, m: int = 4096) -> float:
+def _inactive_hessian_integral(length: float, tau: float) -> float:
     """I = 1/(2 tau) - int_0^L w'^2 / w  (exponentially small for tau << L^2)."""
+    m = 4096  # midpoint-rule points
     d = (np.arange(m) + 0.5) * length / m - length / 2
-    w, wp, _ = _wrapped_parts(length, tau, d, radius)
+    w, wp, _ = _wrapped_parts(length, tau, d, IMAGE_RADIUS)
     j = float(np.sum(wp * wp / w)) * length / m
     return 1.0 / (2.0 * tau) - j
 
@@ -183,7 +181,7 @@ def monotonicity_terms(
         dim: grid.along(dim, wpp / w - (wp / w) ** 2 + 1.0 / (2.0 * tau))
         for dim, (w, wp, wpp) in zip(grid.active_dims, axes)
     }
-    i_eta = _inactive_hessian_integral(grid.length, tau, spec.image_radius)
+    i_eta = _inactive_hessian_integral(grid.length, tau)
     j_eta = 1.0 / (2.0 * tau) - i_eta
 
     divt = div2(grid, torsion)
@@ -208,9 +206,7 @@ def monotonicity_terms(
     }
 
 
-def monotonicity_residual(
-    tables: StructureTables, traj, spec: HeatKernelSpec
-) -> list[dict]:
+def monotonicity_residual(traj, spec: HeatKernelSpec) -> list[dict]:
     """Centered d(theta)/dt minus the identity's right-hand side, per snapshot.
 
     ``traj`` needs at least three stored states; entries are produced for
@@ -219,7 +215,7 @@ def monotonicity_residual(
     if traj.states is None or len(traj.states) < 3:
         raise ValueError("need at least 3 stored states for centered time differences")
     grid = traj.grid
-    torsions = [torsion_of_state(tables, s) for s in traj.states]
+    torsions = [torsion_of_state(s) for s in traj.states]
     thetas = [theta(grid, T, spec, tm) for T, tm in zip(torsions, traj.times)]
     out = []
     for j in range(1, len(torsions) - 1):
@@ -437,7 +433,7 @@ def record_for_torsion(
     return rec
 
 
-def record_for_state(tables: StructureTables, state: IsometricState, t: float, **options) -> dict:
+def record_for_state(state: IsometricState, t: float, **options) -> dict:
     """``record_for_torsion`` of the state's torsion rows, at time t."""
-    rows = torsion_rows_of_state(tables, state)
+    rows = torsion_rows_of_state(state)
     return record_for_torsion(state.grid, rows, t, state.constraint_defect(), **options)

@@ -28,6 +28,7 @@ from .algebra import (
     DIV_PSI_ENTRIES,
     INTERIOR_ENTRIES,
     StructureTables,
+    build_standard_tables,
     contract,
     dense_from_sorted,
     sorted_components,
@@ -107,6 +108,8 @@ class FlowConfig:
                     raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.dt <= 0 or self.t_end <= 0:
             raise ConfigError("dt and t_end must be positive")
+        if not math.isfinite(self.t_end / self.dt):  # n_steps rounds it to an int
+            raise ConfigError(f"t_end / dt overflows: t_end {self.t_end!r}, dt {self.dt!r}")
         if self.integrator not in ("euler", "rk4"):
             raise ConfigError(f"unknown integrator {self.integrator!r}")
         if self.scheme not in ("fx", "direct", "both"):
@@ -271,9 +274,7 @@ def _harmonic_map(grid: Grid, u: np.ndarray, out: np.ndarray, work: _FxWorkspace
     return lu
 
 
-def rhs_fx(
-    state: IsometricState, out: np.ndarray | None = None, work: _FxWorkspace | None = None
-) -> np.ndarray:
+def rhs_fx(state: IsometricState, out: np.ndarray | None = None) -> np.ndarray:
     """Rate du/dt = (df/dt, dX/dt) of the parabolic system, shape (8, *grid).
 
     On the flat torus it is the harmonic-map heat flow of u = (f, X) into
@@ -285,12 +286,12 @@ def rhs_fx(
     There df = (Lap f) |X|^2 - f <X, Lap X>, which equals (1/2) <X, Div T>
     (the cross-product term of Div T is orthogonal to X), and dX differs
     from the divergence form Lap X + |grad u|^2 X at the stencil order.
-    Written into ``out`` if given, with the scratch of ``work`` if given:
-    the lattice rates, divided once by ``grid.laplacian_scale``.
+    Written into ``out`` if given (C-ordered, as the stencils write): the
+    lattice rates, divided once by ``grid.laplacian_scale``.
     """
     if out is None:
-        out = np.empty_like(state.u)
-    _harmonic_map(state.grid, state.u, out, work)
+        out = np.empty(state.u.shape)
+    _harmonic_map(state.grid, state.u, out)
     out /= state.grid.laplacian_scale
     return out
 
@@ -408,11 +409,9 @@ def step_direct(
     phi: np.ndarray,
     dt: float,
     integrator: str = "rk4",
-    metric_tol: float | None = None,
 ) -> np.ndarray:
-    """One explicit step of the direct 3-form flow."""
+    """One explicit step of the direct 3-form flow; ``tables`` is not read."""
     s3 = sorted_components(phi, 3)
-    require_isometric(s3, metric_tol)
     return dense_from_sorted(_step_direct_sorted(grid, s3, dt, integrator), 3)
 
 
@@ -525,7 +524,7 @@ def _run_fx(tables: StructureTables, config: FlowConfig, state0: IsometricState)
         traj,
         (state0, iota),
         advance,
-        lambda y, t, **options: diag.record_for_state(tables, y[0], t, **options),
+        lambda y, t, **options: diag.record_for_state(y[0], t, **options),
         keep,
         min_f=lambda y: float(np.min(y[0].f)),
     )
@@ -569,12 +568,10 @@ def _run_direct(config: FlowConfig, s30: np.ndarray) -> Trajectory:
     )
 
 
-def run(config: FlowConfig, tables: StructureTables | None = None) -> RunResult:
+def run(config: FlowConfig) -> RunResult:
     """Execute a configured flow and return the trajectory (or trajectories)."""
-    from .algebra import build_standard_tables
-
     config.validate()
-    tables = tables or build_standard_tables()
+    tables = build_standard_tables()
     state0 = initial_state(config).project()  # both routes start from this one copy
     result = RunResult()
     if config.scheme in ("fx", "both"):

@@ -144,6 +144,8 @@ def _periodic(arr: np.ndarray, ax: int, shifts: tuple, kernel, out: np.ndarray) 
     near the ends of ``ax``; the wrapped edges are then rewritten run by run,
     each run one slice per shift.
     """
+    if not out.flags.c_contiguous:  # its flattened pass would write into a copy
+        raise ValueError("a stencil writes only into a C-contiguous out")
     n, before, after = arr.shape[ax], -min(shifts), max(shifts)
     inner = math.prod(arr.shape[ax + 1:])
     flat, flat_out = np.ascontiguousarray(arr).reshape(-1), out.reshape(-1)
@@ -162,7 +164,7 @@ def _periodic(arr: np.ndarray, ax: int, shifts: tuple, kernel, out: np.ndarray) 
 
 def partial(grid: Grid, arr: np.ndarray, dim: int, out: np.ndarray | None = None) -> np.ndarray:
     """Central difference along ``dim``; zero when the direction is inactive.
-    Written into ``out`` if given (it must not overlap ``arr``)."""
+    Written into ``out`` if given (C-contiguous, not overlapping ``arr``)."""
     if dim not in grid.active_dims:
         if out is None:
             return np.zeros_like(arr)
@@ -204,10 +206,10 @@ def laplacian(
     ``grid.laplacian_scale``) once.  With ``lattice`` that division is left
     out: the stencil in lattice units, ``laplacian_scale`` times Lap u.
     Written into ``out`` if given, with ``term`` (if given) as the scratch of
-    the later directions and the centre; neither may overlap ``arr``.  A
-    constant's order-2 Laplacian is exactly 0 for k <= 5 only (fl(10c) + 2c
-    need not be fl(12c)), its order-4 one only if its neighbour sums are
-    exact (u = 1, say)."""
+    the later directions and the centre; both C-contiguous, neither overlapping
+    ``arr``.  A constant's order-2 Laplacian is exactly 0 for k <= 5 only
+    (fl(10c) + 2c need not be fl(12c)), its order-4 one only if its neighbour
+    sums are exact (u = 1, say)."""
     if grid.stencil_order == 2:
         shifts, centre = (1, -1), 2.0 * grid.k
 

@@ -25,6 +25,7 @@ import numpy as np
 from .algebra import (
     CROSS_ENTRIES,
     METRIC_ENTRIES_BY_V,
+    PHI,
     TORSION_ENTRIES,
     _AXES,
     StructureTables,
@@ -99,10 +100,10 @@ class IsometricState:
         """Normalize u pointwise back onto the unit sphere."""
         return replace(self, u=self.u / np.sqrt(self.norm_sq()))
 
-    def require_valid(self, tol: float = CONSTRAINT_TOL) -> None:
+    def require_valid(self) -> None:
         defect = self.constraint_defect()
-        if not np.isfinite(defect) or defect > tol:
-            raise InvalidStateError(f"constraint defect {defect:g} exceeds {tol:g}")
+        if not np.isfinite(defect) or defect > CONSTRAINT_TOL:
+            raise InvalidStateError(f"constraint defect {defect:g} exceeds {CONSTRAINT_TOL:g}")
 
 
 def _state_from_x(grid: Grid, x: np.ndarray) -> IsometricState:
@@ -155,20 +156,15 @@ def random_band_state(
 
 
 def localized_state(
-    grid: Grid,
-    amplitude: float,
-    component: int = 2,
-    width: float = 0.1,
-    center: tuple[int, ...] | None = None,
+    grid: Grid, amplitude: float, component: int = 2, width: float = 0.1
 ) -> IsometricState:
-    """X = a * (periodized Gaussian bump) e_c, for localized-energy studies."""
+    """X = a * (periodized Gaussian bump) e_c, centered at the grid index n/2
+    on every active axis, for localized-energy studies."""
     if not 0 <= amplitude <= 0.9:
         raise ValueError("amplitude must lie in [0, 0.9] to stay inside the chart")
-    if center is None:
-        center = (grid.n // 2,) * grid.k
     bump = np.ones(grid.shape)
-    for pos, dim in enumerate(grid.active_dims):
-        d = grid.lifted_displacement(dim, center[pos])
+    for dim in grid.active_dims:
+        d = grid.lifted_displacement(dim, grid.n // 2)
         factor = np.zeros(grid.shape)
         for image in range(-2, 3):
             factor += np.exp(-((d + image * grid.length) ** 2) / (2.0 * width**2))
@@ -210,15 +206,13 @@ def phi_of_state(
     return dense_from_sorted(sorted_phi_of_state(tables, state, check), 3)
 
 
-def psi_of_state(
-    tables: StructureTables, state: IsometricState, check: bool = True
-) -> np.ndarray:
+def psi_of_state(tables: StructureTables, state: IsometricState) -> np.ndarray:
     """4-form of the state, psi = *phi with the flat Hodge star (every state
     induces the flat metric), expanded from the 35 sorted components of phi."""
-    return dense_from_sorted(star_sorted_3(sorted_phi_of_state(tables, state, check)), 4)
+    return dense_from_sorted(star_sorted_3(sorted_phi_of_state(tables, state)), 4)
 
 
-def torsion_rows_of_state(tables: StructureTables, state: IsometricState) -> np.ndarray:
+def torsion_rows_of_state(state: IsometricState) -> np.ndarray:
     """The active rows T_p. of the state's torsion, evaluated directly from (f, X):
 
     -2 d_p X_m X_l phi_mlq + 2 d_p f X_q - 2 f d_p X_q
@@ -230,7 +224,7 @@ def torsion_rows_of_state(tables: StructureTables, state: IsometricState) -> np.
     grid = state.grid
     f, x = state.f, state.x
     rows = np.empty((grid.k, 7) + grid.shape)
-    du = np.empty_like(state.u)
+    du = np.empty(state.u.shape)  # C-ordered, as partial writes
     gfx = np.empty_like(x)
     two_f = 2.0 * f
     for row, dim in zip(rows, grid.active_dims):
@@ -256,13 +250,13 @@ def _scatter_rows(grid: Grid, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def torsion_of_state(tables: StructureTables, state: IsometricState) -> np.ndarray:
+def torsion_of_state(state: IsometricState) -> np.ndarray:
     """Torsion 2-tensor of the state, shape (7, 7, *grid): the rows of
     ``torsion_rows_of_state``, with exact zeros in the rows of inactive p."""
-    return _scatter_rows(state.grid, torsion_rows_of_state(tables, state))
+    return _scatter_rows(state.grid, torsion_rows_of_state(state))
 
 
-def div_torsion_of_state(tables: StructureTables, state: IsometricState) -> np.ndarray:
+def div_torsion_of_state(state: IsometricState) -> np.ndarray:
     """Divergence of the state's torsion, from the closed-form expression:
 
     2 (Lap f) X_q - 2 f (Lap X)_q - 2 (Lap X)_l X_m phi_lmq
@@ -274,7 +268,7 @@ def div_torsion_of_state(tables: StructureTables, state: IsometricState) -> np.n
     f, x = state.f, state.x
     lx = laplacian(grid, x)
     lf = laplacian(grid, f)
-    out = -2.0 * np.einsum("l...,m...,lmq->q...", lx, x, tables.phi)
+    out = -2.0 * np.einsum("l...,m...,lmq->q...", lx, x, PHI)
     out += 2.0 * lf * x
     out -= 2.0 * f * lx
     return out

@@ -40,12 +40,12 @@ def _ratio(coarse: float, fine: float) -> float:
     return coarse / max(fine, 1e-300)
 
 
-def residual_trajectory(n: int, dt: float, steps: int, amplitude: float = 0.3, seed: int = 7):
+def residual_trajectory(n: int, dt: float, steps: int):
     """Short, densely-snapshotted run used by the refinement studies."""
     grid = Grid(length=1.0, n=n, active_dims=(0, 1), stencil_order=2)
     config = FlowConfig(
         grid=grid,
-        initial=InitialSpec(family="random_band", amplitude=amplitude, seed=seed),
+        initial=InitialSpec(family="random_band", amplitude=0.3, seed=7),
         dt=dt,
         t_end=steps * dt,
         integrator="rk4",
@@ -62,12 +62,11 @@ def residual_trajectory(n: int, dt: float, steps: int, amplitude: float = 0.3, s
 
 
 def _identities_suite() -> list[tuple[str, float, float, bool]]:
-    tables = build_standard_tables()
-    rows = [(name, float(d), 0.5, d == 0) for name, d in validate_tables(tables)]
+    rows = [(name, float(d), 0.5, d == 0) for name, d in validate_tables(build_standard_tables())]
     rng = np.random.default_rng(3)
     x, y = rng.standard_normal((2, 7))
-    c = cross(tables, x, y)
-    anti = float(np.max(np.abs(c + cross(tables, y, x))))
+    c = cross(x, y)
+    anti = float(np.max(np.abs(c + cross(y, x))))
     rows.append(("cross_antisymmetry", anti, 1e-12, anti <= 1e-12))
     orth = abs(float(c @ x)) + abs(float(c @ y))
     rows.append(("cross_orthogonality", orth, 1e-12, orth <= 1e-12))
@@ -77,7 +76,7 @@ def _identities_suite() -> list[tuple[str, float, float, bool]]:
     gx = rng.standard_normal((7, 7, 1000))
     tt = rng.standard_normal((7, 7, 1000))
     xx = rng.standard_normal((7, 1000))
-    d = float(np.max(np.abs(second_variation_pointwise_defect(tables, gx, tt, xx))))
+    d = float(np.max(np.abs(second_variation_pointwise_defect(gx, tt, xx))))
     scale = float(np.max(np.abs(gx)) ** 2 + np.max(np.abs(tt)) ** 2 * np.max(np.abs(xx)) ** 2)
     rows.append(("second_variation_identity", d / scale, 1e-12, d / scale <= 1e-12))
     return rows
@@ -104,7 +103,7 @@ def _evolution_suite() -> list[tuple[str, float, float, bool]]:
         state = traj.states[idx]
         return sup_norm(
             bianchi_residual(
-                traj.grid, torsion_of_state(tables, state), phi_of_state(tables, state)
+                traj.grid, torsion_of_state(state), phi_of_state(tables, state)
             ),
             3,
         )
@@ -145,7 +144,7 @@ def _connection_suite() -> list[tuple[str, float, float, bool]]:
     def compat_sup(n):
         grid = Grid(length=1.0, n=n, active_dims=(0, 1))
         state = random_band_state(grid, 0.4, seed=21)
-        torsion = torsion_of_state(tables, state)
+        torsion = torsion_of_state(state)
         phi3 = phi_of_state(tables, state)
         frame = identity_frame(grid)
         s1 = random_band_state(grid, 0.5, seed=31).x
@@ -162,7 +161,7 @@ def _connection_suite() -> list[tuple[str, float, float, bool]]:
     # quadratic-in-alpha coefficient of the connection Laplacian
     grid = Grid(length=1.0, n=16, active_dims=(0, 1))
     state = random_band_state(grid, 0.4, seed=21)
-    torsion = torsion_of_state(tables, state)
+    torsion = torsion_of_state(state)
     phi3 = phi_of_state(tables, state)
     rng = np.random.default_rng(2)
     a2 = rng.standard_normal((7, 7))[..., None, None] * np.ones((7, 7) + grid.shape)

@@ -85,7 +85,7 @@ def test_criterion_03_torsion_oracle_convergence_order():
     for n in (16, 32, 64):
         grid = Grid(length=1.0, n=n, active_dims=(0, 1))
         state = random_band_state(grid, amplitude=0.3, max_mode=1, seed=7)
-        t_state = torsion_of_state(TABLES, state)
+        t_state = torsion_of_state(state)
         t_phi = torsion_from_phi(grid, phi_of_state(TABLES, state), metric_tol=1e-6)
         errs[n] = float(np.max(np.abs(t_state - t_phi)))
     orders = [math.log2(errs[16] / errs[32]), math.log2(errs[32] / errs[64])]
@@ -111,7 +111,7 @@ def test_criterion_04_gradient_flow_law():
         cfl_safety=0.5,
         diagnostics_every=5,
     )
-    traj = run(cfg, TABLES).fx
+    traj = run(cfg).fx
     assert not traj.events
     recs = traj.records
     energies = [r["energy"] for r in recs]
@@ -143,7 +143,7 @@ def test_criterion_05_scheme_cross_check():
             cfl_safety=0.9,
             diagnostics_every=200,
         )
-        res = run(cfg, TABLES)
+        res = run(cfg)
         assert not res.fx.events and not res.direct.events
         assert res.fx.times[-1] == pytest.approx(res.direct.times[-1])
         phi_fx = phi_of_state(TABLES, res.fx.states[-1])
@@ -171,7 +171,7 @@ def test_criterion_06_decay_rate():
         cfl_safety=0.9,
         diagnostics_every=10,
     )
-    recs = run(cfg, TABLES).fx.records
+    recs = run(cfg).fx.records
     lam = (2.0 * math.pi / grid.length) ** 2
     assert max(r["sup_T"] for r in recs) ** 2 <= lam / 14.0
     out = decay_rate(
@@ -227,7 +227,7 @@ def test_criterion_08_evolution_and_bianchi_verification():
         state = traj.states[idx]
         return sup_norm(
             bianchi_residual(
-                traj.grid, torsion_of_state(TABLES, state), phi_of_state(TABLES, state)
+                traj.grid, torsion_of_state(state), phi_of_state(TABLES, state)
             ),
             3,
         )
@@ -252,7 +252,7 @@ def test_criterion_09_second_variation_identity():
     grad_x = rng.standard_normal((7, 7, n_samples))
     torsion = rng.standard_normal((7, 7, n_samples))
     x = rng.standard_normal((7, n_samples))
-    defect = second_variation_pointwise_defect(TABLES, grad_x, torsion, x)
+    defect = second_variation_pointwise_defect(grad_x, torsion, x)
     scale = (
         np.einsum("kp...,kp...->...", grad_x, grad_x)
         + np.einsum("km...,km...->...", torsion, torsion)
@@ -274,17 +274,17 @@ def test_criterion_10_rescaling():
         cfl_safety=0.9,
         snapshot_every=5,
     )
-    base = run(cfg, TABLES).fx
+    base = run(cfg).fx
     resc = parabolic_rescale(base, 2.0)
     big = replace(cfg, grid=replace(grid, length=2.0), dt=4.0 * cfg.dt, t_end=4.0 * cfg.t_end)
-    second = run(big, TABLES).fx
+    second = run(big).fx
     worst = 0.0
     for a, b in zip(resc.states, second.states):
         worst = max(worst, float(np.max(np.abs(a.f - b.f))), float(np.max(np.abs(a.x - b.x))))
     assert worst <= 1e-10  # scheme-equivalence tolerance; exact for c = 2
 
-    t_orig = torsion_of_state(TABLES, base.states[0])
-    t_resc = torsion_of_state(TABLES, resc.states[0])
+    t_orig = torsion_of_state(base.states[0])
+    t_resc = torsion_of_state(resc.states[0])
     th1 = theta(base.grid, t_orig, HeatKernelSpec(center=(4, 11), t0=0.01), 0.0)
     th2 = theta(resc.grid, t_resc, HeatKernelSpec(center=(4, 11), t0=0.04), 0.0)
     assert th2 == pytest.approx(th1, rel=1e-6)
@@ -311,10 +311,10 @@ def test_criterion_11_monotonicity():
             snapshot_every=1,
             diagnostics_every=steps,
         )
-        traj = run(cfg, TABLES).fx
+        traj = run(cfg).fx
         assert not traj.events
         spec = HeatKernelSpec(center=(n // 2, n // 2), t0=steps * dt + (1.0 / 8.0) ** 2)
-        rows = monotonicity_residual(TABLES, traj, spec)
+        rows = monotonicity_residual(traj, spec)
         return rows[len(rows) // 2]
 
     row16 = study(16, 2e-4, 8)

@@ -100,12 +100,12 @@ def test_form_norms_under_inner_convention(tables):
     assert form_inner(tables.psi.astype(float), tables.psi.astype(float), 4) == pytest.approx(7.0)
 
 
-def test_cross_basis_vectors(tables):
+def test_cross_basis_vectors():
     e = np.eye(7)
-    assert np.allclose(cross(tables, e[0], e[0]), 0.0)
+    assert np.allclose(cross(e[0], e[0]), 0.0)
     # read off the table: e0 x e1 = e2 under the convention
-    assert np.allclose(cross(tables, e[0], e[1]), e[2])
-    assert np.allclose(cross(tables, e[1], e[0]), -e[2])
+    assert np.allclose(cross(e[0], e[1]), e[2])
+    assert np.allclose(cross(e[1], e[0]), -e[2])
 
 
 def brute_cross(tables, x, y):
@@ -119,9 +119,9 @@ def brute_cross(tables, x, y):
 @given(finite_vec, finite_vec)
 def test_cross_matches_brute_force_and_is_orthogonal(x, y):
     tables = build_standard_tables()
-    c = cross(tables, x, y)
+    c = cross(x, y)
     assert np.allclose(c, brute_cross(tables, x, y), atol=1e-12)
-    assert np.allclose(c, -cross(tables, y, x), atol=1e-12)
+    assert np.allclose(c, -cross(y, x), atol=1e-12)
     assert abs(np.dot(c, x)) <= 1e-10 * (1 + np.abs(x).max() ** 2 * (1 + np.abs(y).max()))
     assert abs(np.dot(c, y)) <= 1e-10 * (1 + np.abs(y).max() ** 2 * (1 + np.abs(x).max()))
 
@@ -131,7 +131,7 @@ def test_cross_matches_brute_force_and_is_orthogonal(x, y):
 def test_cross_norm_identity(x, y):
     # |x X y|^2 = |x|^2|y|^2 - <x,y>^2 - psi(x,y,x,y); brute-force both sides
     tables = build_standard_tables()
-    c = cross(tables, x, y)
+    c = cross(x, y)
     lhs = float(c @ c)
     psi_term = float(np.einsum("ijab,i,j,a,b->", tables.psi, x, y, x, y))
     rhs = float((x @ x) * (y @ y) - (x @ y) ** 2 - psi_term)
@@ -300,7 +300,7 @@ def test_contract_matches_dense_slices_at_a_single_point(rng):
     assert np.allclose(b, w @ (w @ p.T).T, rtol=0, atol=1e-12)
 
 
-def test_cross_entries_are_the_nonzero_products_of_cross(tables, rng):
+def test_cross_entries_are_the_nonzero_products_of_cross(rng):
     # 42 products, one per pair a != k; summed by contract, they give the dense
     # einsum's bytes, signed zeros included
     assert CROSS_ENTRIES[0] == 7 and len(CROSS_ENTRIES[1]) == 42
@@ -311,7 +311,7 @@ def test_cross_entries_are_the_nonzero_products_of_cross(tables, rng):
         x, y = rng.standard_normal((7,) + shape), rng.standard_normal((7,) + shape)
         x[2], x[3] = 0.0, -0.0
         got = contract(CROSS_ENTRIES, x, y)
-        assert got.tobytes() == np.asarray(cross(tables, x, y)).tobytes()
+        assert got.tobytes() == np.asarray(cross(x, y)).tobytes()
 
 
 def test_contract_writes_into_a_given_out(rng):

@@ -217,6 +217,19 @@ def test_nonfinite_config_values_exit_1(tmp_path, capsys):
         assert "configuration error" in capsys.readouterr().err, name
 
 
+def test_an_overflowing_step_count_exits_1_without_a_traceback(tmp_path, capsys):
+    # t_end / dt overflows to inf, which FlowConfig.n_steps cannot round to an int
+    cfg = tmp_path / "steps.json"
+    cfg.write_text(
+        json.dumps({"grid": {"length": 1.0, "n": 8, "active_dims": [0]}, "dt": 1e-10, "t_end": 1e308})
+    )
+    for argv in (["run", "--config", str(cfg)], ["rescale-check", "--config", str(cfg)]):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and "t_end / dt" in err, err
+        assert "Traceback" not in err, err
+
+
 def test_config_fields_take_only_their_json_type(tmp_path, capsys):
     # a string is not a bool, a bool is not a number, and a fraction is not
     # an integer: each exits 1 and names its field
@@ -539,8 +552,15 @@ def test_rescale_check_rejects_bad_c_and_tol_before_any_run(tmp_path, capsys, mo
                 err = capsys.readouterr().err
                 assert err.startswith("configuration error") and flag in err, err
     # the edge stays valid: c = 2 rescales exactly, within a tolerance of 0, and so
-    # do c = 3 and 1.5, since the step takes h^2 once, through dt / h^2
-    assert main(["rescale-check", "--config", str(cfg), "--tol", "0"]) == 0
+    # do c = 3 and 1.5, since the step takes h^2 once, through dt / h^2; a localized
+    # bump rescales exactly too, its width being a length that scales with c
+    localized = write_config(
+        tmp_path / "localized.json",
+        initial={"family": "localized", "amplitude": 0.2, "width": 0.15},
+        snapshot_every=5,
+    )
+    for config in (cfg, localized):
+        assert main(["rescale-check", "--config", str(config), "--tol", "0"]) == 0, config
     for c in ("3", "1.5"):
         assert main(["rescale-check", "--config", str(cfg), "--c", c, "--tol", "0"]) == 0, c
 

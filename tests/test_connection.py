@@ -29,7 +29,7 @@ from g2flow.states import (
 )
 
 
-def residual_run(tables, n, dt, steps, amplitude=0.3, seed=7, track_frame=True):
+def residual_run(n, dt, steps, amplitude=0.3, seed=7, track_frame=True):
     grid = Grid(length=1.0, n=n, active_dims=(0, 1))
     cfg = FlowConfig(
         grid=grid,
@@ -42,7 +42,7 @@ def residual_run(tables, n, dt, steps, amplitude=0.3, seed=7, track_frame=True):
         diagnostics_every=steps,
         track_frame=track_frame,
     )
-    traj = run(cfg, tables).fx
+    traj = run(cfg).fx
     assert not traj.events, traj.events
     return traj
 
@@ -59,7 +59,7 @@ def test_D_metric_compatibility_refines(tables):
     def compat(n):
         g = Grid(length=1.0, n=n, active_dims=(0, 1))
         s = random_band_state(g, 0.4, seed=21)
-        torsion = torsion_of_state(tables, s)
+        torsion = torsion_of_state(s)
         phi3 = phi_of_state(tables, s)
         frame = identity_frame(g)
         s1 = random_band_state(g, 0.5, seed=31).x
@@ -77,7 +77,7 @@ def test_alpha_term_cancels_in_compatibility_pointwise(tables, grid16, rng):
     # the twist contribution to d<s1,s2> cancels exactly by antisymmetry:
     # constant sections make the derivative terms vanish identically
     s = random_band_state(grid16, 0.4, seed=21)
-    torsion = torsion_of_state(tables, s)
+    torsion = torsion_of_state(s)
     phi3 = phi_of_state(tables, s)
     frame = identity_frame(grid16)
     c1 = np.broadcast_to(rng.standard_normal(7)[:, None, None], (7,) + grid16.shape).copy()
@@ -107,7 +107,7 @@ def test_one_third_twist_makes_structure_parallel(tables):
         g = Grid(length=1.0, n=n, active_dims=(0, 1))
         s = random_band_state(g, 0.4, seed=5)
         phi3 = phi_of_state(tables, s)
-        torsion = torsion_of_state(tables, s)
+        torsion = torsion_of_state(s)
         frame = identity_frame(g, alpha=alpha)
         worst = 0.0
         for dim in g.active_dims:
@@ -128,7 +128,7 @@ def test_laplacian_D_alpha_zero_identity_frame(tables, grid16, rng):
     a2 = a2 * (1.0 + random_band_state(grid16, 0.4, seed=9).x[0])
     frame = identity_frame(grid16, alpha=0.0)
     s = random_band_state(grid16, 0.3, seed=2)
-    out = laplacian_D(grid16, frame, torsion_of_state(tables, s), phi_of_state(tables, s), a2)
+    out = laplacian_D(grid16, frame, torsion_of_state(s), phi_of_state(tables, s), a2)
     assert np.allclose(out, laplacian(grid16, a2))
 
 
@@ -136,7 +136,7 @@ def test_laplacian_D_double_application_oracle(tables):
     def defect(n):
         g = Grid(length=1.0, n=n, active_dims=(0, 1))
         s = random_band_state(g, 0.4, seed=21)
-        torsion = torsion_of_state(tables, s)
+        torsion = torsion_of_state(s)
         phi3 = phi_of_state(tables, s)
         frame = identity_frame(g)
         rng = np.random.default_rng(2)
@@ -156,7 +156,7 @@ def test_laplacian_D_double_application_oracle(tables):
 
 def test_laplacian_D_quadratic_alpha_coefficient(tables, grid16, rng):
     s = random_band_state(grid16, 0.4, seed=21)
-    torsion = torsion_of_state(tables, s)
+    torsion = torsion_of_state(s)
     phi3 = phi_of_state(tables, s)
     a2 = rng.standard_normal((7, 7))[:, :, None, None] * np.ones((7, 7) + grid16.shape)
     lap0, lap_half, lap_one = (
@@ -171,7 +171,7 @@ def test_laplacian_D_quadratic_alpha_coefficient(tables, grid16, rng):
     assert sup_norm(fitted + 0.5 * quad_mixed, 2) <= 1e-10 * max(1.0, sup_norm(quad_mixed, 2))
 
 
-def run_frame(tables, grid, dt, integrator, initial, steps=1):
+def run_frame(grid, dt, integrator, initial, steps=1):
     """The frames a track_frame run co-evolves with its states."""
     cfg = FlowConfig(
         grid=grid,
@@ -182,26 +182,26 @@ def run_frame(tables, grid, dt, integrator, initial, steps=1):
         scheme="fx",
         track_frame=True,
     )
-    traj = run(cfg, tables).fx
+    traj = run(cfg).fx
     assert not traj.events, traj.events
     return traj.frames
 
 
-def test_run_frame_fixed_without_divergence(tables, grid16):
+def test_run_frame_fixed_without_divergence(grid16):
     # the reference state has Div T = 0, so d(iota)/dt = beta (Div T) x iota vanishes
-    frames = run_frame(tables, grid16, 1e-4, "rk4", InitialSpec(amplitude=0.0), steps=3)
+    frames = run_frame(grid16, 1e-4, "rk4", InitialSpec(amplitude=0.0), steps=3)
     assert len(frames) == 2
     for iota in frames:
         assert np.array_equal(iota, identity_frame(grid16).iota)
 
 
-def test_run_frame_drift_orders(tables, grid16):
+def test_run_frame_drift_orders(grid16):
     # the frame ODE is orthogonal, so a step's drift from it is the
     # integrator's error: O(dt^2) per Euler step, far smaller under RK4
     initial = InitialSpec(family="random_band", amplitude=0.2, seed=5)
 
     def drift(dt, integrator):
-        iota = run_frame(tables, grid16, dt, integrator, initial)[-1]
+        iota = run_frame(grid16, dt, integrator, initial)[-1]
         return FrameField(iota=iota).orthogonality_defect()
 
     d1, d2 = drift(2e-5, "euler"), drift(1e-5, "euler")
@@ -227,7 +227,7 @@ def test_frame_beta_third_freezes_pullback(tables):
             track_frame=True,
             frame_beta=beta,
         )
-        traj = run(cfg, tables).fx
+        traj = run(cfg).fx
         assert not traj.events
 
         def pull(j):
@@ -243,8 +243,8 @@ def test_frame_beta_third_freezes_pullback(tables):
 
 
 def test_reaction_diffusion_residual_refines_and_negative_control(tables):
-    coarse = residual_run(tables, 16, 2e-4, 8)
-    fine = residual_run(tables, 32, 1e-4, 16)
+    coarse = residual_run(16, 2e-4, 8)
+    fine = residual_run(32, 1e-4, 16)
     r_c = sup_norm(reaction_diffusion_residual(tables, coarse, index=4), 2)
     r_f = sup_norm(reaction_diffusion_residual(tables, fine, index=8), 2)
     assert r_c / r_f >= 3.0
@@ -264,7 +264,7 @@ def test_reaction_diffusion_requires_frames_and_snapshots(tables, grid16):
         snapshot_every=1,
         cfl_safety=0.9,
     )
-    traj = run(cfg, tables).fx
+    traj = run(cfg).fx
     with pytest.raises(ValueError):
         reaction_diffusion_residual(tables, traj)
 
@@ -280,14 +280,14 @@ def test_torsion_free_run_residuals_vanish(tables, grid16):
         track_frame=True,
         cfl_safety=0.9,
     )
-    traj = run(cfg, tables).fx
+    traj = run(cfg).fx
     assert sup_norm(reaction_diffusion_residual(tables, traj), 2) == 0.0
     assert sup_norm(torsion_evolution_residual(tables, traj), 2) == 0.0
 
 
 def test_torsion_evolution_residual_refines_and_ablation(tables):
-    coarse = residual_run(tables, 16, 2e-4, 8, track_frame=False)
-    fine = residual_run(tables, 32, 1e-4, 16, track_frame=False)
+    coarse = residual_run(16, 2e-4, 8, track_frame=False)
+    fine = residual_run(32, 1e-4, 16, track_frame=False)
     r_c = sup_norm(torsion_evolution_residual(tables, coarse, index=4), 2)
     r_f = sup_norm(torsion_evolution_residual(tables, fine, index=8), 2)
     assert r_c / r_f >= 3.0
@@ -362,34 +362,34 @@ def test_first_variation_trivial_and_refines(tables):
     assert abs(sup_res(16, 1e-3) - sup_res(16, 5e-4)) <= 1e-9 * sup_res(16, 1e-3)
 
 
-def test_second_variation_identity_trivial_and_field(tables, grid16, rng):
+def test_second_variation_identity_trivial_and_field(grid16, rng):
     x = random_band_state(grid16, 0.5, seed=3).x
     zero_t = grid16.zeros(2)
     gx = grad_vector(grid16, x)
-    assert sup_norm(second_variation_pointwise_defect(tables, gx, zero_t, x), 0) <= 1e-14
+    assert sup_norm(second_variation_pointwise_defect(gx, zero_t, x), 0) <= 1e-14
     t2 = rng.standard_normal((7, 7) + grid16.shape)
-    defect = second_variation_pointwise_defect(tables, gx, t2, x)
+    defect = second_variation_pointwise_defect(gx, t2, x)
     scale = sup_norm(t2, 2) ** 2 * sup_norm(x, 1) ** 2 + 1.0
     assert np.max(np.abs(defect)) <= 1e-12 * scale
-    assert np.max(np.abs(second_variation_pointwise_defect(tables, grid16.zeros(2)[..., 0], t2[..., 0], np.zeros((7,) + (grid16.n,))))) <= 1e-14
+    assert np.max(np.abs(second_variation_pointwise_defect(grid16.zeros(2)[..., 0], t2[..., 0], np.zeros((7,) + (grid16.n,))))) <= 1e-14
 
 
 def test_soliton_residuals_trivial(tables, grid16):
     ref = fx_state(grid16, np.ones(grid16.shape), grid16.zeros(1))
-    assert sup_norm(shrinker_soliton_residual(tables, ref, (8, 8), t0=1.0, t=0.0), 1) == 0.0
+    assert sup_norm(shrinker_soliton_residual(ref, (8, 8), t0=1.0, t=0.0), 1) == 0.0
     x0 = grid16.zeros(1)
     assert sup_norm(soliton_residual(tables, ref, x0), 1) == 0.0
     # constant state with arbitrary center and time
     x = grid16.zeros(1)
     x[5] = 0.3
     const = fx_state(grid16, np.sqrt(0.91) * np.ones(grid16.shape), x)
-    assert sup_norm(shrinker_soliton_residual(tables, const, (3, 12), t0=0.7, t=0.2), 1) == 0.0
+    assert sup_norm(shrinker_soliton_residual(const, (3, 12), t0=0.7, t=0.2), 1) == 0.0
 
 
-def test_soliton_residual_generic_nonzero(tables, grid16):
+def test_soliton_residual_generic_nonzero(grid16):
     s = random_band_state(grid16, 0.3, seed=5)
-    res = shrinker_soliton_residual(tables, s, (8, 8), t0=0.1, t=0.0)
+    res = shrinker_soliton_residual(s, (8, 8), t0=0.1, t=0.0)
     assert np.isfinite(res).all()
     assert sup_norm(res, 1) > 0.0
     with pytest.raises(ValueError):
-        shrinker_soliton_residual(tables, s, (8, 8), t0=0.0, t=0.1)
+        shrinker_soliton_residual(s, (8, 8), t0=0.0, t=0.1)

@@ -43,7 +43,7 @@ def test_energy_examples(tables, grid32):
     assert energy(grid32, t) == pytest.approx(grid32.length**7 / 4.0)
 
 
-def test_energy_rescaling_power(tables, grid32):
+def test_energy_rescaling_power(grid32):
     # a c-rescaled snapshot has energy c^5 E: |T|^2 scales by c^-2, volume by c^7
     from g2flow.flow import FlowConfig, InitialSpec, run
 
@@ -56,10 +56,10 @@ def test_energy_rescaling_power(tables, grid32):
         snapshot_every=1,
         cfl_safety=0.9,
     )
-    traj = run(cfg, tables).fx
+    traj = run(cfg).fx
     resc = parabolic_rescale(traj, 2.0)
-    e1 = energy(traj.grid, torsion_of_state(tables, traj.states[0]))
-    e2 = energy(resc.grid, torsion_of_state(tables, resc.states[0]))
+    e1 = energy(traj.grid, torsion_of_state(traj.states[0]))
+    e2 = energy(resc.grid, torsion_of_state(resc.states[0]))
     assert e2 == pytest.approx(2.0**5 * e1, rel=1e-12)
 
 
@@ -128,16 +128,16 @@ def test_theta_trivial_cases(grid32):
         theta(grid32, t, spec, 0.02)
 
 
-def test_theta_nonnegative_and_linear_in_energy_density(tables, grid32):
+def test_theta_nonnegative_and_linear_in_energy_density(grid32):
     s = random_band_state(grid32, 0.3, seed=5)
-    t2 = torsion_of_state(tables, s)
+    t2 = torsion_of_state(s)
     spec = HeatKernelSpec(center=(16, 16), t0=0.01)
     th = theta(grid32, t2, spec, 0.0)
     assert th >= 0.0
     assert theta(grid32, np.sqrt(2.0) * t2, spec, 0.0) == pytest.approx(2.0 * th)
 
 
-def test_theta_parabolic_rescaling_invariance(tables, grid16):
+def test_theta_parabolic_rescaling_invariance(grid16):
     cfg = FlowConfig(
         grid=grid16,
         initial=InitialSpec(family="random_band", amplitude=0.3, seed=3),
@@ -147,10 +147,10 @@ def test_theta_parabolic_rescaling_invariance(tables, grid16):
         snapshot_every=1,
         cfl_safety=0.9,
     )
-    traj = run(cfg, tables).fx
+    traj = run(cfg).fx
     resc = parabolic_rescale(traj, 2.0)
-    t1 = torsion_of_state(tables, traj.states[0])
-    t2 = torsion_of_state(tables, resc.states[0])
+    t1 = torsion_of_state(traj.states[0])
+    t2 = torsion_of_state(resc.states[0])
     th1 = theta(traj.grid, t1, HeatKernelSpec(center=(4, 11), t0=0.01), 0.0)
     th2 = theta(resc.grid, t2, HeatKernelSpec(center=(4, 11), t0=0.04), 0.0)
     assert th2 == pytest.approx(th1, rel=1e-6)
@@ -166,9 +166,9 @@ def test_entropy_trivial_and_uniform(tables, grid16):
     assert out.scale == pytest.approx(0.02)
 
 
-def test_entropy_rescaling_invariance(tables, grid16):
+def test_entropy_rescaling_invariance(grid16):
     s = random_band_state(grid16, 0.3, seed=3)
-    t1 = torsion_of_state(tables, s)
+    t1 = torsion_of_state(s)
     cfg = FlowConfig(
         grid=grid16,
         initial=InitialSpec(family="random_band", amplitude=0.3, seed=3),
@@ -178,9 +178,9 @@ def test_entropy_rescaling_invariance(tables, grid16):
         snapshot_every=1,
         cfl_safety=0.9,
     )
-    traj = run(cfg, tables).fx
+    traj = run(cfg).fx
     resc = parabolic_rescale(traj, 2.0)
-    t2 = torsion_of_state(tables, resc.states[0])
+    t2 = torsion_of_state(resc.states[0])
     e1 = entropy(entropy_tables(grid16, 0.01), t1)
     e2 = entropy(entropy_tables(resc.grid, 0.04), t2)
     assert e2.value == pytest.approx(e1.value, rel=1e-6)
@@ -348,7 +348,7 @@ def test_entropy_builds_one_table_per_scale_and_sampled_index(monkeypatch, grid3
 
 
 @pytest.mark.parametrize("scheme", ["fx", "direct"])
-def test_a_run_builds_the_entropy_tables_once(monkeypatch, tables, grid32, scheme):
+def test_a_run_builds_the_entropy_tables_once(monkeypatch, grid32, scheme):
     calls = _count_wrapped_parts(monkeypatch)
     dt = 0.2 * grid32.h * grid32.h / (2 * grid32.k)
     cfg = FlowConfig(
@@ -360,7 +360,7 @@ def test_a_run_builds_the_entropy_tables_once(monkeypatch, tables, grid32, schem
         diagnostics_every=2,
         entropy_sigma=0.01,
     )
-    traj = getattr(run(cfg, tables), scheme)
+    traj = getattr(run(cfg), scheme)
     assert len(traj.records) == 5
     assert all(rec["entropy_estimate"] > 0 for rec in traj.records)
     # 12 scales x 8 sampled indices for the whole run, not for each of its 5 records
@@ -376,7 +376,7 @@ def test_a_run_builds_the_entropy_tables_once(monkeypatch, tables, grid32, schem
     ],
     ids=["1-D", "2-D", "3-D"],
 )
-def test_records_reusing_the_tables_equal_the_entropy_oracle_per_snapshot(tables, grid):
+def test_records_reusing_the_tables_equal_the_entropy_oracle_per_snapshot(grid):
     sigma = 0.015625
     dt = 0.2 * grid.h * grid.h / (2 * grid.k)
     cfg = FlowConfig(
@@ -389,9 +389,9 @@ def test_records_reusing_the_tables_equal_the_entropy_oracle_per_snapshot(tables
         snapshot_every=2,
         entropy_sigma=sigma,
     )
-    result = run(cfg, tables)
+    result = run(cfg)
     routes = [
-        (result.fx, [torsion_rows_of_state(tables, s) for s in result.fx.states]),
+        (result.fx, [torsion_rows_of_state(s) for s in result.fx.states]),
         (result.direct, [torsion_rows_from_sorted(grid, s3) for s3 in result.direct.sorted_phis]),
     ]
     for traj, snapshots in routes:
@@ -471,7 +471,7 @@ def test_entropy_starts_each_kernel_from_the_tables_heads(monkeypatch, grid):
     )
 
 
-def test_monotonicity_residual_refines_and_sign(tables):
+def test_monotonicity_residual_refines_and_sign():
     def study(n, dt, steps):
         g = Grid(length=1.0, n=n, active_dims=(0, 1))
         cfg = FlowConfig(
@@ -484,10 +484,10 @@ def test_monotonicity_residual_refines_and_sign(tables):
             snapshot_every=1,
             diagnostics_every=steps,
         )
-        traj = run(cfg, tables).fx
+        traj = run(cfg).fx
         assert not traj.events
         spec = HeatKernelSpec(center=(n // 2, n // 2), t0=steps * dt + (1.0 / 8.0) ** 2)
-        rows = monotonicity_residual(tables, traj, spec)
+        rows = monotonicity_residual(traj, spec)
         return rows[len(rows) // 2]
 
     r16 = study(16, 2e-4, 8)
@@ -505,7 +505,7 @@ def test_monotonicity_terms_zero_for_zero_torsion(tables, grid16):
     assert terms["term1"] == 0.0 and terms["term2"] == 0.0
 
 
-def test_monotonicity_residual_needs_snapshots(tables, grid16):
+def test_monotonicity_residual_needs_snapshots(grid16):
     cfg = FlowConfig(
         grid=grid16,
         initial=InitialSpec(family="single_mode", amplitude=0.1),
@@ -515,22 +515,22 @@ def test_monotonicity_residual_needs_snapshots(tables, grid16):
         snapshot_every=0,
         cfl_safety=0.9,
     )
-    traj = run(cfg, tables).fx
+    traj = run(cfg).fx
     with pytest.raises(ValueError):
-        monotonicity_residual(tables, traj, HeatKernelSpec(center=(8, 8), t0=1.0))
+        monotonicity_residual(traj, HeatKernelSpec(center=(8, 8), t0=1.0))
 
 
-def test_hessian_correction_small_at_localized_scale(tables, grid32):
+def test_hessian_correction_small_at_localized_scale(grid32):
     # at t0 - t = (L/8)^2 the kernel Hessian term is orders below the
     # gradient term for localized data
     s = localized_state(grid32, 0.2, width=0.2)
-    t2 = torsion_of_state(tables, s)
+    t2 = torsion_of_state(s)
     spec = HeatKernelSpec(center=(16, 16), t0=(1.0 / 8.0) ** 2)
     terms = monotonicity_terms(grid32, t2, spec, 0.0)
     assert abs(terms["term2"]) <= 1e-2 * abs(terms["term1"])
 
 
-def test_decay_rate_paths(tables, grid32):
+def test_decay_rate_paths(grid32):
     # torsion-free: divergence identically zero, rate undefined
     out = decay_rate([0.0, 0.1], [0.0, 0.0], [0.0, 0.0], 1.0)
     assert out["hypothesis_ok"] and out["rate"] is None
@@ -547,7 +547,7 @@ def test_decay_rate_paths(tables, grid32):
         cfl_safety=0.9,
         diagnostics_every=10,
     )
-    recs = run(cfg, tables).fx.records
+    recs = run(cfg).fx.records
     out = decay_rate(
         [r["t"] for r in recs],
         [r["div_T_l2"] for r in recs],
@@ -562,9 +562,9 @@ def test_decay_rate_paths(tables, grid32):
     assert all(b <= a * (1 + 1e-10) for a, b in zip(series, series[1:]))
 
 
-def test_interpolation_monitor_consistency(tables, grid32):
+def test_interpolation_monitor_consistency(grid32):
     s = random_band_state(grid32, 0.3, seed=5)
-    t2 = torsion_of_state(tables, s)
+    t2 = torsion_of_state(s)
     gt = np.stack([partial(grid32, t2, d) for d in grid32.active_dims])
     out = interpolation_monitor(grid32, t2, gt, eps=0.5 * sup_norm(t2, 2))
     assert out["consistent"]
@@ -572,7 +572,7 @@ def test_interpolation_monitor_consistency(tables, grid32):
     assert zero["consistent"] and zero["energy"] == 0.0
 
 
-def test_shi_monitor_bounded_along_run(tables, grid32):
+def test_shi_monitor_bounded_along_run(grid32):
     cfg = FlowConfig(
         grid=grid32,
         initial=InitialSpec(family="single_mode", amplitude=0.2),
@@ -581,7 +581,7 @@ def test_shi_monitor_bounded_along_run(tables, grid32):
         scheme="fx",
         cfl_safety=0.9,
     )
-    records = run(cfg, tables).fx.records
+    records = run(cfg).fx.records
     # the Shi quantities sup|grad^m T| t^(m/2) / sup|T(0)| of every record after t = 0
     assert "shi_quantities" not in records[0]
     rows = [rec["shi_quantities"] for rec in records[1:]]
@@ -591,14 +591,14 @@ def test_shi_monitor_bounded_along_run(tables, grid32):
     assert max(r["m2"] for r in rows) < 10.0
 
 
-def test_shi_sups_match_stacked_gradients(tables):
+def test_shi_sups_match_stacked_gradients():
     from g2flow.diagnostics import _shi_sups
 
     for grid in (
         Grid(length=1.0, n=8, active_dims=(0, 2, 5)),
         Grid(length=1.0, n=16, active_dims=(0, 1), stencil_order=4),
     ):
-        torsion = torsion_of_state(tables, random_band_state(grid, 0.4, seed=3))
+        torsion = torsion_of_state(random_band_state(grid, 0.4, seed=3))
         g1 = np.stack([partial(grid, torsion, d) for d in grid.active_dims])
         g2 = np.stack([partial(grid, g1, d) for d in grid.active_dims])
         m1 = float(np.sqrt(np.max(np.sum(g1 * g1, axis=(0, 1, 2)))))
@@ -618,10 +618,10 @@ def test_shi_sups_match_stacked_gradients(tables):
         Grid(length=1.0, n=8, active_dims=(0, 2, 5)),
     ],
 )
-def test_shi_sups_equal_all_rows_sums(tables, grid):
+def test_shi_sups_equal_all_rows_sums(grid):
     from g2flow.diagnostics import _shi_sups
 
-    torsion = torsion_of_state(tables, random_band_state(grid, 0.4, seed=5))
+    torsion = torsion_of_state(random_band_state(grid, 0.4, seed=5))
     # the same sums over all seven rows p, zero rows included
     sq1 = np.zeros(grid.shape)
     sq2 = np.zeros(grid.shape)
@@ -636,7 +636,7 @@ def test_shi_sups_equal_all_rows_sums(tables, grid):
     assert want[0] > 0 and want[1] > 0
 
 
-def test_records_have_contracted_keys(tables, grid16):
+def test_records_have_contracted_keys(grid16):
     cfg = FlowConfig(
         grid=grid16,
         initial=InitialSpec(family="single_mode", amplitude=0.1),
@@ -647,7 +647,7 @@ def test_records_have_contracted_keys(tables, grid16):
         theta_probes=(((8, 8), 0.5),),
         entropy_sigma=0.01,
     )
-    traj = run(cfg, tables).fx
+    traj = run(cfg).fx
     rec = traj.records[-1]
     for key in ("t", "energy", "sup_T", "div_T_l2", "constraint_defect", "events"):
         assert key in rec
@@ -665,8 +665,8 @@ def test_records_have_contracted_keys(tables, grid16):
         Grid(length=1.0, n=8, active_dims=(0, 2, 5)),
     ],
 )
-def test_record_from_the_active_rows_equals_the_dense_sums(tables, grid):
-    dense = torsion_of_state(tables, random_band_state(grid, 0.4, seed=5))
+def test_record_from_the_active_rows_equals_the_dense_sums(grid):
+    dense = torsion_of_state(random_band_state(grid, 0.4, seed=5))
     rows = dense[list(grid.active_dims)]
     center, t0, sigma = (grid.n // 2,) * grid.k, 0.05, 0.01
     kernels = entropy_tables(grid, sigma)
@@ -695,11 +695,11 @@ def test_record_from_the_active_rows_equals_the_dense_sums(tables, grid):
     [(Grid(length=1.0, n=128), 5.5), (Grid(length=1.0, n=16, active_dims=(0, 1, 2)), 6.5)],
     ids=["128^2", "16^3"],
 )
-def test_a_record_after_t0_allocates_little(tables, grid, bound):
+def test_a_record_after_t0_allocates_little(grid, bound):
     state = random_band_state(grid, 0.3, seed=2)
     tracemalloc.start()
     try:
-        rec = record_for_state(tables, state, 1e-4, sup_t_reference=1.0)
+        rec = record_for_state(state, 1e-4, sup_t_reference=1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -710,8 +710,8 @@ def test_a_record_after_t0_allocates_little(tables, grid, bound):
     assert peak <= bound * state.u.nbytes
 
 
-def test_sup_norm_takes_the_rank(tables, grid16):
-    dense = torsion_of_state(tables, random_band_state(grid16, 0.4, seed=5))
+def test_sup_norm_takes_the_rank(grid16):
+    dense = torsion_of_state(random_band_state(grid16, 0.4, seed=5))
     rows = dense[list(grid16.active_dims)]
     # (2, 7, n, n) is a rank-2 field: the norm sums all 14 components of a point
     assert sup_norm(rows, 2) == sup_norm(dense, 2)

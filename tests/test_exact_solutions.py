@@ -68,7 +68,7 @@ def great_circle_errors(tables, order, project=True):
         state, _ = evolve(tables, great_circle(grid, 0.0), T_END / steps, steps, project)
         errs.append(float(np.max(np.abs(state.u - great_circle(grid, T_END).u))))
         exact = great_circle_energy(grid, T_END)
-        energy_errs.append(abs(energy(grid, torsion_rows_of_state(tables, state)) - exact) / exact)
+        energy_errs.append(abs(energy(grid, torsion_rows_of_state(state)) - exact) / exact)
     return errs, energy_errs
 
 

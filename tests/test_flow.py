@@ -28,6 +28,7 @@ from g2flow.states import (
     random_band_state,
     single_mode_state,
     torsion_of_state,
+    torsion_rows_of_state,
 )
 
 
@@ -82,6 +83,16 @@ def test_rhs_constraint_drift_is_round_off():
         assert np.max(np.abs(drift)) <= 16 * np.finfo(float).eps * scale, (n, dims, order)
 
 
+def test_a_state_with_a_transposed_layout_gives_the_same_rates_and_torsion(grid16):
+    # the rates and the torsion rows write their stencils into C-ordered buffers,
+    # not into buffers laid out like u, which the stencils refuse
+    s = random_band_state(grid16, 0.3, seed=3)
+    strided = replace(s, u=np.ascontiguousarray(np.swapaxes(s.u, 1, 2)).swapaxes(1, 2))
+    assert np.array_equal(strided.u, s.u) and not strided.u.flags.c_contiguous
+    assert rhs_fx(strided).tobytes() == rhs_fx(s).tobytes()
+    assert torsion_rows_of_state(strided).tobytes() == torsion_rows_of_state(s).tobytes()
+
+
 def test_small_amplitude_rhs_is_heat_equation(tables, grid32):
     s = single_mode_state(grid32, 1e-4)
     dx = rhs_fx(s)[1:]
@@ -89,11 +100,11 @@ def test_small_amplitude_rhs_is_heat_equation(tables, grid32):
     assert np.max(np.abs(dx - lx)) <= 1e-6 * np.max(np.abs(lx))
 
 
-def _divergence_form_rhs_fx(tables, state):
+def _divergence_form_rhs_fx(state):
     # the (f, X) rates written through the torsion divergence:
     # df = (1/2) <X, Div T>, dX = Lap X + (|grad f|^2 + |grad X|^2) X
     grid, f, x = state.grid, state.f, state.x
-    df = 0.5 * np.einsum("q...,q...->...", x, div_torsion_of_state(tables, state))
+    df = 0.5 * np.einsum("q...,q...->...", x, div_torsion_of_state(state))
     gf, gx = grad_scalar(grid, f), grad_vector(grid, x)
     grad_sq = np.sum(gf * gf, axis=0) + np.einsum("pq...,pq...->...", gx, gx)
     return df, laplacian(grid, x) + grad_sq * x
@@ -102,11 +113,11 @@ def _divergence_form_rhs_fx(tables, state):
 def _divergence_form_fx_rates(tables, state, iota, beta, out, work=None):
     # in the step's lattice time: the rates times grid.laplacian_scale
     du, diota = out
-    du[0], du[1:] = _divergence_form_rhs_fx(tables, state)
+    du[0], du[1:] = _divergence_form_rhs_fx(state)
     du *= state.grid.laplacian_scale
     if iota is None:
         return
-    divt = div_torsion_of_state(tables, state)
+    divt = div_torsion_of_state(state)
     phi3 = phi_of_state(tables, state, check=False)
     diota[...] = beta * np.einsum("mlp...,m...,la...->pa...", phi3, divt, iota)
     diota *= state.grid.laplacian_scale
@@ -115,7 +126,7 @@ def _divergence_form_fx_rates(tables, state, iota, beta, out, work=None):
 @pytest.mark.parametrize(
     "n,dims,order", [(32, (0, 1), 2), (32, (0, 1), 4), (16, (0, 1, 2), 2)]
 )
-def test_rhs_fx_matches_divergence_form(tables, n, dims, order):
+def test_rhs_fx_matches_divergence_form(n, dims, order):
     # df is the divergence form's to round-off; dX = Lap X - <u, Lap u> X tends
     # to Lap X + |grad u|^2 X at the stencil order, from n to 2n
     errs = []
@@ -123,14 +134,14 @@ def test_rhs_fx_matches_divergence_form(tables, n, dims, order):
         g = Grid(length=1.0, n=m, active_dims=dims, stencil_order=order)
         s = random_band_state(g, 0.3, seed=9)
         du = rhs_fx(s)
-        df, dx = _divergence_form_rhs_fx(tables, s)
+        df, dx = _divergence_form_rhs_fx(s)
         assert np.max(np.abs(du[0] - df)) <= 1e-12 * np.max(np.abs(df))
         errs.append(float(np.max(np.abs(du[1:] - dx))))
     assert errs[0] / errs[1] >= 2.0 ** (0.8 * order)
 
 
 @pytest.mark.parametrize("track_frame", [False, True])
-def test_fx_run_matches_divergence_form_run(tables, monkeypatch, track_frame):
+def test_fx_run_matches_divergence_form_run(monkeypatch, track_frame):
     # the two runs part at the stencil order: halving h (and quartering dt)
     # shrinks the gap in the states, the frames and the energies 4x (>= 3x)
     def gaps(n, dt, every):
@@ -147,10 +158,10 @@ def test_fx_run_matches_divergence_form_run(tables, monkeypatch, track_frame):
             # the divergence form's rates leave the sphere at O(h^2)
             constraint_abort_tol=1e-3,
         )
-        new = run(cfg, tables).fx
+        new = run(cfg).fx
         with monkeypatch.context() as m:
             m.setattr(flow, "_fx_rates", _divergence_form_fx_rates)
-            ref = run(cfg, tables).fx
+            ref = run(cfg).fx
         assert not new.events and not ref.events
         assert len(new.states) == len(ref.states) == 6
         frame_gap = 0.0
@@ -280,7 +291,7 @@ def test_step_richardson_order(tables, integrator, min_order):
     assert order >= min_order
 
 
-def test_run_zero_torsion_stationary(tables, grid16):
+def test_run_zero_torsion_stationary(grid16):
     cfg = FlowConfig(
         grid=grid16,
         initial=InitialSpec(family="single_mode", amplitude=0.0),
@@ -288,12 +299,12 @@ def test_run_zero_torsion_stationary(tables, grid16):
         t_end=2e-3,
         scheme="fx",
     )
-    traj = run(cfg, tables).fx
+    traj = run(cfg).fx
     assert all(rec["energy"] == 0.0 for rec in traj.records)
     assert all(rec["sup_T"] == 0.0 for rec in traj.records)
 
 
-def test_energy_monotone_along_run(tables, grid32):
+def test_energy_monotone_along_run(grid32):
     cfg = FlowConfig(
         grid=grid32,
         initial=InitialSpec(family="random_band", amplitude=0.2, seed=6),
@@ -303,14 +314,14 @@ def test_energy_monotone_along_run(tables, grid32):
         cfl_safety=0.9,
         diagnostics_every=5,
     )
-    traj = run(cfg, tables).fx
+    traj = run(cfg).fx
     assert not traj.events
     energies = [rec["energy"] for rec in traj.records]
     e0 = energies[0]
     assert all(b <= a + 1e-10 * e0 for a, b in zip(energies, energies[1:]))
 
 
-def test_gradient_law_along_run(tables, grid32):
+def test_gradient_law_along_run(grid32):
     g4 = replace(grid32, stencil_order=4)
     cfg = FlowConfig(
         grid=g4,
@@ -321,7 +332,7 @@ def test_gradient_law_along_run(tables, grid32):
         cfl_safety=0.5,
         diagnostics_every=5,
     )
-    traj = run(cfg, tables).fx
+    traj = run(cfg).fx
     recs = traj.records
     for i in range(1, len(recs) - 1):
         dedt = (recs[i + 1]["energy"] - recs[i - 1]["energy"]) / (
@@ -342,7 +353,7 @@ def test_scheme_cross_check(tables):
             cfl_safety=0.9,
             diagnostics_every=100,
         )
-        res = run(cfg, tables)
+        res = run(cfg)
         assert not res.fx.events and not res.direct.events
         phi_fx = phi_of_state(tables, res.fx.states[-1])
         return float(np.max(np.abs(phi_fx - res.direct.phis[-1])))
@@ -352,7 +363,7 @@ def test_scheme_cross_check(tables):
     assert e_coarse / e_fine >= 2.0
 
 
-def test_parabolic_rescale_identity_and_torsion_scaling(tables, grid32):
+def test_parabolic_rescale_identity_and_torsion_scaling(grid32):
     cfg = FlowConfig(
         grid=grid32,
         initial=InitialSpec(family="single_mode", amplitude=0.2),
@@ -362,7 +373,7 @@ def test_parabolic_rescale_identity_and_torsion_scaling(tables, grid32):
         snapshot_every=1,
         cfl_safety=0.9,
     )
-    traj = run(cfg, tables).fx
+    traj = run(cfg).fx
     same = parabolic_rescale(traj, 1.0)
     assert same.grid == traj.grid
     assert np.array_equal(same.states[0].x, traj.states[0].x)
@@ -370,8 +381,8 @@ def test_parabolic_rescale_identity_and_torsion_scaling(tables, grid32):
     resc = parabolic_rescale(traj, 2.0)
     assert resc.grid.length == pytest.approx(2.0)
     assert resc.times[-1] == pytest.approx(4.0 * traj.times[-1])
-    t_orig = torsion_of_state(tables, traj.states[0])
-    t_resc = torsion_of_state(tables, resc.states[0])
+    t_orig = torsion_of_state(traj.states[0])
+    t_resc = torsion_of_state(resc.states[0])
     assert np.max(np.abs(t_resc - 0.5 * t_orig)) == 0.0
     # gradient of torsion scales by 1/c^2
     from g2flow.grid import partial
@@ -381,7 +392,7 @@ def test_parabolic_rescale_identity_and_torsion_scaling(tables, grid32):
     assert np.max(np.abs(g2 - 0.25 * g1)) <= 1e-14 * np.max(np.abs(g1))
 
 
-def test_rescaled_trajectory_solves_rescaled_flow(tables):
+def test_rescaled_trajectory_solves_rescaled_flow():
     g = Grid(length=1.0, n=16, active_dims=(0, 1))
     cfg = FlowConfig(
         grid=g,
@@ -392,17 +403,17 @@ def test_rescaled_trajectory_solves_rescaled_flow(tables):
         snapshot_every=5,
         cfl_safety=0.9,
     )
-    base = run(cfg, tables).fx
+    base = run(cfg).fx
     resc = parabolic_rescale(base, 2.0)
     big = replace(cfg, grid=replace(g, length=2.0), dt=4.0 * cfg.dt, t_end=4.0 * cfg.t_end)
-    second = run(big, tables).fx
+    second = run(big).fx
     assert np.allclose(resc.times, second.times)
     for a, b in zip(resc.states, second.states):
         assert np.array_equal(a.f, b.f)
         assert np.array_equal(a.x, b.x)
 
 
-def test_doubling_monitor_reports(tables, grid16):
+def test_doubling_monitor_reports(grid16):
     # the run loop's doubling-time event, with stub fields: the field is the
     # step count, and its record reads sup|T| from a fixed series
     def events(sups):
@@ -432,11 +443,11 @@ def test_doubling_monitor_reports(tables, grid16):
         cfl_safety=0.9,
         diagnostics_every=2,
     )
-    traj = run(cfg, tables).fx
+    traj = run(cfg).fx
     assert not any(ev["type"] == "doubling_time" for ev in traj.events)
 
 
-def test_constraint_abort_event(tables):
+def test_constraint_abort_event():
     # force an abort with an aggressive state on a coarse grid
     g = Grid(length=1.0, n=12, active_dims=(0, 1))
     cfg = FlowConfig(
@@ -448,11 +459,11 @@ def test_constraint_abort_event(tables):
         cfl_safety=1.0,
         constraint_abort_tol=1e-9,
     )
-    traj = run(cfg, tables).fx
+    traj = run(cfg).fx
     assert any(ev["type"] == "constraint_abort" for ev in traj.events)
 
 
-def test_singularity_ceiling_event(tables, grid16):
+def test_singularity_ceiling_event(grid16):
     cfg = FlowConfig(
         grid=grid16,
         initial=InitialSpec(family="single_mode", amplitude=0.3),
@@ -463,7 +474,7 @@ def test_singularity_ceiling_event(tables, grid16):
         diagnostics_every=1,
         torsion_ceiling=1e-6,
     )
-    traj = run(cfg, tables).fx
+    traj = run(cfg).fx
     assert any(ev["type"] == "singularity_suspected" for ev in traj.events)
 
 
@@ -508,7 +519,7 @@ def test_direct_run_starts_from_the_dense_formula_sorted(tables, grid16):
         snapshot_every=3,
         metric_check_every=2,
     )
-    got = run(cfg, tables).direct
+    got = run(cfg).direct
     s30 = sorted_components(dense_phi_of_state(tables, flow.initial_state(cfg).project()), 3)
     want = flow._run_direct(cfg, s30)
     # the NDJSON lines and the snapshots, byte for byte
@@ -532,7 +543,7 @@ def test_direct_records_carry_theta_entropy_and_ceiling_snapshot(tables, grid16)
         theta_probes=(((8, 8), 0.5),),
         entropy_sigma=0.01,
     )
-    traj = run(cfg, tables).direct
+    traj = run(cfg).direct
     assert len(traj.records) == 2
     for rec in traj.records:
         assert rec["theta"][0][0] == [8, 8]
@@ -547,7 +558,7 @@ def test_direct_records_carry_theta_entropy_and_ceiling_snapshot(tables, grid16)
     assert np.array_equal(traj.phis[-1], stepped)
 
 
-def test_fx_run_evaluates_torsion_once_per_record(tables, grid16, monkeypatch):
+def test_fx_run_evaluates_torsion_once_per_record(grid16, monkeypatch):
     from g2flow import diagnostics, states
 
     calls = []
@@ -568,12 +579,12 @@ def test_fx_run_evaluates_torsion_once_per_record(tables, grid16, monkeypatch):
         cfl_safety=0.9,
         diagnostics_every=5,
     )
-    traj = run(cfg, tables).fx
+    traj = run(cfg).fx
     assert len(traj.records) == 3
     assert len(calls) == 3
 
 
-def test_direct_run_measures_metric_once_per_state(tables, grid16, monkeypatch):
+def test_direct_run_measures_metric_once_per_state(grid16, monkeypatch):
     calls = []
     real = flow.metric_defect_sorted
 
@@ -591,14 +602,14 @@ def test_direct_run_measures_metric_once_per_state(tables, grid16, monkeypatch):
         diagnostics_every=6,
         metric_check_every=4,
     )
-    traj = run(cfg, tables).direct
+    traj = run(cfg).direct
     # records at steps 0, 6, 12 and checks at steps 0, 4, 8; the step-0
     # record and the step-0 check share one evaluation
     assert len(traj.records) == 3
     assert len(calls) == 5
 
 
-def test_chart_exit_event(tables, grid16, tmp_path):
+def test_chart_exit_event(grid16, tmp_path):
     from g2flow.grid import save_checkpoint
 
     # a smooth state dipping just past the f = 0 equator along the first
@@ -619,14 +630,14 @@ def test_chart_exit_event(tables, grid16, tmp_path):
         cfl_safety=0.9,
         chart_positive=True,
     )
-    traj = run(cfg, tables).fx
+    traj = run(cfg).fx
     assert any(ev["type"] == "chart_exit" for ev in traj.events)
     # the same run without the chart flag reports nothing
     cfg2 = replace(cfg, chart_positive=False)
-    assert not any(ev["type"] == "chart_exit" for ev in run(cfg2, tables).fx.events)
+    assert not any(ev["type"] == "chart_exit" for ev in run(cfg2).fx.events)
 
 
-def test_snapshot_cadence(tables, grid16):
+def test_snapshot_cadence(grid16):
     cfg = FlowConfig(
         grid=grid16,
         initial=InitialSpec(family="single_mode", amplitude=0.1),
@@ -636,7 +647,7 @@ def test_snapshot_cadence(tables, grid16):
         snapshot_every=2,
         cfl_safety=0.9,
     )
-    traj = run(cfg, tables).fx
+    traj = run(cfg).fx
     assert len(traj.states) == 6  # steps 0,2,4,6,8,10
     assert traj.times == sorted(traj.times)
     assert all(b > a for a, b in zip(traj.times, traj.times[1:]))
@@ -679,7 +690,7 @@ def _last_kept(traj):
 def test_a_ceiling_stop_keeps_the_state_that_tripped_it(tables, grid16, scheme, stop):
     # the step-2 record trips the ceiling on a snapshot step, or on the last step
     cfg = _stop_config(grid16, scheme, diagnostics_every=2, torsion_ceiling=1e-6, **stop)
-    traj = getattr(run(cfg, tables), scheme)
+    traj = getattr(run(cfg), scheme)
     assert [ev["type"] for ev in traj.events] == ["singularity_suspected"]
     assert traj.events[0]["t"] == traj.records[-1]["t"] == 2 * cfg.dt
     assert traj.times == [0.0, 2 * cfg.dt]
@@ -716,7 +727,7 @@ def test_a_rejected_step_ends_on_the_last_good_state(
     reject_call(monkeypatch, name, 3, spoil)
     cfg = _stop_config(grid16, scheme, snapshot_every=snapshot_every)
     with np.errstate(over="ignore", invalid="ignore"):
-        traj = getattr(run(cfg, tables), scheme)
+        traj = getattr(run(cfg), scheme)
     assert [ev["type"] for ev in traj.events] == [kind]
     assert traj.events[0]["t"] == 2 * cfg.dt
     assert traj.records[-1] == {"t": 2 * cfg.dt, "events": traj.events}
@@ -726,7 +737,7 @@ def test_a_rejected_step_ends_on_the_last_good_state(
 
 @pytest.mark.parametrize("scheme", ["fx", "direct"])
 @pytest.mark.parametrize("ceiling", [1e300, 1e-6], ids=["no-stop", "ceiling-stop"])
-def test_every_stamped_event_reaches_a_record(tables, grid16, monkeypatch, scheme, ceiling):
+def test_every_stamped_event_reaches_a_record(grid16, monkeypatch, scheme, ceiling):
     # records after t = 0 read sup|T| three times over, so the step-2 record
     # doubles it; its doubling_time used to reach no record, nor did the ceiling's event,
     # and a record carries the events its own sup|T| trips
@@ -740,7 +751,7 @@ def test_every_stamped_event_reaches_a_record(tables, grid16, monkeypatch, schem
 
     monkeypatch.setattr(diagnostics, "record_for_torsion", tripled)
     cfg = _stop_config(grid16, scheme, diagnostics_every=2, t_end=8e-4, torsion_ceiling=ceiling)
-    traj = getattr(run(cfg, tables), scheme)
+    traj = getattr(run(cfg), scheme)
     carried = [(i, ev) for i, rec in enumerate(traj.records) for ev in rec["events"]]
     assert [ev for _, ev in carried] == traj.events
     assert all("energy" in rec for rec in traj.records)  # no ending record of events alone
@@ -753,7 +764,7 @@ def test_every_stamped_event_reaches_a_record(tables, grid16, monkeypatch, schem
         assert all(ev["t"] == 2 * cfg.dt for ev in traj.events)
 
 
-def test_the_ending_record_carries_pending_chart_exits(tables, grid16, tmp_path, monkeypatch):
+def test_the_ending_record_carries_pending_chart_exits(grid16, tmp_path, monkeypatch):
     from g2flow.grid import save_checkpoint
 
     # the chart_exit state of test_chart_exit_event: f < 0 after the first step,
@@ -771,7 +782,7 @@ def test_the_ending_record_carries_pending_chart_exits(tables, grid16, tmp_path,
         chart_positive=True,
         initial=InitialSpec(family="checkpoint", checkpoint=str(path)),
     )
-    traj = run(cfg, tables).fx
+    traj = run(cfg).fx
     assert [(ev["type"], ev["t"]) for ev in traj.events] == [
         ("chart_exit", cfg.dt),
         ("constraint_abort", cfg.dt),

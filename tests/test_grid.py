@@ -286,3 +286,15 @@ def test_stencils_write_into_given_buffers(order, dims, rng):
     t = g.zeros(2)
     t[list(dims)] = rng.standard_normal((g.k, 7) + g.shape)
     assert div2(g, t[list(dims)], rows=True).tobytes() == div2(g, t).tobytes()
+
+
+def test_stencils_refuse_an_out_that_is_not_c_contiguous(grid16, rng):
+    # the interior pass writes through out.reshape(-1), a copy of a strided out:
+    # the stencil used to return with only the wrapped edges of out written
+    arr = rng.standard_normal((8,) + grid16.shape)
+    out = np.empty(arr.shape).swapaxes(1, 2)  # a square grid: arr's shape, transposed layout
+    assert out.shape == arr.shape and not out.flags.c_contiguous
+    with pytest.raises(ValueError, match="C-contiguous"):
+        partial(grid16, arr, 0, out=out)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        laplacian(grid16, arr, out)

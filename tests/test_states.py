@@ -72,7 +72,7 @@ def test_antipodal_pair_gives_same_structure(tables, grid16):
     s_neg = fx_state(grid16, -s.f, -s.x)
     assert np.array_equal(phi_of_state(tables, s), phi_of_state(tables, s_neg))
     assert np.array_equal(psi_of_state(tables, s), psi_of_state(tables, s_neg))
-    assert np.array_equal(torsion_of_state(tables, s), torsion_of_state(tables, s_neg))
+    assert np.array_equal(torsion_of_state(s), torsion_of_state(s_neg))
 
 
 def test_chart_pole_state_formula(tables, grid16):
@@ -200,7 +200,7 @@ def test_torsion_zero_for_constant_states(tables, grid16):
     x[4] = 0.3
     f = np.sqrt(1.0 - 0.09) * np.ones(grid16.shape)
     s = fx_state(grid16, f, x)
-    assert np.all(torsion_of_state(tables, s) == 0.0)
+    assert np.all(torsion_of_state(s) == 0.0)
     t_phi = torsion_from_phi(grid16, phi_of_state(tables, s))
     assert np.max(np.abs(t_phi)) <= 1e-14
 
@@ -215,7 +215,7 @@ def test_torsion_oracle_equivalence_and_order(tables):
     for n in (16, 32, 64):
         g = Grid(length=1.0, n=n, active_dims=(0, 1))
         s = random_band_state(g, amplitude=0.3, max_mode=1, seed=7)
-        t_state = torsion_of_state(tables, s)
+        t_state = torsion_of_state(s)
         t_phi = torsion_from_phi(g, phi_of_state(tables, s), metric_tol=1e-6)
         errs[n] = float(np.max(np.abs(t_state - t_phi)))
     order1 = math.log2(errs[16] / errs[32])
@@ -233,18 +233,18 @@ def test_torsion_oracle_equivalence_and_order(tables):
         Grid(length=1.0, n=8, active_dims=(0, 2, 5)),
     ],
 )
-def test_torsion_rows_equal_the_stacked_gradient_formula(tables, grid):
+def test_torsion_rows_equal_the_stacked_gradient_formula(grid):
     # bit for bit, signed zeros included: a single mode leaves most products +-0
     for state in (random_band_state(grid, 0.4, seed=5), single_mode_state(grid, 0.3)):
         want = stacked_torsion_rows(state)
-        assert torsion_rows_of_state(tables, state).tobytes() == want.tobytes()
+        assert torsion_rows_of_state(state).tobytes() == want.tobytes()
 
 
-def test_single_mode_torsion_sparsity(tables, grid16):
+def test_single_mode_torsion_sparsity(grid16):
     # X = a sin(2 pi x_0) e_2: the closed form leaves only T_{0,2} nonzero
     # (the phi-contraction term carries X twice and cancels)
     s = single_mode_state(grid16, 0.3, wave_dim=0, component=2)
-    torsion = torsion_of_state(tables, s)
+    torsion = torsion_of_state(s)
     nonzero = {(p, q) for p in range(7) for q in range(7) if np.max(np.abs(torsion[p, q])) > 0}
     assert nonzero == {(0, 2)}
 
@@ -254,7 +254,7 @@ def test_torsion_oracle_order_4_stencils(tables):
     for n in (16, 32):
         g = Grid(length=1.0, n=n, active_dims=(0, 1), stencil_order=4)
         s = random_band_state(g, amplitude=0.3, max_mode=1, seed=7)
-        t_state = torsion_of_state(tables, s)
+        t_state = torsion_of_state(s)
         t_phi = torsion_from_phi(g, phi_of_state(tables, s), metric_tol=1e-6)
         errs[n] = float(np.max(np.abs(t_state - t_phi)))
     order = math.log2(errs[16] / errs[32])
@@ -271,7 +271,7 @@ def test_gradient_of_phi_reconstructed_from_torsion(tables):
         s = random_band_state(g, amplitude=0.3, max_mode=1, seed=7)
         phi = phi_of_state(tables, s)
         psi = psi_of_state(tables, s)
-        torsion = torsion_of_state(tables, s)
+        torsion = torsion_of_state(s)
         worst = 0.0
         for dim in g.active_dims:
             lhs = partial(g, phi, dim)
@@ -281,39 +281,39 @@ def test_gradient_of_phi_reconstructed_from_torsion(tables):
     assert errs[0] / errs[1] >= 3.0
 
 
-def test_divergence_oracle(tables):
+def test_divergence_oracle():
     from g2flow.states import div_torsion_of_state
 
     errs = []
     for n in (16, 32):
         g = Grid(length=1.0, n=n, active_dims=(0, 1))
         s = random_band_state(g, amplitude=0.3, max_mode=1, seed=11)
-        d_state = div_torsion_of_state(tables, s)
-        d_oracle = div2(g, torsion_of_state(tables, s))
+        d_state = div_torsion_of_state(s)
+        d_oracle = div2(g, torsion_of_state(s))
         errs.append(float(np.max(np.abs(d_state - d_oracle))))
     assert errs[0] / errs[1] >= 3.0
 
 
-def test_divergence_closed_form_small_amplitude(tables, grid32):
+def test_divergence_closed_form_small_amplitude(grid32):
     # X = a sin(2 pi x0) e2, f = sqrt(1-|X|^2): to O(a) the divergence is
     # -2 f Lap X + 2 (Lap f) X - 2 (Lap X x X -contraction) ~ -2 Lap X e2
     from g2flow.states import div_torsion_of_state
 
     a = 1e-5
     s = single_mode_state(grid32, a, wave_dim=0, component=2)
-    got = div_torsion_of_state(tables, s)
+    got = div_torsion_of_state(s)
     lx = laplacian(grid32, s.x)
     expected = -2.0 * lx  # leading order in a
     assert np.max(np.abs(got - expected)) <= 40.0 * a * a * (2 * np.pi) ** 2
 
 
-def test_constant_state_divergence_zero(tables, grid16):
+def test_constant_state_divergence_zero(grid16):
     x = grid16.zeros(1)
     x[1] = 0.5
     s = fx_state(grid16, np.sqrt(0.75) * np.ones(grid16.shape), x)
     from g2flow.states import div_torsion_of_state
 
-    assert np.all(div_torsion_of_state(tables, s) == 0.0)
+    assert np.all(div_torsion_of_state(s) == 0.0)
 
 
 def test_bianchi_on_flat_background(tables):
@@ -323,7 +323,7 @@ def test_bianchi_on_flat_background(tables):
     for n in (16, 32):
         g = Grid(length=1.0, n=n, active_dims=(0, 1))
         s = random_band_state(g, 0.3, max_mode=1, seed=7)
-        res = bianchi_residual(g, torsion_of_state(tables, s), phi_of_state(tables, s))
+        res = bianchi_residual(g, torsion_of_state(s), phi_of_state(tables, s))
         errs.append(float(np.max(np.abs(res))))
     assert errs[0] / errs[1] >= 3.0
 
@@ -373,7 +373,7 @@ def test_torsion_of_state_equals_seven_row_formula(tables, grid):
         want = -2.0 * np.einsum("pm...,mq...->pq...", gx, cxq)
         want += 2.0 * np.einsum("p...,q...->pq...", gf, s.x)
         want -= 2.0 * s.f * gx
-        got = torsion_of_state(tables, s)
+        got = torsion_of_state(s)
         assert np.array_equal(got, want)
         active = list(grid.active_dims)
         assert got[active].tobytes() == want[active].tobytes()
