@@ -35,7 +35,6 @@ from .states import (
 
 __all__ = [
     "FrameField",
-    "FrameDegenerateError",
     "identity_frame",
     "D_derivative",
     "laplacian_D",
@@ -49,10 +48,6 @@ __all__ = [
     "shrinker_soliton_residual",
     "soliton_residual",
 ]
-
-
-class FrameDegenerateError(ValueError):
-    """Raised when the frame map iota is (numerically) singular."""
 
 
 @dataclass(frozen=True)
@@ -83,11 +78,7 @@ def identity_frame(grid: Grid, alpha: float = -0.5) -> FrameField:
 
 def _inverse_frame(iota: np.ndarray) -> np.ndarray:
     flat = np.moveaxis(iota.reshape(7, 7, -1), -1, 0)
-    try:
-        inv = np.linalg.inv(flat)
-    except np.linalg.LinAlgError as exc:
-        raise FrameDegenerateError("frame map is singular") from exc
-    return np.moveaxis(inv, 0, -1).reshape(iota.shape)
+    return np.moveaxis(np.linalg.inv(flat), 0, -1).reshape(iota.shape)
 
 
 def D_derivative(

@@ -35,12 +35,9 @@ __all__ = [
     "entropy",
     "entropy_tables",
     "decay_rate",
-    "interpolation_monitor",
     "record_for_state",
     "record_for_torsion",
 ]
-
-UNIT_BALL_VOLUME_7D = 16.0 * math.pi**3 / 105.0
 
 IMAGE_RADIUS = 3  # every kernel's least wrapped-Gaussian truncation radius, in periods
 # the entropy's scales, SCALE_COUNT of them geometric from SCALE_RATIO * sigma up to
@@ -76,15 +73,15 @@ def sup_norm(tensor: np.ndarray, rank: int) -> float:
     return float(np.sqrt(np.max(sq)))
 
 
-def _auto_radius(length: float, tau: float, radius: int) -> int:
+def _auto_radius(length: float, tau: float) -> int:
     # keep exp(-((R-1/2) L)^2 / 4 tau) below ~1e-20
     need = int(math.ceil((math.sqrt(184.0 * tau) / length) + 0.5)) + 1
-    return max(radius, need)
+    return max(IMAGE_RADIUS, need)
 
 
-def _wrapped_parts(length: float, tau: float, d: np.ndarray, radius: int):
+def _wrapped_parts(length: float, tau: float, d: np.ndarray):
     """1-D wrapped Gaussian w(d) and its first two derivatives."""
-    r = _auto_radius(length, tau, radius)
+    r = _auto_radius(length, tau)
     norm = 1.0 / math.sqrt(4.0 * math.pi * tau)
     w = np.zeros_like(d)
     wp = np.zeros_like(d)
@@ -105,7 +102,7 @@ def _kernel_axes(grid: Grid, spec: HeatKernelSpec, t: float):
     if len(spec.center) != grid.k:
         raise ValueError("kernel center needs one index per active dimension")
     axes = [
-        _wrapped_parts(grid.length, tau, grid.displacement(c), IMAGE_RADIUS)
+        _wrapped_parts(grid.length, tau, grid.displacement(c))
         for c in spec.center
     ]
     return tau, axes
@@ -153,7 +150,7 @@ def _inactive_hessian_integral(length: float, tau: float) -> float:
     """I = 1/(2 tau) - int_0^L w'^2 / w  (exponentially small for tau << L^2)."""
     m = 4096  # midpoint-rule points
     d = (np.arange(m) + 0.5) * length / m - length / 2
-    w, wp, _ = _wrapped_parts(length, tau, d, IMAGE_RADIUS)
+    w, wp, _ = _wrapped_parts(length, tau, d)
     j = float(np.sum(wp * wp / w)) * length / m
     return 1.0 / (2.0 * tau) - j
 
@@ -266,7 +263,7 @@ def entropy_tables(grid: Grid, sigma: float) -> EntropyTables:
     indices = range(0, grid.n, max(1, grid.n // CENTERS_PER_AXIS))
     kernels = [
         {
-            c: _wrapped_parts(grid.length, tau, grid.displacement(c), IMAGE_RADIUS)[0]
+            c: _wrapped_parts(grid.length, tau, grid.displacement(c))[0]
             for c in indices
         }
         for tau in scales
@@ -330,29 +327,6 @@ def decay_rate(times, div_l2_series, sup_series, length: float) -> dict:
         "rate": -float(slope),
         "threshold": lam / 2.0,
         "lambda": lam,
-    }
-
-
-def interpolation_monitor(grid: Grid, torsion: np.ndarray, grad_torsion: np.ndarray, eps: float) -> dict:
-    """Check the contrapositive of 'small energy forces small torsion'.
-
-    If sup|T| > eps anywhere, the energy must exceed the explicit bound
-    delta(eps, C, v0) = v0 eps^8 / (8 (2C)^7) with C = sup|grad T|.
-    """
-    e = energy(grid, torsion)
-    sup_t = sup_norm(torsion, 2)
-    sup_gt = sup_norm(grad_torsion, 3)
-    v0 = UNIT_BALL_VOLUME_7D * min(1.0, grid.length / 2.0) ** 7
-    c = max(sup_gt, 1e-30)
-    delta = v0 * eps**8 / (8.0 * (2.0 * c) ** 7)
-    consistent = bool(sup_t <= eps or e >= delta)
-    return {
-        "consistent": consistent,
-        "energy": e,
-        "sup_T": sup_t,
-        "sup_grad_T": sup_gt,
-        "delta_bound": delta,
-        "eps": eps,
     }
 
 

@@ -89,7 +89,6 @@ class FlowConfig:
     cfl_safety: float = 0.25
     diagnostics_every: int = 10
     snapshot_every: int = 0  # 0: endpoints only
-    chart_positive: bool = False
     torsion_ceiling: float = 100.0
     metric_tol: float = 1e-3
     metric_check_every: int = 50
@@ -138,7 +137,7 @@ class FlowConfig:
             raise ConfigError(f"unknown initial family {self.initial.family!r}")
         ini = self.initial
         if not 0 <= ini.amplitude <= 0.9:
-            raise ConfigError("initial amplitude must lie in [0, 0.9] to stay inside the chart")
+            raise ConfigError("initial amplitude must lie in [0, 0.9] to keep |X| < 1")
         if ini.wave_dim is not None and ini.wave_dim not in g.active_dims:
             raise ConfigError(f"initial wave_dim {ini.wave_dim!r} is not an active direction")
         if ini.component not in range(7):
@@ -186,7 +185,11 @@ class Trajectory:
     sorted_phis: list | None = None  # direct scheme: sorted 3-form components
     frames: list | None = None
     records: list = field(default_factory=list)
-    events: list = field(default_factory=list)
+
+    @property
+    def events(self) -> list:
+        """The run's events in order, read from the records that carry them."""
+        return [ev for rec in self.records for ev in rec["events"]]
 
     @property
     def phis(self) -> list | None:
@@ -254,10 +257,10 @@ class _FxWorkspace:
         self.rk = ((ka, io[0]), (kb, io[1]), (stage, io[2]))
 
 
-def _harmonic_map(grid: Grid, u: np.ndarray, out: np.ndarray, work: _FxWorkspace | None = None):
+def _harmonic_map(grid: Grid, u: np.ndarray, out: np.ndarray, lap: np.ndarray, dot: np.ndarray):
     """Write the lattice rates of the state field u = (f, X), shape (8, *grid),
-    into ``out`` and return the lattice Laplacian N u (held in the workspace,
-    allocated if not given):
+    into ``out`` and return the lattice Laplacian N u, which it writes into
+    ``lap`` (shaped like u); the grid scalar ``dot`` takes <u, N u>:
 
     s du = N u - <u, N u> u,  N u = s Lap u,  s = grid.laplacian_scale,
 
@@ -266,9 +269,8 @@ def _harmonic_map(grid: Grid, u: np.ndarray, out: np.ndarray, work: _FxWorkspace
     are du/dt in lattice time t / s, so a step takes s once, through dt / s.
     ``out`` serves as the Laplacian's scratch before it takes the rates.
     """
-    work = work or _FxWorkspace(grid)
-    lu = laplacian(grid, u, work.lap, out, lattice=True)
-    dot = np.einsum("a...,a...->...", u, lu, out=work.dot)
+    lu = laplacian(grid, u, lap, out, lattice=True)
+    np.einsum("a...,a...->...", u, lu, out=dot)
     np.multiply(dot, u, out=out)
     np.subtract(lu, out, out=out)
     return lu
@@ -291,7 +293,7 @@ def rhs_fx(state: IsometricState, out: np.ndarray | None = None) -> np.ndarray:
     """
     if out is None:
         out = np.empty(state.u.shape)
-    _harmonic_map(state.grid, state.u, out)
+    _harmonic_map(state.grid, state.u, out, np.empty(state.u.shape), np.empty(state.grid.shape))
     out /= state.grid.laplacian_scale
     return out
 
@@ -347,11 +349,12 @@ def _rk(rates, y: tuple, dt: float, integrator: str, work=None) -> tuple:
     return result(kb, dt / 6.0)
 
 
-def _fx_rates(tables, state, iota, beta, out, work=None) -> None:
+def _fx_rates(tables, state, iota, beta, out, work) -> None:
     """Write the rates of (u, iota) in lattice time, ``grid.laplacian_scale``
-    times d/dt, into the pair ``out``."""
+    times d/dt, into the pair ``out``, through the buffers of the
+    ``_FxWorkspace`` ``work``."""
     du, diota = out
-    lu = _harmonic_map(state.grid, state.u, du, work)
+    lu = _harmonic_map(state.grid, state.u, du, work.lap, work.dot)
     if iota is None:
         return
     # Div T = 2 (Lap f) X - 2 f Lap X - 2 Lap X x X, from the same lattice Laplacians;
@@ -421,26 +424,24 @@ def _step_direct_sorted(grid: Grid, s3: np.ndarray, dt: float, integrator: str) 
     return s3
 
 
-def _run_scheme(config: FlowConfig, traj: Trajectory, y, advance, measure, keep, min_f=None):
+def _run_scheme(config: FlowConfig, traj: Trajectory, y, advance, measure, keep):
     """Snapshot, record and event loop shared by both schemes, from t = 0.
 
     The loop's ``t`` is the run's only clock: it stamps every record and
     every event.  ``advance(y, t, step)`` returns the stepped fields and
     None, or None and the unstamped event that rejects the step;
     ``measure(y, t, **options)`` builds a diagnostics record; ``keep(y)``
-    stores a snapshot; ``min_f(y)``, given for the (f, X) chart, is the
-    least f for the chart-exit event.  Whatever ends the run (its last
-    step, the torsion ceiling or a rejected step) keeps the current state,
-    the last good one, as the last snapshot.  A record's own sup|T| events
-    go into that record; a chart exit goes into the next record, and it or a
-    rejected step's event into an ending record when no record follows.
+    stores a snapshot.  Whatever ends the run (its last step, the torsion
+    ceiling or a rejected step) keeps the current state, the last good one,
+    as the last snapshot.  A record's own sup|T| events go into that record,
+    and a rejected step's event into an ending record of its own.
     With ``entropy_sigma`` the entropy's kernel tables are built once, here,
     and every record reuses them.
     """
     sigma = config.entropy_sigma
     ent_tables = None if sigma is None else diag.entropy_tables(config.grid, sigma)
 
-    def emit(y, t, events, sup_t_reference=None):
+    def emit(y, t, sup_t_reference=None):
         rec = measure(
             y,
             t,
@@ -448,19 +449,16 @@ def _run_scheme(config: FlowConfig, traj: Trajectory, y, advance, measure, keep,
             sup_t_reference=sup_t_reference,
             ent_tables=ent_tables,
         )
-        rec["events"] = events
+        rec["events"] = []
         traj.records.append(rec)
         return rec
 
-    def stamp(ev, events):
-        ev = {**ev, "t": t}
-        traj.events.append(ev)
-        events.append(ev)
+    def stamp(ev, rec):
+        rec["events"].append({**ev, "t": t})
 
     t = 0.0
-    sup_t0 = emit(y, t, [])["sup_T"]
-    doubling_seen = chart_seen = False
-    pending: list[dict] = []
+    sup_t0 = emit(y, t)["sup_T"]
+    doubling_seen = False
     rejected = None
     every, n_steps = config.snapshot_every, config.n_steps
     for step in range(n_steps):
@@ -471,22 +469,16 @@ def _run_scheme(config: FlowConfig, traj: Trajectory, y, advance, measure, keep,
         if rejected is not None:
             break
         y, t = y_new, t + config.dt
-        if config.chart_positive and min_f is not None and not chart_seen and min_f(y) < 0.0:
-            chart_seen = True
-            stamp({"type": "chart_exit"}, pending)
         if (step + 1) % config.diagnostics_every == 0 or step + 1 == n_steps:
-            rec = emit(y, t, pending, sup_t0)
-            pending = []
+            rec = emit(y, t, sup_t0)
             if sup_t0 > 0 and not doubling_seen and rec["sup_T"] > 2.0 * sup_t0:
                 doubling_seen = True
-                stamp({"type": "doubling_time", "empirical_C": 1.0 / (t * sup_t0 * sup_t0)}, rec["events"])
+                stamp({"type": "doubling_time", "empirical_C": 1.0 / (t * sup_t0 * sup_t0)}, rec)
             if rec["sup_T"] > config.torsion_ceiling:
-                stamp({"type": "singularity_suspected", "sup_T": rec["sup_T"]}, rec["events"])
+                stamp({"type": "singularity_suspected", "sup_T": rec["sup_T"]}, rec)
                 break
     if rejected is not None:
-        stamp(rejected, pending)
-    if pending:
-        traj.records.append({"t": t, "events": pending})
+        traj.records.append({"t": t, "events": [{**rejected, "t": t}]})
     if traj.times[-1] != t:  # a rejected step's state may be its step's snapshot already
         traj.times.append(t)
         keep(y)
@@ -526,7 +518,6 @@ def _run_fx(tables: StructureTables, config: FlowConfig, state0: IsometricState)
         advance,
         lambda y, t, **options: diag.record_for_state(y[0], t, **options),
         keep,
-        min_f=lambda y: float(np.min(y[0].f)),
     )
 
 
@@ -582,29 +573,23 @@ def run(config: FlowConfig) -> RunResult:
 
 
 def parabolic_rescale(traj: Trajectory, c: float) -> Trajectory:
-    """Parabolic rescaling of a trajectory.
+    """Parabolic rescaling of an fx trajectory's snapshots.
 
     The 3-form scales by c^3 and the metric by c^2; expressed in the
     rescaled orthonormal frame the component arrays are unchanged while
     the grid period becomes c*L and times become c^2*t.  Torsion measured
-    on the rescaled fields then scales by 1/c per derivative order.
+    on the rescaled fields then scales by 1/c per derivative order.  The
+    result holds the snapshots alone: no records, so no events.
     """
     if c <= 0:
         raise ValueError("rescaling factor must be positive")
     new_grid = replace(traj.grid, length=c * traj.grid.length)
-    out = Trajectory(
+    return Trajectory(
         scheme=traj.scheme,
         grid=new_grid,
         times=[c * c * t for t in traj.times],
-        events=list(traj.events),
+        states=[replace(s, grid=new_grid) for s in traj.states],
     )
-    if traj.states is not None:
-        out.states = [replace(s, grid=new_grid) for s in traj.states]
-    if traj.sorted_phis is not None:
-        out.sorted_phis = [p.copy() for p in traj.sorted_phis]
-    if traj.frames is not None:
-        out.frames = [f.copy() for f in traj.frames]
-    return out
 
 
 def write_run_outputs(result: RunResult, out_dir) -> None:

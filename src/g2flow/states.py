@@ -118,7 +118,7 @@ def single_mode_state(
 ) -> IsometricState:
     """X = a sin(2 pi x_d / L) e_c with f = +sqrt(1 - |X|^2)."""
     if not 0 <= amplitude <= 0.9:
-        raise ValueError("amplitude must lie in [0, 0.9] to stay inside the chart")
+        raise ValueError("amplitude must lie in [0, 0.9] to keep |X| < 1")
     if wave_dim is None:
         wave_dim = grid.active_dims[0]
     x = grid.zeros(1)
@@ -133,7 +133,7 @@ def random_band_state(
 ) -> IsometricState:
     """Band-limited random X with sup |X| = amplitude, from the Fourier modes 1..max_mode."""
     if not 0 <= amplitude <= 0.9:
-        raise ValueError("amplitude must lie in [0, 0.9] to stay inside the chart")
+        raise ValueError("amplitude must lie in [0, 0.9] to keep |X| < 1")
     if max_mode < 1:  # no mode at all would be the flat state
         raise ValueError(f"max_mode must be at least 1, got {max_mode!r}")
     rng = np.random.default_rng(seed)
@@ -161,7 +161,7 @@ def localized_state(
     """X = a * (periodized Gaussian bump) e_c, centered at the grid index n/2
     on every active axis, for localized-energy studies."""
     if not 0 <= amplitude <= 0.9:
-        raise ValueError("amplitude must lie in [0, 0.9] to stay inside the chart")
+        raise ValueError("amplitude must lie in [0, 0.9] to keep |X| < 1")
     bump = np.ones(grid.shape)
     for dim in grid.active_dims:
         d = grid.lifted_displacement(dim, grid.n // 2)

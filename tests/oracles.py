@@ -138,7 +138,7 @@ def product_kernel(grid, tables):
     return u
 
 
-def entropy(grid, torsion, sigma, sample_stride=2, n_scales=12, image_radius=3, scale_floor=0.01):
+def entropy(grid, torsion, sigma, sample_stride=2, n_scales=12, scale_floor=0.01):
     """(value, center, scale) of the entropy loop, each (center, scale)
     building a fresh kernel and a fresh |T|^2 u: centers in lattice order,
     then scales, and only a strictly larger value moves the argmax."""
@@ -148,7 +148,7 @@ def entropy(grid, torsion, sigma, sample_stride=2, n_scales=12, image_radius=3, 
     indices = range(0, grid.n, sample_stride)
     tables = [
         {
-            c: _wrapped_parts(grid.length, tau, grid.displacement(c), image_radius)[0]
+            c: _wrapped_parts(grid.length, tau, grid.displacement(c))[0]
             for c in indices
         }
         for tau in scales

@@ -106,10 +106,10 @@ def test_config_error_exit_codes(tmp_path, capsys):
     assert main(["diagnose", "--checkpoint", str(tmp_path)]) == 1
     not_an_object = write_config(tmp_path / "list.json", initial=[])
     assert main(["run", "--config", str(not_an_object)]) == 1
-    outside_chart = write_config(
+    wide = write_config(
         tmp_path / "amplitude.json", initial={"family": "single_mode", "amplitude": 0.95}
     )
-    assert main(["run", "--config", str(outside_chart)]) == 1
+    assert main(["run", "--config", str(wide)]) == 1
     sigma_text = write_config(tmp_path / "sigma.json", entropy_sigma="0.01")
     assert main(["run", "--config", str(sigma_text)]) == 1
     # a checkpoint on a 16^2 grid named by a config for 32^2
@@ -235,7 +235,6 @@ def test_config_fields_take_only_their_json_type(tmp_path, capsys):
     # an integer: each exits 1 and names its field
     for name, overrides in (
         ("track_frame", {"track_frame": "no"}),
-        ("chart_positive", {"chart_positive": "false"}),
         ("n", {"grid": {"length": 1.0, "n": 16.7, "active_dims": [0, 1]}}),
         ("diagnostics_every", {"diagnostics_every": 2.9}),
         ("snapshot_every", {"snapshot_every": True}),
@@ -365,6 +364,30 @@ def test_aborted_run_checkpoints_its_last_good_state(tmp_path, capsys, monkeypat
     assert [ev["type"] for ev in last["events"]] == ["constraint_abort"]
     assert last["t"] == last["events"][0]["t"] == 4e-4
     assert (aborted / "final_fx.g2fl").read_bytes() == (two_steps / "final_fx.g2fl").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "overrides, status, kinds",
+    [
+        ({"constraint_abort_tol": 0}, 2, ["constraint_abort"]),
+        ({"torsion_ceiling": 1e-6}, 0, ["singularity_suspected"] * 2),
+    ],
+    ids=["abort", "ceiling"],
+)
+def test_the_manifest_lists_the_records_events(tmp_path, capsys, overrides, status, kinds):
+    # the records are the run's one event store: the manifest reads its events
+    # from them, the fx route's first, each route's in record order
+    cfg = write_config(tmp_path / "cfg.json", scheme="both", **overrides)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out_dir)]) == status
+    carried = [
+        ev
+        for scheme in ("fx", "direct")
+        for line in (out_dir / f"diagnostics_{scheme}.ndjson").read_text().splitlines()
+        for ev in json.loads(line)["events"]
+    ]
+    assert [ev["type"] for ev in carried] == kinds
+    assert json.loads((out_dir / "manifest.json").read_text())["events"] == carried
 
 
 def test_usage_errors_exit_1_and_help_exits_0(capsys):
@@ -646,7 +669,6 @@ def valid_configs(draw):
         cfl_safety=cfl_safety,
         diagnostics_every=draw(st.integers(1, 100)),
         snapshot_every=draw(st.integers(0, 100)),
-        chart_positive=draw(st.booleans()),
         torsion_ceiling=draw(st.floats(1.0, 1e3)),
         metric_tol=draw(st.floats(1e-9, 1.0)),
         metric_check_every=draw(st.integers(1, 100)),

@@ -17,7 +17,6 @@ from g2flow.diagnostics import (
     entropy_tables,
     grad_log_kernel,
     heat_kernel,
-    interpolation_monitor,
     monotonicity_residual,
     monotonicity_terms,
     record_for_state,
@@ -211,7 +210,7 @@ def _entropy_per_center_kernels(grid, torsion, sigma, sample_stride, n_scales=12
         (24, (0, 1), 3, 0.01, False),
         (8, (0, 1), 1, 0.01, False),
         (16, (0, 2, 5), 2, 0.02, False),
-        (16, (0, 1), 2, 0.5, False),  # needs more images than image_radius
+        (16, (0, 1), 2, 0.5, False),  # needs more images than IMAGE_RADIUS
         (16, (0, 1), 2, 0.01, True),  # every center ties up to round-off
         (24, (3,), 3, 0.01, False),
     ],
@@ -225,7 +224,7 @@ def test_entropy_tables_equal_per_center_kernels_bit_for_bit(n, dims, stride, si
     else:
         torsion = np.random.default_rng(n + stride).standard_normal((7, 7) + grid.shape)
     if sigma > 0.1:
-        assert diagnostics._auto_radius(grid.length, sigma, 3) > 3
+        assert diagnostics._auto_radius(grid.length, sigma) > diagnostics.IMAGE_RADIUS
     got = entropy(entropy_tables(grid, sigma), torsion)
     want = _entropy_per_center_kernels(grid, torsion, sigma, stride)
     assert repr((got.value, got.center, got.scale)) == repr(want)
@@ -317,7 +316,7 @@ def test_entropy_ties_go_to_the_first_center(length, n, dims, stride, sigma):
     values = []
     for center in itertools.product(range(0, n, stride), repeat=grid.k):
         for tau in scales:
-            ws = [diagnostics._wrapped_parts(length, tau, grid.displacement(c), 3)[0] for c in center]
+            ws = [diagnostics._wrapped_parts(length, tau, grid.displacement(c))[0] for c in center]
             values.append((tau * integrate(grid, tsq * oracles.product_kernel(grid, ws)), center, tau))
     top = max(v for v, _, _ in values)
     tied = [entry for entry in values if entry[0] == top]
@@ -560,16 +559,6 @@ def test_decay_rate_paths(grid32):
     # convexity: the divergence norm decreases monotonically on such runs
     series = [r["div_T_l2"] for r in recs]
     assert all(b <= a * (1 + 1e-10) for a, b in zip(series, series[1:]))
-
-
-def test_interpolation_monitor_consistency(grid32):
-    s = random_band_state(grid32, 0.3, seed=5)
-    t2 = torsion_of_state(s)
-    gt = np.stack([partial(grid32, t2, d) for d in grid32.active_dims])
-    out = interpolation_monitor(grid32, t2, gt, eps=0.5 * sup_norm(t2, 2))
-    assert out["consistent"]
-    zero = interpolation_monitor(grid32, grid32.zeros(2), np.zeros((2, 7, 7) + grid32.shape), eps=0.1)
-    assert zero["consistent"] and zero["energy"] == 0.0
 
 
 def test_shi_monitor_bounded_along_run(grid32):

@@ -110,7 +110,7 @@ def _divergence_form_rhs_fx(state):
     return df, laplacian(grid, x) + grad_sq * x
 
 
-def _divergence_form_fx_rates(tables, state, iota, beta, out, work=None):
+def _divergence_form_fx_rates(tables, state, iota, beta, out, work):
     # in the step's lattice time: the rates times grid.laplacian_scale
     du, diota = out
     du[0], du[1:] = _divergence_form_rhs_fx(state)
@@ -220,10 +220,12 @@ def _pair_form_step_fx(tables, grid, f, x, dt, integrator, iota, beta=0.5):
     # the stepper with f and X held apart: _rk over the triple (f, X, iota)
     # in the lattice time of flow._fx_rates, then the pre-projection defect
     # and the projection of each part
+    work = flow._FxWorkspace(grid, iota is not None)
+
     def rates(y, out):
         f, x, io = y
         du, diota = np.empty((8,) + grid.shape), None if io is None else np.empty_like(io)
-        flow._fx_rates(tables, fx_state(grid, f, x), io, beta, (du, diota))
+        flow._fx_rates(tables, fx_state(grid, f, x), io, beta, (du, diota), work)
         out[0][...], out[1][...] = du[0], du[1:]
         if io is not None:
             out[2][...] = diota
@@ -609,34 +611,6 @@ def test_direct_run_measures_metric_once_per_state(grid16, monkeypatch):
     assert len(calls) == 5
 
 
-def test_chart_exit_event(grid16, tmp_path):
-    from g2flow.grid import save_checkpoint
-
-    # a smooth state dipping just past the f = 0 equator along the first
-    # active direction, so min f < 0 on part of the grid
-    sweep = 0.5 * np.pi + 0.3
-    theta = 0.5 * sweep * (1.0 - np.cos(2 * np.pi * grid16.coordinate(0) / grid16.length))
-    x = grid16.zeros(1)
-    x[2] = np.sin(theta)
-    f = np.cos(theta)
-    path = tmp_path / "chart.g2fl"
-    save_checkpoint(path, grid16, np.concatenate((f[None], x)))
-    cfg = FlowConfig(
-        grid=grid16,
-        initial=InitialSpec(family="checkpoint", checkpoint=str(path)),
-        dt=2e-4,
-        t_end=1e-3,
-        scheme="fx",
-        cfl_safety=0.9,
-        chart_positive=True,
-    )
-    traj = run(cfg).fx
-    assert any(ev["type"] == "chart_exit" for ev in traj.events)
-    # the same run without the chart flag reports nothing
-    cfg2 = replace(cfg, chart_positive=False)
-    assert not any(ev["type"] == "chart_exit" for ev in run(cfg2).fx.events)
-
-
 def test_snapshot_cadence(grid16):
     cfg = FlowConfig(
         grid=grid16,
@@ -764,33 +738,6 @@ def test_every_stamped_event_reaches_a_record(grid16, monkeypatch, scheme, ceili
         assert all(ev["t"] == 2 * cfg.dt for ev in traj.events)
 
 
-def test_the_ending_record_carries_pending_chart_exits(grid16, tmp_path, monkeypatch):
-    from g2flow.grid import save_checkpoint
-
-    # the chart_exit state of test_chart_exit_event: f < 0 after the first step,
-    # whose record is due at step 10 but never comes, as the second step is rejected
-    sweep = 0.5 * np.pi + 0.3
-    theta = 0.5 * sweep * (1.0 - np.cos(2 * np.pi * grid16.coordinate(0) / grid16.length))
-    x = grid16.zeros(1)
-    x[2] = np.sin(theta)
-    path = tmp_path / "chart.g2fl"
-    save_checkpoint(path, grid16, np.concatenate((np.cos(theta)[None], x)))
-    reject_call(monkeypatch, "step_fx", 2, lambda out: (*out[:2], 1.0))
-    cfg = _stop_config(
-        grid16,
-        "fx",
-        chart_positive=True,
-        initial=InitialSpec(family="checkpoint", checkpoint=str(path)),
-    )
-    traj = run(cfg).fx
-    assert [(ev["type"], ev["t"]) for ev in traj.events] == [
-        ("chart_exit", cfg.dt),
-        ("constraint_abort", cfg.dt),
-    ]
-    assert traj.records[-1] == {"t": cfg.dt, "events": traj.events}
-    assert traj.times == [0.0, cfg.dt]
-
-
 @pytest.mark.parametrize("integrator", ["euler", "rk4"])
 def test_steppers_leave_their_inputs_unmodified(tables, grid16, integrator):
     state = random_band_state(grid16, 0.4, seed=9)
@@ -870,3 +817,18 @@ def test_step_with_a_kept_workspace_allocates_little(tables, grid, bound):
     # of fixed size sets the peak, about 1.38 u (a step allocating fresh stage
     # arrays peaks near 8.9 u)
     assert peak <= bound * state.u.nbytes
+
+
+def test_rhs_fx_allocates_only_what_it_reads():
+    grid = Grid(length=1.0, n=128)
+    state = random_band_state(grid, 0.3, seed=2)
+    rhs_fx(state)  # warm
+    tracemalloc.start()
+    try:
+        rhs_fx(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the rates, one Laplacian buffer and the grid scalar <u, Lap u>: about
+    # 2.15 u (a whole fx workspace made it 5.15 u)
+    assert peak <= 2.5 * state.u.nbytes
