@@ -169,14 +169,15 @@ def cmd_run(args) -> int:
             raise  # a ConfigError exits 1; anything else is a bug, with its traceback
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    trajs = [traj for traj in (result.fx, result.direct) if traj is not None]
     manifest.update(events=result.events, status="finished", end_time=time.time())
+    # how the run stepped: the fx step's parts (None without the fx route), and wall seconds
+    manifest.update(fx_parts=result.fx and result.fx.parts, timing={t.scheme: t.timing for t in trajs})
     if out_dir:
         write_run_outputs(result, out_dir)
         _write_manifest(manifest_path, manifest)
     else:
-        for traj in (result.fx, result.direct):
-            if traj is None:
-                continue
+        for traj in trajs:
             for rec in traj.records:
                 print(json.dumps(rec, sort_keys=True))
     bad = {"blow_up", "constraint_abort"}

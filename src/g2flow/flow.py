@@ -17,7 +17,11 @@ residual diagnostics can difference the gauge-transported torsion in time.
 
 from __future__ import annotations
 
+import copy
 import math
+import os
+import threading
+import time
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -62,6 +66,11 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Raised for invalid flow configurations."""
+
+
+# a frame-less fx run on at least this many grid points steps in two parts when
+# two CPUs are usable; below it the barriers cost more than the second core saves
+PARALLEL_MIN_POINTS = 10240
 
 
 @dataclass(frozen=True)
@@ -185,6 +194,8 @@ class Trajectory:
     sorted_phis: list | None = None  # direct scheme: sorted 3-form components
     frames: list | None = None
     records: list = field(default_factory=list)
+    parts: int = 1  # the threads an fx step ran on
+    timing: dict = field(default_factory=dict)  # steps, step_s, record_s
 
     @property
     def events(self) -> list:
@@ -245,19 +256,77 @@ class _FxWorkspace:
     to the size of a mapping it frees, so once a run frees the block, later
     temporaries up to that size (``diagnose``'s, say) reuse heap memory
     instead of faulting in fresh pages on every call.
+
+    With ``parts=2``, inside its ``with`` block, a step runs in two parts, in
+    the caller and in one worker thread, each on a view whose ``part`` holds
+    its components (u[0:4] or u[4:8]), its half of the grid points (a half of
+    the first grid axis) and the barrier's wait; each element takes the
+    one-part step's operations in order.
     """
 
-    def __init__(self, grid: Grid, frame: bool = False):
+    part = (slice(None), slice(None), lambda: None)  # one part: the whole field, no wait
+
+    def __init__(self, grid: Grid, frame: bool = False, parts: int = 1):
         n = math.prod(grid.shape)
         sizes = [8 * n] * 4 + [n] + [49 * n] * (3 if frame else 0)
-        parts = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
-        ka, kb, stage, self.lap = (p.reshape((8,) + grid.shape) for p in parts[:4])
-        self.dot = parts[4].reshape(grid.shape)
-        io = [p.reshape((7, 7) + grid.shape) for p in parts[5:]] or [None] * 3
+        blocks = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+        ka, kb, stage, self.lap = (p.reshape((8,) + grid.shape) for p in blocks[:4])
+        self.dot = blocks[4].reshape(grid.shape)
+        io = [p.reshape((7, 7) + grid.shape) for p in blocks[5:]] or [None] * 3
         self.rk = ((ka, io[0]), (kb, io[1]), (stage, io[2]))
+        self.grid, self.frame, self._thread = grid, frame, None
+        self.barrier = threading.Barrier(parts)
+        self.views = [self]  # one per part: the buffers, and the part's slices
+        if parts == 2:
+            self.views = [copy.copy(self), copy.copy(self)]
+            halves = (slice(0, 4), slice(0, grid.n // 2)), (slice(4, 8), slice(grid.n // 2, None))
+            for view, (comps, rows) in zip(self.views, halves):
+                view.part = (comps, rows, self.barrier.wait)
+
+    def __enter__(self):
+        if len(self.views) > 1:
+            self._thread = threading.Thread(target=self._serve, name="g2flow-fx-part", daemon=True)
+            self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        if self._thread is not None:
+            self.barrier.abort()  # the worker, waiting for a step, returns
+            self._thread.join()
+            self._thread = None
+            self.barrier.reset()
+
+    def _serve(self):
+        try:
+            while True:
+                self.barrier.wait()
+                with np.errstate(**self._errstate):
+                    self._done = self._job(self.views[1])
+                self.barrier.wait()
+        except BaseException as exc:  # this part failed, or the barrier was aborted
+            self._error = exc
+            self.barrier.abort()
+
+    def run(self, job) -> list:
+        """``job(view)`` on every part, the first in this thread, in part order; an
+        exception in either part aborts the barrier and is raised here."""
+        if self._thread is None:
+            return [job(self)]
+        self._job, self._errstate = job, np.geterr()  # numpy's error handling is per thread
+        try:
+            self.barrier.wait()
+            first = job(self.views[0])
+            self.barrier.wait()
+        except threading.BrokenBarrierError:
+            raise self._error from None  # the worker's part failed
+        except BaseException:
+            self.barrier.abort()
+            raise
+        return [first, self._done]
 
 
-def _harmonic_map(grid: Grid, u: np.ndarray, out: np.ndarray, lap: np.ndarray, dot: np.ndarray):
+def _harmonic_map(grid: Grid, u: np.ndarray, out: np.ndarray, lap: np.ndarray, dot: np.ndarray,
+                  part=_FxWorkspace.part):
     """Write the lattice rates of the state field u = (f, X), shape (8, *grid),
     into ``out`` and return the lattice Laplacian N u, which it writes into
     ``lap`` (shaped like u); the grid scalar ``dot`` takes <u, N u>:
@@ -268,12 +337,18 @@ def _harmonic_map(grid: Grid, u: np.ndarray, out: np.ndarray, lap: np.ndarray, d
     Numer. Anal. 34, 1997), so <u, du> = (1 - |u|^2) <u, Lap u>.  The rates
     are du/dt in lattice time t / s, so a step takes s once, through dt / s.
     ``out`` serves as the Laplacian's scratch before it takes the rates.
+    A ``part`` of an ``_FxWorkspace`` writes its components' Laplacian and
+    rates and its grid points' dot product, and waits after each of the first two.
     """
-    lu = laplacian(grid, u, lap, out, lattice=True)
-    np.einsum("a...,a...->...", u, lu, out=dot)
-    np.multiply(dot, u, out=out)
-    np.subtract(lu, out, out=out)
-    return lu
+    comps, rows, wait = part
+    uc, lc, oc = u[comps], lap[comps], out[comps]
+    laplacian(grid, uc, lc, oc, lattice=True)
+    wait()
+    np.einsum("a...,a...->...", u[:, rows], lap[:, rows], out=dot[rows])
+    wait()
+    np.multiply(dot, uc, out=oc)
+    np.subtract(lc, oc, out=oc)
+    return lap
 
 
 def rhs_fx(state: IsometricState, out: np.ndarray | None = None) -> np.ndarray:
@@ -303,47 +378,50 @@ def _rhs_direct_sorted(grid: Grid, s3: np.ndarray, out: np.ndarray | None = None
     return contract(DIV_PSI_ENTRIES, divt, s3, out)
 
 
-def _rk(rates, y: tuple, dt: float, integrator: str, work=None) -> tuple:
+def _rk(rates, y: tuple, dt: float, integrator: str, work=None, out=None, part=slice(None)) -> tuple:
     """One explicit Euler or classical RK4 step of dy/dt = rates(y) for a
     tuple of arrays; None entries pass through.  ``rates(y, out)`` writes the
     rates of y into the tuple of arrays ``out``.
 
     ``work`` is three tuples of buffers shaped like y: two for rates, one for
     the stage state.  The stages reuse them, and so do the steps of a caller
-    that keeps them; without it they are allocated for this step.  Only the
-    result is a fresh tuple.  RK4 sums k1 + 2 k2 + 2 k3 + k4 as the rates
-    come, in that order, so k3 and k4 reuse the buffer of k1.
+    that keeps them; without it they are allocated for this step.  The
+    result goes into ``out`` (a fresh tuple if None), which is returned.
+    RK4 sums k1 + 2 k2 + 2 k3 + k4 as the rates come, in that order, so k3
+    and k4 reuse the buffer of k1.  The sums touch only the ``part`` of each
+    array's leading axis and ``rates`` gets the whole stage, so calls on
+    two parts whose rates fill their own parts make one step.
     """
     if integrator not in ("euler", "rk4"):
         raise ConfigError(f"unknown integrator {integrator!r}")
     if work is None:
         work = [tuple(None if a is None else np.empty_like(a) for a in y) for _ in range(3)]
-    ka, kb, stage = work
+    ka, kb, stage, y0 = ([None if a is None else a[part] for a in arrs] for arrs in (*work, y))
     live = [i for i, a in enumerate(y) if a is not None]
 
     def shift(c, k):  # stage = k c + y
         for i in live:
-            np.add(np.multiply(k[i], c, out=stage[i]), y[i], out=stage[i])
-        return stage
+            np.add(np.multiply(k[i], c, out=stage[i]), y0[i], out=stage[i])
+        return work[2]
 
-    def result(k, c):  # a fresh k c + y
-        return tuple(
-            None if a is None else np.add(np.multiply(k[i], c, out=k[i]), a)
-            for i, a in enumerate(y)
-        )
+    def result(k, c):  # k c + y
+        res = out or tuple(None if a is None else np.empty(a.shape) for a in y)
+        for i in live:
+            np.add(np.multiply(k[i], c, out=k[i]), y0[i], out=res[i][part])
+        return res
 
-    rates(y, ka)
+    rates(y, work[0])
     if integrator == "euler":
         return result(ka, dt)
-    rates(shift(0.5 * dt, ka), kb)
+    rates(shift(0.5 * dt, ka), work[1])
     shift(0.5 * dt, kb)
     for i in live:  # acc = 2 k2 + k1, in k2's buffer
         np.add(np.multiply(kb[i], 2, out=kb[i]), ka[i], out=kb[i])
-    rates(stage, ka)
+    rates(work[2], work[0])
     shift(dt, ka)
     for i in live:  # acc += 2 k3
         np.add(kb[i], np.multiply(ka[i], 2, out=ka[i]), out=kb[i])
-    rates(stage, ka)
+    rates(work[2], work[0])
     for i in live:  # acc += k4
         np.add(kb[i], ka[i], out=kb[i])
     return result(kb, dt / 6.0)
@@ -352,9 +430,9 @@ def _rk(rates, y: tuple, dt: float, integrator: str, work=None) -> tuple:
 def _fx_rates(tables, state, iota, beta, out, work) -> None:
     """Write the rates of (u, iota) in lattice time, ``grid.laplacian_scale``
     times d/dt, into the pair ``out``, through the buffers of the
-    ``_FxWorkspace`` ``work``."""
+    ``_FxWorkspace`` ``work`` (one of its part views)."""
     du, diota = out
-    lu = _harmonic_map(state.grid, state.u, du, work.lap, work.dot)
+    lu = _harmonic_map(state.grid, state.u, du, work.lap, work.dot, work.part)
     if iota is None:
         return
     # Div T = 2 (Lap f) X - 2 f Lap X - 2 Lap X x X, from the same lattice Laplacians;
@@ -385,25 +463,40 @@ def step_fx(
     The stages run in lattice time, so the step is dt / ``grid.laplacian_scale``.
     ``project=False`` skips the normalization, exposing the raw integrator
     for order studies.  ``work`` (``_FxWorkspace(grid, frame=iota is not
-    None)``) lets a run reuse its buffers; without it the step allocates one.
+    None)``) lets a run reuse its buffers (and threads, see its doc);
+    without it the step allocates one.
     """
     work = work or _FxWorkspace(state.grid, iota is not None)
+    if work.grid != state.grid or work.frame != (iota is not None):
+        raise ValueError("the workspace was made for another grid, or with(out) a frame")
+    dt = dt / state.grid.laplacian_scale
+    # two parts write into one result and one f^2 + |X|^2, made before they
+    # start; one part makes them after its stages, as a step always has
+    out = norm_sq = None
+    if work._thread is not None:
+        out, norm_sq = (np.empty(state.u.shape), None), np.empty(state.grid.shape)
 
-    def rates(y, out):
-        u, io = y
-        _fx_rates(tables, replace(state, u=u), io, beta, out, work)
+    def step_part(view):
+        comps, rows, wait = view.part
+        new = _rk(lambda y, k: _fx_rates(tables, replace(state, u=y[0]), y[1], beta, k, view),
+                  (state.u, iota), dt, integrator, view.rk, out, comps)
+        wait()  # for the whole result
+        mine = new[0][:, rows]
+        sq = np.einsum("a...,a...->...", mine, mine, out=None if norm_sq is None else norm_sq[rows])
+        ends = float(sq.max()), float(sq.min())  # NaN if a NaN is in the part
+        if project:
+            np.divide(mine, np.sqrt(sq, out=sq), out=mine)
+        return new, ends
 
-    u1, io1 = _rk(rates, (state.u, iota), dt / state.grid.laplacian_scale, integrator, work.rk)
-    new = replace(state, u=u1)
-    # constraint_defect() and project() of new, from one f^2 + |X|^2
-    norm_sq = new.norm_sq()
     # max |norm_sq - 1| without its two grid temporaries: fl(x - 1) is monotone
     # in x and fl(1 - x) = -fl(x - 1), so the ends of norm_sq give it exactly;
-    # a NaN anywhere makes the max NaN, and the defect with it
-    defect = max(float(norm_sq.max()) - 1.0, 1.0 - float(norm_sq.min()))
-    if project:  # u1 is this step's own array
-        np.divide(u1, np.sqrt(norm_sq, out=norm_sq), out=u1)
-    return new, io1, defect
+    # a part's NaN, as it is, makes the defect NaN, as one part's max would
+    parts = work.run(step_part)
+    tops, bottoms = zip(*(ends for _, ends in parts))
+    top = next((x for x in tops if x != x), max(tops))
+    bottom = next((x for x in bottoms if x != x), min(bottoms))
+    (u1, io1), _ = parts[0]
+    return replace(state, u=u1), io1, max(top - 1.0, 1.0 - bottom)
 
 
 def step_direct(
@@ -436,12 +529,15 @@ def _run_scheme(config: FlowConfig, traj: Trajectory, y, advance, measure, keep)
     as the last snapshot.  A record's own sup|T| events go into that record,
     and a rejected step's event into an ending record of its own.
     With ``entropy_sigma`` the entropy's kernel tables are built once, here,
-    and every record reuses them.
+    and every record reuses them.  ``traj.timing`` counts the ``advance``
+    calls (a rejected one too) and the wall seconds in them and in the records.
     """
     sigma = config.entropy_sigma
     ent_tables = None if sigma is None else diag.entropy_tables(config.grid, sigma)
+    timing = traj.timing = {"steps": 0, "step_s": 0.0, "record_s": 0.0}
 
     def emit(y, t, sup_t_reference=None):
+        start = time.perf_counter()
         rec = measure(
             y,
             t,
@@ -449,6 +545,7 @@ def _run_scheme(config: FlowConfig, traj: Trajectory, y, advance, measure, keep)
             sup_t_reference=sup_t_reference,
             ent_tables=ent_tables,
         )
+        timing["record_s"] += time.perf_counter() - start
         rec["events"] = []
         traj.records.append(rec)
         return rec
@@ -465,7 +562,10 @@ def _run_scheme(config: FlowConfig, traj: Trajectory, y, advance, measure, keep)
         if step == 0 or every and step % every == 0:
             traj.times.append(t)
             keep(y)
+        start = time.perf_counter()
         y_new, rejected = advance(y, t, step)
+        timing["steps"] += 1
+        timing["step_s"] += time.perf_counter() - start
         if rejected is not None:
             break
         y, t = y_new, t + config.dt
@@ -486,14 +586,18 @@ def _run_scheme(config: FlowConfig, traj: Trajectory, y, advance, measure, keep)
 
 
 def _run_fx(tables: StructureTables, config: FlowConfig, state0: IsometricState) -> Trajectory:
-    """The fx route from the projected initial state0."""
+    """The fx route from the projected initial state0, in two parts (one
+    worker thread, joined before the return) when two CPUs are usable, the
+    grid has PARALLEL_MIN_POINTS points and the run has no frame."""
     grid = config.grid
     traj = Trajectory(scheme="fx", grid=grid, times=[], states=[], frames=[] if config.track_frame else None)
     iota = None
     if config.track_frame:
         iota = np.zeros((7, 7) + grid.shape)
         iota[np.arange(7), np.arange(7)] = 1.0
-    work = _FxWorkspace(grid, config.track_frame)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    split = not config.track_frame and math.prod(grid.shape) >= PARALLEL_MIN_POINTS
+    traj.parts = 2 if split and cpus >= 2 else 1
 
     def advance(y, t, step):
         state, io = y
@@ -511,14 +615,15 @@ def _run_fx(tables: StructureTables, config: FlowConfig, state0: IsometricState)
         if config.track_frame:
             traj.frames.append(y[1].copy())
 
-    return _run_scheme(
-        config,
-        traj,
-        (state0, iota),
-        advance,
-        lambda y, t, **options: diag.record_for_state(y[0], t, **options),
-        keep,
-    )
+    with _FxWorkspace(grid, config.track_frame, traj.parts) as work:
+        return _run_scheme(
+            config,
+            traj,
+            (state0, iota),
+            advance,
+            lambda y, t, **options: diag.record_for_state(y[0], t, **options),
+            keep,
+        )
 
 
 def _run_direct(config: FlowConfig, s30: np.ndarray) -> Trajectory:

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -11,16 +13,18 @@ def fx_state(grid, f, x):
     return IsometricState(grid=grid, u=np.concatenate((f[None], x)))
 
 
-def reject_call(monkeypatch, name, call, spoil):
-    """Patch ``g2flow.flow.<name>`` so that its ``call``-th call returns its result spoiled."""
+def reject_call(monkeypatch, name, call, spoil, worker=False):
+    """Patch ``g2flow.flow.<name>`` so that its ``call``-th call returns its result
+    spoiled; with ``worker``, its ``call``-th call outside the main thread."""
     from g2flow import flow
 
     real, calls = getattr(flow, name), []
 
     def patched(*args, **kwargs):
-        calls.append(1)
+        counted = not worker or threading.current_thread() is not threading.main_thread()
+        calls.append(counted)
         out = real(*args, **kwargs)
-        return spoil(out) if len(calls) == call else out
+        return spoil(out) if counted and sum(calls) == call else out
 
     monkeypatch.setattr(flow, name, patched)
 

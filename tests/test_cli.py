@@ -390,6 +390,22 @@ def test_the_manifest_lists_the_records_events(tmp_path, capsys, overrides, stat
     assert json.loads((out_dir / "manifest.json").read_text())["events"] == carried
 
 
+@pytest.mark.parametrize("scheme", ["fx", "both", "direct"])
+def test_the_manifest_says_how_the_run_stepped(tmp_path, capsys, scheme):
+    # the fx step's part count (a 16^2 grid takes one) and each route's step and
+    # record seconds; the NDJSON and checkpoint carry none of it
+    cfg = write_config(tmp_path / "cfg.json", scheme=scheme)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["fx_parts"] == (None if scheme == "direct" else 1)
+    routes = {"fx": ["fx"], "both": ["fx", "direct"], "direct": ["direct"]}[scheme]
+    assert sorted(manifest["timing"]) == sorted(routes)
+    for timing in manifest["timing"].values():
+        assert sorted(timing) == ["record_s", "step_s", "steps"]
+        assert timing["steps"] == 10 and timing["step_s"] > 0 and timing["record_s"] > 0
+
+
 def test_usage_errors_exit_1_and_help_exits_0(capsys):
     for argv in ([], ["bogus"], ["run"], ["verify", "--suite", "nope"], ["rescale-check", "--c"]):
         assert main(argv) == 1, argv

@@ -94,7 +94,7 @@ def test_unprojected_heat_flow_fails_the_order_gate(tables, monkeypatch):
     monkeypatch.setattr(
         flow,
         "_harmonic_map",
-        lambda grid, u, out, lap, dot: laplacian(grid, u, out, lattice=True),
+        lambda grid, u, out, lap, dot, part: laplacian(grid, u, out, lattice=True),
     )
     errs, _ = great_circle_errors(tables, 2, project=False)
     assert not within_band(errs, 2), (errs, orders(errs))

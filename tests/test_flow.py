@@ -1,6 +1,10 @@
 """Time integration: fixed points, orders, scheme agreement, rescaling."""
 
 import math
+import signal
+import struct
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -671,37 +675,56 @@ def test_a_ceiling_stop_keeps_the_state_that_tripped_it(tables, grid16, scheme, 
     assert np.array_equal(_last_kept(traj), _stepped_twice(tables, cfg))
 
 
-def _spoil_u(value):
+def _spoil_u(value, at=(3, 5, 7)):
     """Set one value of the integrator's stepped u to ``value``."""
 
     def spoil(out):
-        out[0][3, 5, 7] = value
+        out[0][at] = value
         return out
 
     return spoil
 
 
+def _two_parts(monkeypatch):
+    """Make every frame-less fx run step in two parts, on two usable CPUs."""
+    monkeypatch.setattr(flow, "PARALLEL_MIN_POINTS", 0)
+    monkeypatch.setattr(flow.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+SPOILS = (np.nan, np.inf, -np.inf, 1e200)
+
+
 @pytest.mark.parametrize("snapshot_every", [0, 2])
 @pytest.mark.parametrize(
-    "scheme, name, spoil, kind",
+    "scheme, name, spoil, kind, parts",
     [
-        ("fx", "step_fx", lambda out: (*out[:2], 1.0), "constraint_abort"),
+        ("fx", "step_fx", lambda out: (*out[:2], 1.0), "constraint_abort", 1),
         # step_fx reads these from the ends of its f^2 + |X|^2, as it reads a
         # finite u whose square overflows
-        *[("fx", "_rk", _spoil_u(v), "blow_up") for v in (np.nan, np.inf, -np.inf, 1e200)],
-        ("direct", "_step_direct_sorted", lambda s3: np.full_like(s3, np.nan), "blow_up"),
+        *[("fx", "_rk", _spoil_u(v), "blow_up", 1) for v in SPOILS],
+        ("direct", "_step_direct_sorted", lambda s3: np.full_like(s3, np.nan), "blow_up", 1),
+        # in two parts, at a component and a grid point (199 of 256) of the worker's
+        # part, whose defect the caller combines with its own
+        *[("fx", "_rk", _spoil_u(v, (5, 12, 7)), "blow_up", 2) for v in SPOILS],
     ],
-    ids=["fx", "fx-nan", "fx-inf", "fx-minus-inf", "fx-overflowing-square", "direct"],
+    ids=[
+        "fx", "fx-nan", "fx-inf", "fx-minus-inf", "fx-overflowing-square", "direct",
+        "fx-two-parts-nan", "fx-two-parts-inf", "fx-two-parts-minus-inf",
+        "fx-two-parts-overflowing-square",
+    ],
 )
 def test_a_rejected_step_ends_on_the_last_good_state(
-    tables, grid16, monkeypatch, snapshot_every, scheme, name, spoil, kind
+    tables, grid16, monkeypatch, snapshot_every, scheme, name, spoil, kind, parts
 ):
     # the third step is rejected; with snapshot_every 2 the last good state
     # is its step's snapshot already, and is kept once
-    reject_call(monkeypatch, name, 3, spoil)
+    if parts == 2:
+        _two_parts(monkeypatch)
+    reject_call(monkeypatch, name, 3, spoil, worker=parts == 2)
     cfg = _stop_config(grid16, scheme, snapshot_every=snapshot_every)
     with np.errstate(over="ignore", invalid="ignore"):
         traj = getattr(run(cfg), scheme)
+    assert traj.parts == parts
     assert [ev["type"] for ev in traj.events] == [kind]
     assert traj.events[0]["t"] == 2 * cfg.dt
     assert traj.records[-1] == {"t": 2 * cfg.dt, "events": traj.events}
@@ -727,7 +750,12 @@ def test_every_stamped_event_reaches_a_record(grid16, monkeypatch, scheme, ceili
     cfg = _stop_config(grid16, scheme, diagnostics_every=2, t_end=8e-4, torsion_ceiling=ceiling)
     traj = getattr(run(cfg), scheme)
     carried = [(i, ev) for i, rec in enumerate(traj.records) for ev in rec["events"]]
-    assert [ev for _, ev in carried] == traj.events
+    sup_t0 = traj.records[0]["sup_T"]
+    for i, ev in carried:  # each event's number, from the record that tripped it
+        if ev["type"] == "doubling_time":
+            assert ev["empirical_C"] == 1.0 / (ev["t"] * sup_t0 * sup_t0)
+        else:
+            assert ev["sup_T"] == traj.records[i]["sup_T"]
     assert all("energy" in rec for rec in traj.records)  # no ending record of events alone
     if ceiling > 1:
         assert [(i, ev["type"], ev["t"]) for i, ev in carried] == [(1, "doubling_time", 2 * cfg.dt)]
@@ -736,6 +764,169 @@ def test_every_stamped_event_reaches_a_record(grid16, monkeypatch, scheme, ceili
         assert [(i, ev["type"]) for i, ev in carried] == [(1, "doubling_time"), (1, "singularity_suspected")]
         assert [rec["t"] for rec in traj.records] == [0.0, 2 * cfg.dt]
         assert all(ev["t"] == 2 * cfg.dt for ev in traj.events)
+
+
+@pytest.mark.parametrize(
+    "n,dims,order,integrator",
+    [
+        (128, (0, 1), 2, "rk4"),
+        (128, (0, 1), 4, "rk4"),
+        (32, (0, 1, 2), 2, "rk4"),
+        (30, (0, 1), 2, "euler"),
+    ],
+)
+def test_two_part_steps_give_the_one_part_bytes(tables, n, dims, order, integrator):
+    grid = Grid(length=1.0, n=n, active_dims=dims, stencil_order=order)
+    one = two = (random_band_state(grid, 0.3, seed=8), None, None)
+    dt = 0.2 * grid.h * grid.h / (2 * grid.k)
+    with flow._FxWorkspace(grid, parts=2) as work:
+        for _ in range(3):
+            one = step_fx(tables, one[0], dt, integrator)
+            two = step_fx(tables, two[0], dt, integrator, work=work)
+            assert two[0].u.tobytes() == one[0].u.tobytes()
+            assert struct.pack("<d", two[2]) == struct.pack("<d", one[2])
+
+
+@pytest.mark.parametrize(
+    "overrides, kinds",
+    [
+        ({}, []),
+        (dict(constraint_abort_tol=0.0), ["constraint_abort"]),
+        (dict(torsion_ceiling=1e-6, diagnostics_every=2), ["singularity_suspected"]),
+    ],
+    ids=["finished", "constraint-abort", "ceiling"],
+)
+def test_a_two_part_run_joins_its_one_daemon_worker(grid16, monkeypatch, overrides, kinds):
+    cfg = _stop_config(grid16, "fx", snapshot_every=3, **overrides)
+    want = run(cfg).fx
+    _two_parts(monkeypatch)
+    real, seen = flow._rk, set()
+
+    def recording(*args, **kwargs):
+        seen.add(threading.current_thread())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "_rk", recording)
+    before = threading.active_count()
+    got = run(cfg).fx
+    assert threading.active_count() == before
+    (worker,) = seen - {threading.main_thread()}
+    assert worker.daemon and not worker.is_alive()
+    assert (want.parts, got.parts) == (1, 2)
+    assert [ev["type"] for ev in got.events] == kinds
+    assert got.records == want.records and got.times == want.times
+    assert [s.u.tobytes() for s in got.states] == [s.u.tobytes() for s in want.states]
+
+
+@pytest.mark.parametrize("in_worker", [False, True], ids=["caller", "worker"])
+def test_an_exception_in_either_part_reaches_the_caller(grid16, monkeypatch, in_worker):
+    _two_parts(monkeypatch)
+    real = flow.laplacian
+
+    def failing(*args, **kwargs):
+        if (threading.current_thread() is not threading.main_thread()) == in_worker:
+            raise RuntimeError("a part failed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "laplacian", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="a part failed"):
+        run(_stop_config(grid16, "fx"))
+    assert threading.active_count() == before
+
+
+def test_the_worker_takes_the_callers_floating_point_handling(tables):
+    # a step moves u by at most four rows, so |u|^2 underflows to 0 in the
+    # middle of rows 16-31, grid points of the worker's part alone, and only
+    # its projection divides by zero
+    grid = Grid(length=1.0, n=32)
+    state = random_band_state(grid, 0.3, seed=5)
+    state.u[:, 16:] *= 1e-200
+    with flow._FxWorkspace(grid, parts=2) as work, np.errstate(divide="raise", under="ignore"):
+        for step_work in (None, work):
+            with pytest.raises(FloatingPointError, match="divide by zero"):
+                step_fx(tables, state, 1e-4, work=step_work)
+
+
+def test_a_two_part_step_under_a_timer_signal_gives_the_same_bytes(tables):
+    # a benchmark's speed sampler runs its handler in the main thread every 10 ms;
+    # here every 1 ms, while the caller waits at the barrier or steps its part
+    grid = Grid(length=1.0, n=32)
+    state = random_band_state(grid, 0.3, seed=5)
+    dt = 0.2 * grid.h * grid.h / (2 * grid.k)
+    want = step_fx(tables, state, dt)
+    ticks = []
+    previous = signal.signal(signal.SIGALRM, lambda signum, frame: ticks.append(signum))
+    signal.setitimer(signal.ITIMER_REAL, 1e-3, 1e-3)
+    try:
+        with flow._FxWorkspace(grid, parts=2) as work:
+            got = [step_fx(tables, state, dt, work=work) for _ in range(40)]
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert ticks
+    assert all(new.u.tobytes() == want[0].u.tobytes() and defect == want[2] for new, _, defect in got)
+
+
+def test_two_part_steps_under_contention_give_the_one_part_bytes(tables):
+    # two callers, each stepping with its own two-part workspace: four threads on
+    # at most two cores, switching every microsecond
+    grid = Grid(length=1.0, n=32)
+    state = random_band_state(grid, 0.3, seed=7)
+    dt = 0.2 * grid.h * grid.h / (2 * grid.k)
+    want = state
+    for _ in range(20):
+        want = step_fx(tables, want, dt)[0]
+    got = [None, None]
+
+    def caller(i):
+        with flow._FxWorkspace(grid, parts=2) as work:
+            new = state
+            for _ in range(20):
+                new = step_fx(tables, new, dt, work=work)[0]
+        got[i] = new.u.tobytes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=(i,)) for i in range(2)]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in callers)
+    assert got == [want.u.tobytes()] * 2
+
+
+def test_the_run_takes_two_parts_on_large_frameless_grids_with_two_cpus(monkeypatch):
+    # two parts lose at 96^2 and win at 128^2
+    assert 96 * 96 < flow.PARALLEL_MIN_POINTS <= 128 * 128
+    monkeypatch.setattr(flow, "PARALLEL_MIN_POINTS", 16 * 16)
+
+    def parts(n, cpus, **overrides):
+        monkeypatch.setattr(flow.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        return run(_stop_config(Grid(length=1.0, n=n), "fx", t_end=2e-4, **overrides)).fx.parts
+
+    assert [parts(16, 2), parts(14, 2), parts(16, 1), parts(16, 2, track_frame=True)] == [2, 1, 1, 1]
+    monkeypatch.delattr(flow.os, "sched_getaffinity")  # where there is no affinity call
+    monkeypatch.setattr(flow.os, "cpu_count", lambda: 2)
+    assert run(_stop_config(Grid(length=1.0, n=16), "fx", t_end=2e-4)).fx.parts == 2
+
+
+def test_step_fx_refuses_a_workspace_that_does_not_fit(tables, grid16):
+    state = random_band_state(grid16, 0.3, seed=1)
+    iota = np.broadcast_to(np.eye(7).reshape(7, 7, 1, 1), (7, 7) + grid16.shape).copy()
+    misfits = [
+        (flow._FxWorkspace(grid16), iota),
+        (flow._FxWorkspace(grid16, frame=True), None),
+        (flow._FxWorkspace(Grid(length=1.0, n=32)), None),
+        (flow._FxWorkspace(replace(grid16, length=2.0)), None),
+    ]
+    for work, io in misfits:
+        with pytest.raises(ValueError, match="workspace"):
+            step_fx(tables, state, 1e-4, iota=io, work=work)
 
 
 @pytest.mark.parametrize("integrator", ["euler", "rk4"])
