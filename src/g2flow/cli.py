@@ -49,7 +49,6 @@ NUMERICAL_ERRORS = (
 _JSON_KINDS = {
     "float": "a finite number",
     "int": "an integer",
-    "bool": "true or false",
     "str": "a string",
     "tuple[int, ...]": "a list of integers",
 }
@@ -62,7 +61,7 @@ def _coerce(type_name: str, value):
         return value
     if kind == "tuple[int, ...]" and isinstance(value, list):
         return tuple(_coerce("int", i) for i in value)
-    if kind in ("bool", "str") and type(value).__name__ == kind:
+    if kind == "str" and isinstance(value, str):
         return value
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if kind == "float" and number and abs(value) <= sys.float_info.max:

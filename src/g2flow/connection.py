@@ -4,8 +4,8 @@ The flat connection on an auxiliary bundle E (a second copy of the tangent
 bundle, trivialized by the grid coordinates) is twisted by
 alpha (X -| T) x (.), where x is the cross product of the structure whose
 torsion is T, so every operator here takes that structure's 3-form field.
-Together with a frame iota evolving by beta (Div T) x iota, which a run
-with ``track_frame`` co-evolves (beta is ``FlowConfig.frame_beta``), the
+Together with a frame iota evolving by beta (Div T) x iota, which
+``transport_frames`` carries along a trajectory's snapshots, the
 gauge-transported torsion satisfies a clean reaction-diffusion equation
 for alpha = -1/2, beta = 1/2.  Every residual
 evaluator here differences two independently computed sides, so a
@@ -18,17 +18,21 @@ background is not representable in this module.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import PHI, StructureTables, diamond
+from .algebra import INTERIOR_ENTRIES, PHI, StructureTables, contract, diamond
 from .grid import Grid, div2, grad_vector, laplacian, partial
 from .states import (
     IsometricState,
+    div_torsion_of_state,
     metric_from_phi,
     phi_of_state,
     psi_of_state,
+    sorted_phi_of_state,
     torsion_from_phi,
     torsion_of_state,
 )
@@ -36,6 +40,7 @@ from .states import (
 __all__ = [
     "FrameField",
     "identity_frame",
+    "transport_frames",
     "D_derivative",
     "laplacian_D",
     "reaction_diffusion_residual",
@@ -141,6 +146,33 @@ def laplacian_D(
     return out
 
 
+def transport_frames(tables: StructureTables, traj, beta: float = 0.5) -> list[np.ndarray]:
+    """The frame iota, shape (7, 7, *grid), at each snapshot of an fx
+    trajectory: d iota / dt = beta (Div T) x iota, columnwise, from the
+    identity at the first.  Each interval takes the Cayley step
+    iota <- (I - h A)^{-1} (I + h A) iota, h = dt / 2, one solve over the
+    grid, with A_pl = beta (Div T -| phi)_lp averaged over its two ends.  A
+    is antisymmetric, so I - h A is invertible and the frames stay orthogonal
+    (Iserles et al., Lie-group methods, Acta Numerica 2000), at second order
+    in the snapshot spacing.
+    """
+    grid = traj.grid
+
+    def rate(state):  # A per grid point, shape (points, 7, 7)
+        divt = div_torsion_of_state(state)
+        rot = contract(INTERIOR_ENTRIES, divt, sorted_phi_of_state(tables, state, check=False))
+        return beta * np.moveaxis(rot.reshape(7, 7, -1), -1, 0).swapaxes(1, 2)
+
+    eye = np.eye(7)
+    iota = np.broadcast_to(eye, (math.prod(grid.shape), 7, 7))  # (points, m, a)
+    frames = [identity_frame(grid).iota]
+    for (t0, a0), (t1, a1) in itertools.pairwise(zip(traj.times, map(rate, traj.states))):
+        ha = (0.25 * (t1 - t0)) * (a0 + a1)
+        iota = np.linalg.solve(eye - ha, iota + ha @ iota)
+        frames.append(np.moveaxis(iota, 0, -1).reshape((7, 7) + grid.shape))
+    return frames
+
+
 def _interior_index(traj, index: int | None) -> int:
     """``index``, by default the middle snapshot, checked to have a stored
     snapshot on each side."""
@@ -165,25 +197,22 @@ def reaction_diffusion_residual(
 
         resid = dT~/dt - Lap_D T~ - alpha^2 ( |T~|^2 T~ - T o T^t o T~ ).
 
-    The time derivative is a centered difference of stored snapshots; the
-    trajectory must carry co-evolved frames.
+    The time derivative is a centered difference of stored snapshots, with
+    the frames of ``transport_frames``.
     """
     index = _interior_index(traj, index)
-    if traj.frames is None:
-        raise ValueError("trajectory has no co-evolved frames (set track_frame)")
+    frames = transport_frames(tables, traj)
     grid = traj.grid
 
     def mixed(j):
         t = torsion_of_state(traj.states[j])
-        return t, np.einsum("im...,ma...->ia...", t, traj.frames[j])
+        return t, np.einsum("im...,ma...->ia...", t, frames[j])
 
-    t_prev, m_prev = mixed(index - 1)
-    t_mid, m_mid = mixed(index)
-    t_next, m_next = mixed(index + 1)
+    (_, m_prev), (t_mid, m_mid), (_, m_next) = (mixed(j) for j in (index - 1, index, index + 1))
     dt2 = traj.times[index + 1] - traj.times[index - 1]
     dmdt = (m_next - m_prev) / dt2
 
-    frame = FrameField(iota=traj.frames[index], alpha=alpha)
+    frame = FrameField(iota=frames[index], alpha=alpha)
     lap = laplacian_D(grid, frame, t_mid, phi_of_state(tables, traj.states[index]), t_mid)
     msq = np.einsum("ia...,ia...->...", m_mid, m_mid)
     ttm = np.einsum("ip...,kp...->ik...", t_mid, t_mid)  # (T T^t)_ik

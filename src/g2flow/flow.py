@@ -10,9 +10,8 @@ grid point, so the discrete flow keeps the constraint f^2 + |X|^2 = 1 up
 to the time integrator's error; the route re-normalizes u after every
 step, which removes only that drift.
 
-A trajectory optionally co-evolves a gauge frame iota on an auxiliary
-bundle (d iota / dt = beta (Div T) x iota, columnwise) so that connection
-residual diagnostics can difference the gauge-transported torsion in time.
+No gauge frame is stepped here: ``connection.transport_frames`` derives
+the frame of the connection residuals from a trajectory's snapshots.
 """
 
 from __future__ import annotations
@@ -28,9 +27,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from .algebra import (
-    CROSS_ENTRIES,
     DIV_PSI_ENTRIES,
-    INTERIOR_ENTRIES,
     StructureTables,
     build_standard_tables,
     contract,
@@ -68,8 +65,8 @@ class ConfigError(ValueError):
     """Raised for invalid flow configurations."""
 
 
-# a frame-less fx run on at least this many grid points steps in two parts when
-# two CPUs are usable; below it the barriers cost more than the second core saves
+# an fx run on at least this many grid points steps in two parts when two CPUs
+# are usable; below it the barriers cost more than the second core saves
 PARALLEL_MIN_POINTS = 10240
 
 
@@ -101,8 +98,6 @@ class FlowConfig:
     torsion_ceiling: float = 100.0
     metric_tol: float = 1e-3
     metric_check_every: int = 50
-    track_frame: bool = False
-    frame_beta: float = 0.5
     constraint_abort_tol: float = 1e-6
     theta_probes: tuple = ()
     entropy_sigma: float | None = None
@@ -192,7 +187,6 @@ class Trajectory:
     times: list
     states: list | None = None  # fx scheme
     sorted_phis: list | None = None  # direct scheme: sorted 3-form components
-    frames: list | None = None
     records: list = field(default_factory=list)
     parts: int = 1  # the threads an fx step ran on
     timing: dict = field(default_factory=dict)  # steps, step_s, record_s
@@ -245,12 +239,11 @@ def initial_state(config: FlowConfig) -> IsometricState:
 
 class _FxWorkspace:
     """Buffers that the RK stages of an fx step reuse, and a run's steps too:
-    ``rk`` is the RK driver's two rate buffers and one stage buffer, each a
-    pair shaped like the stepped (u, iota) (iota's None without a frame);
-    ``lap`` is the Laplacian's output and ``dot`` the grid scalar
-    <u, Lap u>.  The Laplacian's scratch, which holds each later direction's
-    neighbour sum, then the centre term, is the rate buffer it is computing,
-    so four state-sized buffers serve a step.
+    ``rk`` is the RK driver's two rate buffers and one stage buffer, each
+    shaped like u; ``lap`` is the Laplacian's output and ``dot`` the grid
+    scalar <u, Lap u>.  The Laplacian's scratch, which holds each later
+    direction's neighbour sum, then the centre term, is the rate buffer it
+    is computing, so four state-sized buffers serve a step.
 
     All are views of one block.  glibc's malloc raises its mmap threshold
     to the size of a mapping it frees, so once a run frees the block, later
@@ -266,15 +259,12 @@ class _FxWorkspace:
 
     part = (slice(None), slice(None), lambda: None)  # one part: the whole field, no wait
 
-    def __init__(self, grid: Grid, frame: bool = False, parts: int = 1):
+    def __init__(self, grid: Grid, parts: int = 1):
         n = math.prod(grid.shape)
-        sizes = [8 * n] * 4 + [n] + [49 * n] * (3 if frame else 0)
-        blocks = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
-        ka, kb, stage, self.lap = (p.reshape((8,) + grid.shape) for p in blocks[:4])
+        blocks = np.split(np.empty(33 * n), [8 * n, 16 * n, 24 * n, 32 * n])
+        *self.rk, self.lap = (p.reshape((8,) + grid.shape) for p in blocks[:4])
         self.dot = blocks[4].reshape(grid.shape)
-        io = [p.reshape((7, 7) + grid.shape) for p in blocks[5:]] or [None] * 3
-        self.rk = ((ka, io[0]), (kb, io[1]), (stage, io[2]))
-        self.grid, self.frame, self._thread = grid, frame, None
+        self.grid, self._thread = grid, None
         self.barrier = threading.Barrier(parts)
         self.views = [self]  # one per part: the buffers, and the part's slices
         if parts == 2:
@@ -378,36 +368,32 @@ def _rhs_direct_sorted(grid: Grid, s3: np.ndarray, out: np.ndarray | None = None
     return contract(DIV_PSI_ENTRIES, divt, s3, out)
 
 
-def _rk(rates, y: tuple, dt: float, integrator: str, work=None, out=None, part=slice(None)) -> tuple:
-    """One explicit Euler or classical RK4 step of dy/dt = rates(y) for a
-    tuple of arrays; None entries pass through.  ``rates(y, out)`` writes the
-    rates of y into the tuple of arrays ``out``.
+def _rk(rates, y: np.ndarray, dt: float, integrator: str, work=None, out=None, part=slice(None)):
+    """One explicit Euler or classical RK4 step of dy/dt = rates(y) for an
+    array y.  ``rates(y, out)`` writes the rates of y into the array ``out``.
 
-    ``work`` is three tuples of buffers shaped like y: two for rates, one for
-    the stage state.  The stages reuse them, and so do the steps of a caller
+    ``work`` is three buffers shaped like y: two for rates, one for the
+    stage state.  The stages reuse them, and so do the steps of a caller
     that keeps them; without it they are allocated for this step.  The
-    result goes into ``out`` (a fresh tuple if None), which is returned.
+    result goes into ``out`` (a fresh array if None), which is returned.
     RK4 sums k1 + 2 k2 + 2 k3 + k4 as the rates come, in that order, so k3
-    and k4 reuse the buffer of k1.  The sums touch only the ``part`` of each
-    array's leading axis and ``rates`` gets the whole stage, so calls on
-    two parts whose rates fill their own parts make one step.
+    and k4 reuse the buffer of k1.  The sums touch only the ``part`` of the
+    leading axis and ``rates`` gets the whole stage, so calls on two parts
+    whose rates fill their own parts make one step.
     """
     if integrator not in ("euler", "rk4"):
         raise ConfigError(f"unknown integrator {integrator!r}")
     if work is None:
-        work = [tuple(None if a is None else np.empty_like(a) for a in y) for _ in range(3)]
-    ka, kb, stage, y0 = ([None if a is None else a[part] for a in arrs] for arrs in (*work, y))
-    live = [i for i, a in enumerate(y) if a is not None]
+        work = [np.empty_like(y) for _ in range(3)]
+    ka, kb, stage, y0 = (a[part] for a in (*work, y))
 
     def shift(c, k):  # stage = k c + y
-        for i in live:
-            np.add(np.multiply(k[i], c, out=stage[i]), y0[i], out=stage[i])
+        np.add(np.multiply(k, c, out=stage), y0, out=stage)
         return work[2]
 
     def result(k, c):  # k c + y
-        res = out or tuple(None if a is None else np.empty(a.shape) for a in y)
-        for i in live:
-            np.add(np.multiply(k[i], c, out=k[i]), y0[i], out=res[i][part])
+        res = np.empty(y.shape) if out is None else out
+        np.add(np.multiply(k, c, out=k), y0, out=res[part])
         return res
 
     rates(y, work[0])
@@ -415,34 +401,13 @@ def _rk(rates, y: tuple, dt: float, integrator: str, work=None, out=None, part=s
         return result(ka, dt)
     rates(shift(0.5 * dt, ka), work[1])
     shift(0.5 * dt, kb)
-    for i in live:  # acc = 2 k2 + k1, in k2's buffer
-        np.add(np.multiply(kb[i], 2, out=kb[i]), ka[i], out=kb[i])
+    np.add(np.multiply(kb, 2, out=kb), ka, out=kb)  # acc = 2 k2 + k1, in k2's buffer
     rates(work[2], work[0])
     shift(dt, ka)
-    for i in live:  # acc += 2 k3
-        np.add(kb[i], np.multiply(ka[i], 2, out=ka[i]), out=kb[i])
+    np.add(kb, np.multiply(ka, 2, out=ka), out=kb)  # acc += 2 k3
     rates(work[2], work[0])
-    for i in live:  # acc += k4
-        np.add(kb[i], ka[i], out=kb[i])
+    np.add(kb, ka, out=kb)  # acc += k4
     return result(kb, dt / 6.0)
-
-
-def _fx_rates(tables, state, iota, beta, out, work) -> None:
-    """Write the rates of (u, iota) in lattice time, ``grid.laplacian_scale``
-    times d/dt, into the pair ``out``, through the buffers of the
-    ``_FxWorkspace`` ``work`` (one of its part views)."""
-    du, diota = out
-    lu = _harmonic_map(state.grid, state.u, du, work.lap, work.dot, work.part)
-    if iota is None:
-        return
-    # Div T = 2 (Lap f) X - 2 f Lap X - 2 Lap X x X, from the same lattice Laplacians;
-    # the gauge flow uses the evolving structure's own cross product
-    divt = 2.0 * lu[0] * state.x - 2.0 * state.f * lu[1:]
-    divt -= 2.0 * contract(CROSS_ENTRIES, lu[1:], state.x)
-    # two pairwise sums: (Div T -| phi)_lp on phi's sorted components, then with iota
-    rot = contract(INTERIOR_ENTRIES, divt, sorted_phi_of_state(tables, state, check=False))
-    np.einsum("lp...,la...->pa...", rot.reshape(iota.shape), iota, out=diota)
-    diota *= beta
 
 
 def step_fx(
@@ -450,38 +415,38 @@ def step_fx(
     state: IsometricState,
     dt: float,
     integrator: str = "rk4",
-    iota: np.ndarray | None = None,
-    beta: float = 0.5,
     project: bool = True,
     work: _FxWorkspace | None = None,
 ):
     """One explicit step of the (f, X) system, then constraint projection.
 
-    Returns (projected state, new iota or None, pre-projection defect).  The
-    defect is NaN or inf exactly when f^2 + |X|^2 is not finite somewhere:
-    when the stepped u holds a NaN or an inf, or its square sum overflows.
-    The stages run in lattice time, so the step is dt / ``grid.laplacian_scale``.
-    ``project=False`` skips the normalization, exposing the raw integrator
-    for order studies.  ``work`` (``_FxWorkspace(grid, frame=iota is not
-    None)``) lets a run reuse its buffers (and threads, see its doc);
-    without it the step allocates one.
+    Returns (projected state, None, pre-projection defect).  ``tables`` is
+    not read, and the None holds the place of the gauge frame a step once
+    returned: perfbench/layers.py calls ``step_fx(tables, ...)`` and reads
+    the defect at ``result[2]``.  The defect is NaN or inf exactly when
+    f^2 + |X|^2 is not finite somewhere: when the stepped u holds a NaN or
+    an inf, or its square sum overflows.  The stages run in lattice time,
+    so the step is dt / ``grid.laplacian_scale``.  ``project=False`` skips
+    the normalization, exposing the raw integrator for order studies.
+    ``work`` (``_FxWorkspace(grid)``) lets a run reuse its buffers (and
+    threads, see its doc); without it the step allocates one.
     """
-    work = work or _FxWorkspace(state.grid, iota is not None)
-    if work.grid != state.grid or work.frame != (iota is not None):
-        raise ValueError("the workspace was made for another grid, or with(out) a frame")
+    work = work or _FxWorkspace(state.grid)
+    if work.grid != state.grid:
+        raise ValueError("the workspace was made for another grid")
     dt = dt / state.grid.laplacian_scale
     # two parts write into one result and one f^2 + |X|^2, made before they
     # start; one part makes them after its stages, as a step always has
     out = norm_sq = None
     if work._thread is not None:
-        out, norm_sq = (np.empty(state.u.shape), None), np.empty(state.grid.shape)
+        out, norm_sq = np.empty(state.u.shape), np.empty(state.grid.shape)
 
     def step_part(view):
         comps, rows, wait = view.part
-        new = _rk(lambda y, k: _fx_rates(tables, replace(state, u=y[0]), y[1], beta, k, view),
-                  (state.u, iota), dt, integrator, view.rk, out, comps)
+        new = _rk(lambda y, k: _harmonic_map(state.grid, y, k, view.lap, view.dot, view.part),
+                  state.u, dt, integrator, view.rk, out, comps)
         wait()  # for the whole result
-        mine = new[0][:, rows]
+        mine = new[:, rows]
         sq = np.einsum("a...,a...->...", mine, mine, out=None if norm_sq is None else norm_sq[rows])
         ends = float(sq.max()), float(sq.min())  # NaN if a NaN is in the part
         if project:
@@ -495,8 +460,7 @@ def step_fx(
     tops, bottoms = zip(*(ends for _, ends in parts))
     top = next((x for x in tops if x != x), max(tops))
     bottom = next((x for x in bottoms if x != x), min(bottoms))
-    (u1, io1), _ = parts[0]
-    return replace(state, u=u1), io1, max(top - 1.0, 1.0 - bottom)
+    return replace(state, u=parts[0][0]), None, max(top - 1.0, 1.0 - bottom)
 
 
 def step_direct(
@@ -513,8 +477,7 @@ def step_direct(
 
 def _step_direct_sorted(grid: Grid, s3: np.ndarray, dt: float, integrator: str) -> np.ndarray:
     """One explicit step of the direct flow on the sorted components s3."""
-    (s3,) = _rk(lambda y, out: _rhs_direct_sorted(grid, *y, *out), (s3,), dt, integrator)
-    return s3
+    return _rk(lambda y, out: _rhs_direct_sorted(grid, y, out), s3, dt, integrator)
 
 
 def _run_scheme(config: FlowConfig, traj: Trajectory, y, advance, measure, keep):
@@ -585,45 +548,25 @@ def _run_scheme(config: FlowConfig, traj: Trajectory, y, advance, measure, keep)
     return traj
 
 
-def _run_fx(tables: StructureTables, config: FlowConfig, state0: IsometricState) -> Trajectory:
+def _run_fx(config: FlowConfig, state0: IsometricState) -> Trajectory:
     """The fx route from the projected initial state0, in two parts (one
-    worker thread, joined before the return) when two CPUs are usable, the
-    grid has PARALLEL_MIN_POINTS points and the run has no frame."""
+    worker thread, joined before the return) when two CPUs are usable and
+    the grid has PARALLEL_MIN_POINTS points."""
     grid = config.grid
-    traj = Trajectory(scheme="fx", grid=grid, times=[], states=[], frames=[] if config.track_frame else None)
-    iota = None
-    if config.track_frame:
-        iota = np.zeros((7, 7) + grid.shape)
-        iota[np.arange(7), np.arange(7)] = 1.0
+    traj = Trajectory(scheme="fx", grid=grid, times=[], states=[])
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    split = not config.track_frame and math.prod(grid.shape) >= PARALLEL_MIN_POINTS
-    traj.parts = 2 if split and cpus >= 2 else 1
+    traj.parts = 2 if cpus >= 2 and math.prod(grid.shape) >= PARALLEL_MIN_POINTS else 1
 
-    def advance(y, t, step):
-        state, io = y
-        new, io, defect = step_fx(
-            tables, state, config.dt, config.integrator, io, config.frame_beta, work=work
-        )
+    def advance(state, t, step):
+        new, _, defect = step_fx(None, state, config.dt, config.integrator, work=work)
         if not math.isfinite(defect):  # the stepped u, or its |u|^2, is not finite
             return None, {"type": "blow_up", "detail": "non-finite state"}
         if defect > config.constraint_abort_tol:
             return None, {"type": "constraint_abort", "defect": defect}
-        return (new, io), None
+        return new, None
 
-    def keep(y):
-        traj.states.append(y[0])
-        if config.track_frame:
-            traj.frames.append(y[1].copy())
-
-    with _FxWorkspace(grid, config.track_frame, traj.parts) as work:
-        return _run_scheme(
-            config,
-            traj,
-            (state0, iota),
-            advance,
-            lambda y, t, **options: diag.record_for_state(y[0], t, **options),
-            keep,
-        )
+    with _FxWorkspace(grid, traj.parts) as work:
+        return _run_scheme(config, traj, state0, advance, diag.record_for_state, traj.states.append)
 
 
 def _run_direct(config: FlowConfig, s30: np.ndarray) -> Trajectory:
@@ -671,7 +614,7 @@ def run(config: FlowConfig) -> RunResult:
     state0 = initial_state(config).project()  # both routes start from this one copy
     result = RunResult()
     if config.scheme in ("fx", "both"):
-        result.fx = _run_fx(tables, config, state0)
+        result.fx = _run_fx(config, state0)
     if config.scheme in ("direct", "both"):
         result.direct = _run_direct(config, sorted_phi_of_state(tables, state0))
     return result

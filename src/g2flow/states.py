@@ -261,8 +261,9 @@ def div_torsion_of_state(state: IsometricState) -> np.ndarray:
 
     2 (Lap f) X_q - 2 f (Lap X)_q - 2 (Lap X)_l X_m phi_lmq
 
-    The flow does not call it; it is the oracle the stencil divergence of
-    ``torsion_of_state`` and the (f, X) rates are tested against.
+    The flow does not call it; ``connection.transport_frames`` moves the
+    gauge frame by it, and the stencil divergence of ``torsion_of_state``
+    and the (f, X) rates are tested against it.
     """
     grid = state.grid
     f, x = state.f, state.x

@@ -53,7 +53,6 @@ def residual_trajectory(n: int, dt: float, steps: int):
         cfl_safety=1.0,
         snapshot_every=1,
         diagnostics_every=max(1, steps),
-        track_frame=True,
     )
     traj = run(config).fx
     if traj.events:

@@ -129,9 +129,11 @@ def test_config_error_exit_codes(tmp_path, capsys):
         far = write_config(tmp_path / "far.json", grid={"length": length, "n": 16})
         assert main(["run", "--config", str(far)]) == 1, length
         assert "grid period" in capsys.readouterr().err
-    # a misspelt key is named, not silently replaced by its default
+    # a misspelt or retired key is named, not silently replaced by its default
     for key, overrides in (
         ("diagnostic_every", {"diagnostic_every": 2}),
+        ("track_frame", {"track_frame": True}),
+        ("frame_beta", {"frame_beta": 0.5}),
         ("stencl_order", {"grid": {"length": 1.0, "n": 16, "stencl_order": 4}}),
         ("amplitud", {"initial": {"family": "single_mode", "amplitud": 0.2}}),
     ):
@@ -231,10 +233,9 @@ def test_an_overflowing_step_count_exits_1_without_a_traceback(tmp_path, capsys)
 
 
 def test_config_fields_take_only_their_json_type(tmp_path, capsys):
-    # a string is not a bool, a bool is not a number, and a fraction is not
-    # an integer: each exits 1 and names its field
+    # a bool is not a number, a string is not a number nor a number a string,
+    # and a fraction is not an integer: each exits 1 and names its field
     for name, overrides in (
-        ("track_frame", {"track_frame": "no"}),
         ("n", {"grid": {"length": 1.0, "n": 16.7, "active_dims": [0, 1]}}),
         ("diagnostics_every", {"diagnostics_every": 2.9}),
         ("snapshot_every", {"snapshot_every": True}),
@@ -688,8 +689,6 @@ def valid_configs(draw):
         torsion_ceiling=draw(st.floats(1.0, 1e3)),
         metric_tol=draw(st.floats(1e-9, 1.0)),
         metric_check_every=draw(st.integers(1, 100)),
-        track_frame=draw(st.booleans()),
-        frame_beta=draw(st.floats(0.0, 2.0)),
         constraint_abort_tol=draw(st.floats(1e-12, 1.0)),
         theta_probes=tuple(draw(st.lists(st.tuples(centers, scales), max_size=2))),
         entropy_sigma=draw(st.none() | scales),

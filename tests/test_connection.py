@@ -18,6 +18,7 @@ from g2flow.connection import (
     shrinker_soliton_residual,
     soliton_residual,
     torsion_evolution_residual,
+    transport_frames,
 )
 from g2flow.diagnostics import sup_norm
 from g2flow.flow import FlowConfig, InitialSpec, run
@@ -29,7 +30,7 @@ from g2flow.states import (
 )
 
 
-def residual_run(n, dt, steps, amplitude=0.3, seed=7, track_frame=True):
+def residual_run(n, dt, steps, amplitude=0.3, seed=7, snapshot_every=1):
     grid = Grid(length=1.0, n=n, active_dims=(0, 1))
     cfg = FlowConfig(
         grid=grid,
@@ -38,9 +39,8 @@ def residual_run(n, dt, steps, amplitude=0.3, seed=7, track_frame=True):
         t_end=steps * dt,
         scheme="fx",
         cfl_safety=1.0,
-        snapshot_every=1,
+        snapshot_every=snapshot_every,
         diagnostics_every=steps,
-        track_frame=track_frame,
     )
     traj = run(cfg).fx
     assert not traj.events, traj.events
@@ -171,42 +171,37 @@ def test_laplacian_D_quadratic_alpha_coefficient(tables, grid16, rng):
     assert sup_norm(fitted + 0.5 * quad_mixed, 2) <= 1e-10 * max(1.0, sup_norm(quad_mixed, 2))
 
 
-def run_frame(grid, dt, integrator, initial, steps=1):
-    """The frames a track_frame run co-evolves with its states."""
-    cfg = FlowConfig(
-        grid=grid,
-        initial=initial,
-        dt=dt,
-        t_end=steps * dt,
-        integrator=integrator,
-        scheme="fx",
-        track_frame=True,
-    )
-    traj = run(cfg).fx
-    assert not traj.events, traj.events
-    return traj.frames
+def test_transported_frames_stay_orthogonal(tables):
+    traj = residual_run(16, 2e-4, 10)
+    frames = transport_frames(tables, traj)
+    assert len(frames) == len(traj.states) == 11
+    assert max(FrameField(iota=iota).orthogonality_defect() for iota in frames) <= 1e-13
 
 
-def test_run_frame_fixed_without_divergence(grid16):
+def test_transported_frame_is_the_identity_without_divergence(tables, grid16):
     # the reference state has Div T = 0, so d(iota)/dt = beta (Div T) x iota vanishes
-    frames = run_frame(grid16, 1e-4, "rk4", InitialSpec(amplitude=0.0), steps=3)
-    assert len(frames) == 2
+    cfg = FlowConfig(
+        grid=grid16,
+        initial=InitialSpec(amplitude=0.0),
+        dt=1e-4,
+        t_end=3e-4,
+        scheme="fx",
+        snapshot_every=1,
+    )
+    frames = transport_frames(tables, run(cfg).fx)
+    assert len(frames) == 4
     for iota in frames:
         assert np.array_equal(iota, identity_frame(grid16).iota)
 
 
-def test_run_frame_drift_orders(grid16):
-    # the frame ODE is orthogonal, so a step's drift from it is the
-    # integrator's error: O(dt^2) per Euler step, far smaller under RK4
-    initial = InitialSpec(family="random_band", amplitude=0.2, seed=5)
-
-    def drift(dt, integrator):
-        iota = run_frame(grid16, dt, integrator, initial)[-1]
-        return FrameField(iota=iota).orthogonality_defect()
-
-    d1, d2 = drift(2e-5, "euler"), drift(1e-5, "euler")
-    assert 3.5 <= d1 / d2 <= 4.5
-    assert drift(2e-5, "rk4") <= d1 / 100.0
+def test_transported_frame_is_second_order_in_the_snapshot_spacing(tables):
+    # against the frame transported over every step; the measured ratios are 4.2 and 5.0
+    ref = transport_frames(tables, residual_run(16, 2e-4, 16))[-1]
+    errs = [
+        float(np.max(np.abs(transport_frames(tables, residual_run(16, 2e-4, 16, snapshot_every=every))[-1] - ref)))
+        for every in (8, 4, 2)
+    ]
+    assert min(np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])) >= 1.8
 
 
 def test_frame_beta_third_freezes_pullback(tables):
@@ -214,25 +209,14 @@ def test_frame_beta_third_freezes_pullback(tables):
     # sign-validated tables, the pulled-back 3-form is constant for
     # beta = +1/3 (the combined drift rate is (1 - 3 beta) DivT -| psi);
     # the flow's own beta = 1/2 leaves it moving
+    traj = residual_run(16, 2e-4, 10, amplitude=0.2, snapshot_every=5)
+
     def pullback_drift(beta):
-        grid = Grid(length=1.0, n=16, active_dims=(0, 1))
-        cfg = FlowConfig(
-            grid=grid,
-            initial=InitialSpec(family="random_band", amplitude=0.2, seed=7),
-            dt=2e-4,
-            t_end=2e-3,
-            scheme="fx",
-            cfl_safety=1.0,
-            snapshot_every=5,
-            track_frame=True,
-            frame_beta=beta,
-        )
-        traj = run(cfg).fx
-        assert not traj.events
+        frames = transport_frames(tables, traj, beta=beta)
 
         def pull(j):
             phi3 = phi_of_state(tables, traj.states[j])
-            io = traj.frames[j]
+            io = frames[j]
             return np.einsum("ijk...,ia...,jb...,kc...->abc...", phi3, io, io, io)
 
         return sup_norm(pull(len(traj.states) - 1) - pull(0), 3)
@@ -254,17 +238,17 @@ def test_reaction_diffusion_residual_refines_and_negative_control(tables):
     assert n_f > 10.0 * r_f  # the wrong gauge leaves an O(1) defect
 
 
-def test_reaction_diffusion_requires_frames_and_snapshots(tables, grid16):
+def test_reaction_diffusion_requires_three_snapshots(tables, grid16):
     cfg = FlowConfig(
         grid=grid16,
         initial=InitialSpec(family="single_mode", amplitude=0.1),
         dt=2e-4,
         t_end=1e-3,
         scheme="fx",
-        snapshot_every=1,
         cfl_safety=0.9,
     )
     traj = run(cfg).fx
+    assert len(traj.states) == 2
     with pytest.raises(ValueError):
         reaction_diffusion_residual(tables, traj)
 
@@ -277,7 +261,6 @@ def test_torsion_free_run_residuals_vanish(tables, grid16):
         t_end=1e-3,
         scheme="fx",
         snapshot_every=1,
-        track_frame=True,
         cfl_safety=0.9,
     )
     traj = run(cfg).fx
@@ -286,8 +269,8 @@ def test_torsion_free_run_residuals_vanish(tables, grid16):
 
 
 def test_torsion_evolution_residual_refines_and_ablation(tables):
-    coarse = residual_run(16, 2e-4, 8, track_frame=False)
-    fine = residual_run(32, 1e-4, 16, track_frame=False)
+    coarse = residual_run(16, 2e-4, 8)
+    fine = residual_run(32, 1e-4, 16)
     r_c = sup_norm(torsion_evolution_residual(tables, coarse, index=4), 2)
     r_f = sup_norm(torsion_evolution_residual(tables, fine, index=8), 2)
     assert r_c / r_f >= 3.0

@@ -114,17 +114,10 @@ def _divergence_form_rhs_fx(state):
     return df, laplacian(grid, x) + grad_sq * x
 
 
-def _divergence_form_fx_rates(tables, state, iota, beta, out, work):
+def _divergence_form_harmonic_map(grid, u, out, lap, dot, part=None):
     # in the step's lattice time: the rates times grid.laplacian_scale
-    du, diota = out
-    du[0], du[1:] = _divergence_form_rhs_fx(state)
-    du *= state.grid.laplacian_scale
-    if iota is None:
-        return
-    divt = div_torsion_of_state(state)
-    phi3 = phi_of_state(tables, state, check=False)
-    diota[...] = beta * np.einsum("mlp...,m...,la...->pa...", phi3, divt, iota)
-    diota *= state.grid.laplacian_scale
+    out[0], out[1:] = _divergence_form_rhs_fx(fx_state(grid, u[0], u[1:]))
+    out *= grid.laplacian_scale
 
 
 @pytest.mark.parametrize(
@@ -144,10 +137,9 @@ def test_rhs_fx_matches_divergence_form(n, dims, order):
     assert errs[0] / errs[1] >= 2.0 ** (0.8 * order)
 
 
-@pytest.mark.parametrize("track_frame", [False, True])
-def test_fx_run_matches_divergence_form_run(monkeypatch, track_frame):
+def test_fx_run_matches_divergence_form_run(monkeypatch):
     # the two runs part at the stencil order: halving h (and quartering dt)
-    # shrinks the gap in the states, the frames and the energies 4x (>= 3x)
+    # shrinks the gap in the states and the energies 4x (>= 3x)
     def gaps(n, dt, every):
         cfg = FlowConfig(
             grid=Grid(length=1.0, n=n, active_dims=(0, 1)),
@@ -158,30 +150,23 @@ def test_fx_run_matches_divergence_form_run(monkeypatch, track_frame):
             cfl_safety=0.9,
             snapshot_every=every,
             diagnostics_every=every,
-            track_frame=track_frame,
             # the divergence form's rates leave the sphere at O(h^2)
             constraint_abort_tol=1e-3,
         )
         new = run(cfg).fx
         with monkeypatch.context() as m:
-            m.setattr(flow, "_fx_rates", _divergence_form_fx_rates)
+            m.setattr(flow, "_harmonic_map", _divergence_form_harmonic_map)
             ref = run(cfg).fx
         assert not new.events and not ref.events
         assert len(new.states) == len(ref.states) == 6
-        frame_gap = 0.0
-        if track_frame:
-            frame_gap = max(float(np.max(np.abs(a - b))) for a, b in zip(new.frames, ref.frames))
         return (
             max(float(np.max(np.abs(a.u - b.u))) for a, b in zip(new.states, ref.states)),
-            frame_gap,
             max(abs(a["energy"] - b["energy"]) / b["energy"] for a, b in zip(new.records, ref.records)),
         )
 
     coarse, fine = gaps(16, 2e-4, 2), gaps(32, 5e-5, 8)
     assert coarse[0] / fine[0] >= 3.0
-    assert coarse[2] / fine[2] >= 3.0
-    if track_frame:
-        assert coarse[1] / fine[1] >= 3.0
+    assert coarse[1] / fine[1] >= 3.0
 
 
 def test_rhs_direct_lies_in_vector_component(tables, grid16, rng):
@@ -220,26 +205,36 @@ def test_rhs_direct_matches_fx_pushforward(tables):
     assert errs[0] / errs[1] >= 3.0
 
 
-def _pair_form_step_fx(tables, grid, f, x, dt, integrator, iota, beta=0.5):
-    # the stepper with f and X held apart: _rk over the triple (f, X, iota)
-    # in the lattice time of flow._fx_rates, then the pre-projection defect
-    # and the projection of each part
-    work = flow._FxWorkspace(grid, iota is not None)
+def _pair_form_step_fx(grid, f, x, dt, integrator, project):
+    # the stepper with f and X held apart: flow._rk's sums, in its order, on
+    # each of f and X, in the lattice time of flow._harmonic_map; then the
+    # pre-projection defect and, with ``project``, the projection of each
+    lap, dot = np.empty((8,) + grid.shape), np.empty(grid.shape)
 
-    def rates(y, out):
-        f, x, io = y
-        du, diota = np.empty((8,) + grid.shape), None if io is None else np.empty_like(io)
-        flow._fx_rates(tables, fx_state(grid, f, x), io, beta, (du, diota), work)
-        out[0][...], out[1][...] = du[0], du[1:]
-        if io is not None:
-            out[2][...] = diota
+    def rates(y):
+        du = np.empty((8,) + grid.shape)
+        flow._harmonic_map(grid, fx_state(grid, *y).u, du, lap, dot)
+        return du[0], du[1:]
 
-    f1, x1, io1 = flow._rk(rates, (f, x, iota), dt / grid.laplacian_scale, integrator)
+    def shift(k, c, y):  # k c + y
+        return tuple(a * c + b for a, b in zip(k, y))
+
+    h, y = dt / grid.laplacian_scale, (f, x)
+    k1 = rates(y)
+    if integrator == "euler":
+        f1, x1 = shift(k1, h, y)
+    else:
+        k2 = rates(shift(k1, 0.5 * h, y))
+        k3 = rates(shift(k2, 0.5 * h, y))
+        acc = tuple(b * 2 + a for a, b in zip(k1, k2))
+        k4 = rates(shift(k3, h, y))
+        acc = tuple(a + c * 2 for a, c in zip(acc, k3))
+        f1, x1 = shift(tuple(a + d for a, d in zip(acc, k4)), h / 6.0, y)
     norm_sq = f1 * f1  # then X_0^2 through X_6^2, in that order
     for xm in x1:
         norm_sq = norm_sq + xm * xm
-    norm = np.sqrt(norm_sq)
-    return f1 / norm, x1 / norm, io1, float(np.max(np.abs(norm_sq - 1.0)))
+    norm = np.sqrt(norm_sq) if project else 1.0
+    return f1 / norm, x1 / norm, float(np.max(np.abs(norm_sq - 1.0)))
 
 
 @pytest.mark.parametrize("n,order,exact", [(16, 2, True), (24, 2, False), (16, 4, False)])
@@ -250,32 +245,24 @@ def test_the_lattice_time_step_is_the_du_dt_step(tables, n, order, exact):
     grid = Grid(length=1.0, n=n, active_dims=(0, 1), stencil_order=order)
     state = random_band_state(grid, 0.3, seed=6)
     dt = 0.2 * grid.h * grid.h / (2 * grid.k)
-    (want,) = flow._rk(lambda y, out: rhs_fx(replace(state, u=y[0]), out[0]), (state.u,), dt, "rk4")
+    want = flow._rk(lambda y, out: rhs_fx(replace(state, u=y), out), state.u, dt, "rk4")
     got = step_fx(tables, state, dt, project=False)[0].u
     assert np.array_equal(got, want) if exact else np.max(np.abs(got - want)) <= 4e-16
 
 
 @pytest.mark.parametrize("integrator", ["euler", "rk4"])
-@pytest.mark.parametrize("with_frame", [False, True])
+@pytest.mark.parametrize("project", [False, True])
 @pytest.mark.parametrize("n,dims,order", [(16, (0, 1), 2), (8, (0, 1, 2), 4)])
-def test_step_fx_matches_pair_form_stepper(tables, integrator, with_frame, n, dims, order):
+def test_step_fx_matches_pair_form_stepper(tables, integrator, project, n, dims, order):
     grid = Grid(length=1.0, n=n, active_dims=dims, stencil_order=order)
     state = random_band_state(grid, 0.3, seed=6)
-    iota = None
-    if with_frame:
-        iota = np.zeros((7, 7) + grid.shape)
-        iota[np.arange(7), np.arange(7)] = 1.0
-    f, x, ref_iota = state.f, state.x, iota
+    f, x = state.f, state.x
     dt = 0.2 * grid.h * grid.h / (2 * grid.k)
-    for _ in range(2):  # the second step starts from a rotated frame
-        state, iota, defect = step_fx(tables, state, dt, integrator, iota)
-        f, x, ref_iota, ref_defect = _pair_form_step_fx(tables, grid, f, x, dt, integrator, ref_iota)
+    for _ in range(2):  # without the projection the second step starts off the sphere
+        state, none, defect = step_fx(tables, state, dt, integrator, project=project)
+        f, x, ref_defect = _pair_form_step_fx(grid, f, x, dt, integrator, project)
         assert np.array_equal(state.f, f) and np.array_equal(state.x, x)
-        assert defect == ref_defect
-        if with_frame:
-            assert np.array_equal(iota, ref_iota)
-        else:
-            assert iota is None and ref_iota is None
+        assert defect == ref_defect and none is None
 
 
 @pytest.mark.parametrize("integrator,min_order", [("euler", 1.9), ("rk4", 4.5)])
@@ -679,7 +666,7 @@ def _spoil_u(value, at=(3, 5, 7)):
     """Set one value of the integrator's stepped u to ``value``."""
 
     def spoil(out):
-        out[0][at] = value
+        out[at] = value
         return out
 
     return spoil
@@ -909,7 +896,7 @@ def test_the_run_takes_two_parts_on_large_frameless_grids_with_two_cpus(monkeypa
         monkeypatch.setattr(flow.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         return run(_stop_config(Grid(length=1.0, n=n), "fx", t_end=2e-4, **overrides)).fx.parts
 
-    assert [parts(16, 2), parts(14, 2), parts(16, 1), parts(16, 2, track_frame=True)] == [2, 1, 1, 1]
+    assert [parts(16, 2), parts(14, 2), parts(16, 1)] == [2, 1, 1]
     monkeypatch.delattr(flow.os, "sched_getaffinity")  # where there is no affinity call
     monkeypatch.setattr(flow.os, "cpu_count", lambda: 2)
     assert run(_stop_config(Grid(length=1.0, n=16), "fx", t_end=2e-4)).fx.parts == 2
@@ -917,27 +904,18 @@ def test_the_run_takes_two_parts_on_large_frameless_grids_with_two_cpus(monkeypa
 
 def test_step_fx_refuses_a_workspace_that_does_not_fit(tables, grid16):
     state = random_band_state(grid16, 0.3, seed=1)
-    iota = np.broadcast_to(np.eye(7).reshape(7, 7, 1, 1), (7, 7) + grid16.shape).copy()
-    misfits = [
-        (flow._FxWorkspace(grid16), iota),
-        (flow._FxWorkspace(grid16, frame=True), None),
-        (flow._FxWorkspace(Grid(length=1.0, n=32)), None),
-        (flow._FxWorkspace(replace(grid16, length=2.0)), None),
-    ]
-    for work, io in misfits:
+    for grid in (Grid(length=1.0, n=32), replace(grid16, length=2.0)):
         with pytest.raises(ValueError, match="workspace"):
-            step_fx(tables, state, 1e-4, iota=io, work=work)
+            step_fx(tables, state, 1e-4, work=flow._FxWorkspace(grid))
 
 
 @pytest.mark.parametrize("integrator", ["euler", "rk4"])
 def test_steppers_leave_their_inputs_unmodified(tables, grid16, integrator):
     state = random_band_state(grid16, 0.4, seed=9)
-    iota = np.broadcast_to(np.eye(7).reshape(7, 7, 1, 1), (7, 7) + grid16.shape).copy()
-    kept = (state.f.copy(), state.x.copy(), iota.copy())
-    new, new_iota, _ = step_fx(tables, state, 1e-4, integrator, iota=iota)
-    for before, after in zip(kept, (state.f, state.x, iota)):
-        assert after.tobytes() == before.tobytes()
-    assert not np.shares_memory(new.x, state.x) and not np.shares_memory(new_iota, iota)
+    kept = state.u.copy()
+    new, _, _ = step_fx(tables, state, 1e-4, integrator)
+    assert state.u.tobytes() == kept.tobytes()
+    assert not np.shares_memory(new.u, state.u)
     phi = phi_of_state(tables, state)
     phi_kept = phi.copy()
     stepped = step_direct(tables, grid16, phi, 1e-4, integrator)
@@ -945,41 +923,30 @@ def test_steppers_leave_their_inputs_unmodified(tables, grid16, integrator):
     assert not np.array_equal(stepped, phi)
 
 
-def _poisoned_workspace(grid, frame):
+def _poisoned_workspace(grid):
     # every buffer starts as NaN, so a read before a write shows in the result;
     # the rate buffers are the Laplacian's scratch too
-    work = flow._FxWorkspace(grid, frame)
-    buffers = [work.lap, work.dot]
-    for part in work.rk:
-        buffers += [b for b in part if b is not None]
-    for b in buffers:
+    work = flow._FxWorkspace(grid)
+    for b in (work.lap, work.dot, *work.rk):
         b.fill(np.nan)
     return work
 
 
-@pytest.mark.parametrize("integrator,with_frame", [("rk4", False), ("rk4", True), ("euler", False)])
-def test_steps_reusing_one_workspace_equal_steps_with_fresh_ones(tables, integrator, with_frame):
+@pytest.mark.parametrize("integrator,project", [("rk4", False), ("rk4", True), ("euler", False)])
+def test_steps_reusing_one_workspace_equal_steps_with_fresh_ones(tables, integrator, project):
     grid = Grid(length=1.0, n=16, active_dims=(0, 1))
     state = random_band_state(grid, 0.3, seed=4)
-    iota = None
-    if with_frame:
-        iota = np.zeros((7, 7) + grid.shape)
-        iota[np.arange(7), np.arange(7)] = 1.0
     dt = 0.2 * grid.h * grid.h / (2 * grid.k)
-    work = _poisoned_workspace(grid, with_frame)
-    kept = fresh = (state, iota, None)
+    work = _poisoned_workspace(grid)
+    kept = fresh = (state, None, None)
     for _ in range(3):
-        kept = step_fx(tables, kept[0], dt, integrator, kept[1], work=work)
-        fresh = step_fx(
-            tables, fresh[0], dt, integrator, fresh[1], work=_poisoned_workspace(grid, with_frame)
-        )
+        kept = step_fx(tables, kept[0], dt, integrator, project, work=work)
+        fresh = step_fx(tables, fresh[0], dt, integrator, project, work=_poisoned_workspace(grid))
         assert kept[0].u.tobytes() == fresh[0].u.tobytes()
         assert kept[2] == fresh[2]
-        if with_frame:
-            assert kept[1].tobytes() == fresh[1].tobytes()
     # and a step that makes its own workspace, as the probe call does
-    assert step_fx(tables, state, dt, integrator, iota)[0].u.tobytes() == step_fx(
-        tables, state, dt, integrator, iota, work=_poisoned_workspace(grid, with_frame)
+    assert step_fx(tables, state, dt, integrator, project)[0].u.tobytes() == step_fx(
+        tables, state, dt, integrator, project, work=_poisoned_workspace(grid)
     )[0].u.tobytes()
 
 
