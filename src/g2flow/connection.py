@@ -3,8 +3,10 @@
 The flat connection on an auxiliary bundle E (a second copy of the tangent
 bundle, trivialized by the grid coordinates) is twisted by
 alpha (X -| T) x (.), where x is the cross product of the structure whose
-torsion is T, so every operator here takes that structure's 3-form field.
-Together with a frame iota evolving by beta (Div T) x iota, which
+torsion is T, so every operator here takes that structure's 3-form field,
+and the twist alpha as an argument.  ``D_derivative`` works in the identity
+gauge.  A frame iota: E -> TM is a plain array of shape (7, 7, *grid).
+Together with a frame evolving by beta (Div T) x iota, which
 ``transport_frames`` carries along a trajectory's snapshots, the
 gauge-transported torsion satisfies a clean reaction-diffusion equation
 for alpha = -1/2, beta = 1/2.  Every residual
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
@@ -38,7 +40,6 @@ from .states import (
 )
 
 __all__ = [
-    "FrameField",
     "identity_frame",
     "transport_frames",
     "D_derivative",
@@ -55,72 +56,52 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FrameField:
-    """Pointwise linear map iota: E -> TM, with the connection's twist alpha.
-
-    ``iota[m, a]`` is the TM component m of the image of the a-th frame
-    section.
-    """
-
-    iota: np.ndarray
-    alpha: float = -0.5
-
-    def orthogonality_defect(self) -> float:
-        gram = np.einsum("ma...,mb...->ab...", self.iota, self.iota)
-        eye = np.eye(7).reshape((7, 7) + (1,) * (gram.ndim - 2))
-        return float(np.max(np.abs(gram - eye)))
-
-
-def identity_frame(grid: Grid, alpha: float = -0.5) -> FrameField:
-    """The identity map E -> TM; its iota, of shape (7, 7, *grid), is also
-    the stack of the identity sections e_a of E, so ``D_derivative`` of it
-    gives the connection coefficients of the frame."""
+def identity_frame(grid: Grid) -> np.ndarray:
+    """The identity map E -> TM, of shape (7, 7, *grid): ``iota[m, a]`` is the
+    TM component m of the a-th frame section.  It is also the stack of the
+    identity sections e_a of E, so ``D_derivative`` of it gives the
+    connection coefficients."""
     iota = np.zeros((7, 7) + grid.shape)
     iota[np.arange(7), np.arange(7)] = 1.0
-    return FrameField(iota=iota, alpha=alpha)
-
-
-def _inverse_frame(iota: np.ndarray) -> np.ndarray:
-    flat = np.moveaxis(iota.reshape(7, 7, -1), -1, 0)
-    return np.moveaxis(np.linalg.inv(flat), 0, -1).reshape(iota.shape)
+    return iota
 
 
 def D_derivative(
     grid: Grid,
-    frame: FrameField,
     torsion: np.ndarray,
     phi3: np.ndarray,
     direction: int,
     sigma: np.ndarray,
+    alpha: float = -0.5,
 ) -> np.ndarray:
     """Twisted covariant derivative of a section of E along a coordinate
-    direction:  D_dir sigma = iota^{-1}( d_dir (iota sigma)
-                                         + alpha (e_dir -| T) x (iota sigma) ),
+    direction, in the identity gauge:
+
+        D_dir sigma = d_dir sigma + alpha (e_dir -| T) x sigma,
 
     with the cross product of ``phi3``, the 3-form field of the structure
     whose torsion is ``torsion``.  ``sigma`` has shape (7, *grid), or
     (7, m, *grid) for m sections at once.
     """
-    v = np.einsum("ma...,a...->m...", frame.iota, sigma)
-    dv = partial(grid, v, direction)
     tw = torsion[direction]  # (e_dir -| T)_m = T_{dir m}
-    dv = dv + frame.alpha * np.einsum("mlp...,m...,l...->p...", phi3, tw, v)
-    inv = _inverse_frame(frame.iota)
-    return np.einsum("am...,m...->a...", inv, dv)
+    return partial(grid, sigma, direction) + alpha * np.einsum(
+        "mlp...,m...,l...->p...", phi3, tw, sigma
+    )
 
 
 def laplacian_D(
     grid: Grid,
-    frame: FrameField,
+    iota: np.ndarray,
     torsion: np.ndarray,
     phi3: np.ndarray,
     a2: np.ndarray,
+    alpha: float = -0.5,
 ) -> np.ndarray:
-    """Connection Laplacian of the mixed tensor A~ = (id x iota)* A.
+    """Connection Laplacian of the mixed tensor A~ = (id x iota)* A, for a
+    frame ``iota`` of shape (7, 7, *grid).
 
     Evaluates, in the mixed frame (tangent index i, bundle index a), with
-    alpha = ``frame.alpha`` and phi = ``phi3``, the 3-form field of the
+    the twist ``alpha`` and phi = ``phi3``, the 3-form field of the
     structure whose torsion is ``torsion``:
 
         (Lap_D A~)_ia = (Lap A)_ip iota_pa
@@ -128,7 +109,6 @@ def laplacian_D(
             - 2 alpha (d_k A_ip) T_km iota_la phi_mlp
             - alpha A_ip (Div T)_m iota_la phi_mlp.
     """
-    alpha, iota = frame.alpha, frame.iota
     lap = laplacian(grid, a2)
     out = np.einsum("ip...,pa...->ia...", lap, iota)
     if alpha != 0.0:
@@ -154,7 +134,8 @@ def transport_frames(tables: StructureTables, traj, beta: float = 0.5) -> list[n
     grid, with A_pl = beta (Div T -| phi)_lp averaged over its two ends.  A
     is antisymmetric, so I - h A is invertible and the frames stay orthogonal
     (Iserles et al., Lie-group methods, Acta Numerica 2000), at second order
-    in the snapshot spacing.
+    in the snapshot spacing.  The steps run in order, so the frames of the
+    first k snapshots are those of any trajectory that starts with them.
     """
     grid = traj.grid
 
@@ -165,7 +146,7 @@ def transport_frames(tables: StructureTables, traj, beta: float = 0.5) -> list[n
 
     eye = np.eye(7)
     iota = np.broadcast_to(eye, (math.prod(grid.shape), 7, 7))  # (points, m, a)
-    frames = [identity_frame(grid).iota]
+    frames = [identity_frame(grid)]
     for (t0, a0), (t1, a1) in itertools.pairwise(zip(traj.times, map(rate, traj.states))):
         ha = (0.25 * (t1 - t0)) * (a0 + a1)
         iota = np.linalg.solve(eye - ha, iota + ha @ iota)
@@ -176,7 +157,7 @@ def transport_frames(tables: StructureTables, traj, beta: float = 0.5) -> list[n
 def _interior_index(traj, index: int | None) -> int:
     """``index``, by default the middle snapshot, checked to have a stored
     snapshot on each side."""
-    count = len(traj.states if traj.states is not None else traj.sorted_phis or [])
+    count = len(traj.states or [])  # the fx snapshots: the residuals read no others
     if count < 3:
         raise ValueError(f"need at least 3 stored snapshots, have {count}")
     if index is None:
@@ -198,10 +179,11 @@ def reaction_diffusion_residual(
         resid = dT~/dt - Lap_D T~ - alpha^2 ( |T~|^2 T~ - T o T^t o T~ ).
 
     The time derivative is a centered difference of stored snapshots, with
-    the frames of ``transport_frames``.
+    the frames of ``transport_frames`` over the snapshots up to index + 1.
     """
     index = _interior_index(traj, index)
-    frames = transport_frames(tables, traj)
+    head = replace(traj, times=traj.times[: index + 2], states=traj.states[: index + 2])
+    frames = transport_frames(tables, head)
     grid = traj.grid
 
     def mixed(j):
@@ -212,8 +194,8 @@ def reaction_diffusion_residual(
     dt2 = traj.times[index + 1] - traj.times[index - 1]
     dmdt = (m_next - m_prev) / dt2
 
-    frame = FrameField(iota=frames[index], alpha=alpha)
-    lap = laplacian_D(grid, frame, t_mid, phi_of_state(tables, traj.states[index]), t_mid)
+    phi3 = phi_of_state(tables, traj.states[index])
+    lap = laplacian_D(grid, frames[index], t_mid, phi3, t_mid, alpha)
     msq = np.einsum("ia...,ia...->...", m_mid, m_mid)
     ttm = np.einsum("ip...,kp...->ik...", t_mid, t_mid)  # (T T^t)_ik
     reaction = alpha * alpha * (msq * m_mid - np.einsum("ik...,ka...->ia...", ttm, m_mid))

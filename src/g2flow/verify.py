@@ -145,11 +145,10 @@ def _connection_suite() -> list[tuple[str, float, float, bool]]:
         state = random_band_state(grid, 0.4, seed=21)
         torsion = torsion_of_state(state)
         phi3 = phi_of_state(tables, state)
-        frame = identity_frame(grid)
         s1 = random_band_state(grid, 0.5, seed=31).x
         s2 = random_band_state(grid, 0.5, seed=32).x
-        d1 = D_derivative(grid, frame, torsion, phi3, 0, s1)
-        d2 = D_derivative(grid, frame, torsion, phi3, 0, s2)
+        d1 = D_derivative(grid, torsion, phi3, 0, s1)
+        d2 = D_derivative(grid, torsion, phi3, 0, s2)
         lhs = partial(grid, np.einsum("a...,a...->...", s1, s2), 0)
         rhs = np.einsum("a...,a...->...", d1, s2) + np.einsum("a...,a...->...", s1, d2)
         return float(np.max(np.abs(lhs - rhs)))
@@ -165,13 +164,13 @@ def _connection_suite() -> list[tuple[str, float, float, bool]]:
     rng = np.random.default_rng(2)
     a2 = rng.standard_normal((7, 7))[..., None, None] * np.ones((7, 7) + grid.shape)
     lap0, lap_half, lap_one = (
-        laplacian_D(grid, identity_frame(grid, alpha), torsion, phi3, a2)
+        laplacian_D(grid, identity_frame(grid), torsion, phi3, a2, alpha)
         for alpha in (0.0, -0.5, -1.0)
     )
     tsq = np.einsum("km...,km...->...", torsion, torsion)
     ttt = np.einsum("kq...,kp...->qp...", torsion, torsion)
     quad = tsq * a2 - np.einsum("iq...,qp...->ip...", a2, ttt)
-    quad_mixed = np.einsum("ip...,pa...->ia...", quad, identity_frame(grid).iota)
+    quad_mixed = np.einsum("ip...,pa...->ia...", quad, identity_frame(grid))
     fitted = (lap_one - lap0) - 2.0 * (lap_half - lap0)
     defect = float(np.max(np.abs(fitted + 0.5 * quad_mixed)))
     scale = max(1.0, float(np.max(np.abs(quad_mixed))))

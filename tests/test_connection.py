@@ -1,12 +1,14 @@
 """Twisted connection, gauge frame, and identity-residual evaluators."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import fx_state
+from g2flow import connection
 from g2flow.connection import (
     D_derivative,
-    FrameField,
     bianchi_residual,
     first_variation_residual,
     identity_frame,
@@ -48,10 +50,9 @@ def residual_run(n, dt, steps, amplitude=0.3, seed=7, snapshot_every=1):
 
 
 def test_D_reduces_to_partial_for_zero_torsion(tables, grid16):
-    frame = identity_frame(grid16)
     sigma = random_band_state(grid16, 0.5, seed=2).x
     phi3 = phi_of_state(tables, random_band_state(grid16, 0.4, seed=21))
-    out = D_derivative(grid16, frame, grid16.zeros(2), phi3, 0, sigma)
+    out = D_derivative(grid16, grid16.zeros(2), phi3, 0, sigma)
     assert np.allclose(out, partial(grid16, sigma, 0))
 
 
@@ -61,11 +62,10 @@ def test_D_metric_compatibility_refines(tables):
         s = random_band_state(g, 0.4, seed=21)
         torsion = torsion_of_state(s)
         phi3 = phi_of_state(tables, s)
-        frame = identity_frame(g)
         s1 = random_band_state(g, 0.5, seed=31).x
         s2 = random_band_state(g, 0.5, seed=32).x
-        d1 = D_derivative(g, frame, torsion, phi3, 0, s1)
-        d2 = D_derivative(g, frame, torsion, phi3, 0, s2)
+        d1 = D_derivative(g, torsion, phi3, 0, s1)
+        d2 = D_derivative(g, torsion, phi3, 0, s2)
         lhs = partial(g, np.einsum("a...,a...->...", s1, s2), 0)
         rhs = np.einsum("a...,a...->...", d1, s2) + np.einsum("a...,a...->...", s1, d2)
         return float(np.max(np.abs(lhs - rhs)))
@@ -79,22 +79,21 @@ def test_alpha_term_cancels_in_compatibility_pointwise(tables, grid16, rng):
     s = random_band_state(grid16, 0.4, seed=21)
     torsion = torsion_of_state(s)
     phi3 = phi_of_state(tables, s)
-    frame = identity_frame(grid16)
     c1 = np.broadcast_to(rng.standard_normal(7)[:, None, None], (7,) + grid16.shape).copy()
     c2 = np.broadcast_to(rng.standard_normal(7)[:, None, None], (7,) + grid16.shape).copy()
-    d1 = D_derivative(grid16, frame, torsion, phi3, 0, c1)
-    d2 = D_derivative(grid16, frame, torsion, phi3, 0, c2)
+    d1 = D_derivative(grid16, torsion, phi3, 0, c1)
+    d2 = D_derivative(grid16, torsion, phi3, 0, c2)
     pairing = np.einsum("a...,a...->...", d1, c2) + np.einsum("a...,a...->...", c1, d2)
     assert np.max(np.abs(pairing)) <= 1e-12
 
 
-def connection_coefficients(grid, frame, torsion, phi3, dim):
+def connection_coefficients(grid, torsion, phi3, dim, alpha=-0.5):
     """Coefficients G[b, a] = (D_dim e_a)_b on the identity sections e_a of E."""
-    return D_derivative(grid, frame, torsion, phi3, dim, identity_frame(grid).iota)
+    return D_derivative(grid, torsion, phi3, dim, identity_frame(grid), alpha)
 
 
-def pullback_phi_covariant_derivative(grid, frame, torsion, phi3, dim):
-    gam = connection_coefficients(grid, frame, torsion, phi3, dim)
+def pullback_phi_covariant_derivative(grid, torsion, phi3, dim, alpha):
+    gam = connection_coefficients(grid, torsion, phi3, dim, alpha)
     out = partial(grid, phi3, dim)
     out -= np.einsum("ea...,ebc...->abc...", gam, phi3)
     out -= np.einsum("eb...,aec...->abc...", gam, phi3)
@@ -108,12 +107,11 @@ def test_one_third_twist_makes_structure_parallel(tables):
         s = random_band_state(g, 0.4, seed=5)
         phi3 = phi_of_state(tables, s)
         torsion = torsion_of_state(s)
-        frame = identity_frame(g, alpha=alpha)
         worst = 0.0
         for dim in g.active_dims:
             worst = max(
                 worst,
-                sup_norm(pullback_phi_covariant_derivative(g, frame, torsion, phi3, dim), 3),
+                sup_norm(pullback_phi_covariant_derivative(g, torsion, phi3, dim, alpha), 3),
             )
         return worst
 
@@ -126,9 +124,10 @@ def test_one_third_twist_makes_structure_parallel(tables):
 def test_laplacian_D_alpha_zero_identity_frame(tables, grid16, rng):
     a2 = rng.standard_normal((7, 7, 1, 1)) * np.ones((7, 7) + grid16.shape)
     a2 = a2 * (1.0 + random_band_state(grid16, 0.4, seed=9).x[0])
-    frame = identity_frame(grid16, alpha=0.0)
     s = random_band_state(grid16, 0.3, seed=2)
-    out = laplacian_D(grid16, frame, torsion_of_state(s), phi_of_state(tables, s), a2)
+    out = laplacian_D(
+        grid16, identity_frame(grid16), torsion_of_state(s), phi_of_state(tables, s), a2, 0.0
+    )
     assert np.allclose(out, laplacian(grid16, a2))
 
 
@@ -143,10 +142,10 @@ def test_laplacian_D_double_application_oracle(tables):
         a2 = rng.standard_normal((7, 7))[:, :, None, None] * np.ones((7, 7) + g.shape)
 
         def dk(mixed, dim):
-            gam = connection_coefficients(g, frame, torsion, phi3, dim)
+            gam = connection_coefficients(g, torsion, phi3, dim)
             return partial(g, mixed, dim) - np.einsum("ib...,ba...->ia...", mixed, gam)
 
-        mixed = np.einsum("ip...,pa...->ia...", a2, frame.iota)
+        mixed = np.einsum("ip...,pa...->ia...", a2, frame)
         composed = sum(dk(dk(mixed, d), d) for d in g.active_dims)
         direct = laplacian_D(g, frame, torsion, phi3, a2)
         return sup_norm(direct - composed, 2)
@@ -160,13 +159,13 @@ def test_laplacian_D_quadratic_alpha_coefficient(tables, grid16, rng):
     phi3 = phi_of_state(tables, s)
     a2 = rng.standard_normal((7, 7))[:, :, None, None] * np.ones((7, 7) + grid16.shape)
     lap0, lap_half, lap_one = (
-        laplacian_D(grid16, identity_frame(grid16, alpha), torsion, phi3, a2)
+        laplacian_D(grid16, identity_frame(grid16), torsion, phi3, a2, alpha)
         for alpha in (0.0, -0.5, -1.0)
     )
     tsq = np.einsum("km...,km...->...", torsion, torsion)
     ttt = np.einsum("kq...,kp...->qp...", torsion, torsion)
     quad = tsq * a2 - np.einsum("iq...,qp...->ip...", a2, ttt)
-    quad_mixed = np.einsum("ip...,pa...->ia...", quad, identity_frame(grid16).iota)
+    quad_mixed = np.einsum("ip...,pa...->ia...", quad, identity_frame(grid16))
     fitted = (lap_one - lap0) - 2.0 * (lap_half - lap0)
     assert sup_norm(fitted + 0.5 * quad_mixed, 2) <= 1e-10 * max(1.0, sup_norm(quad_mixed, 2))
 
@@ -175,7 +174,9 @@ def test_transported_frames_stay_orthogonal(tables):
     traj = residual_run(16, 2e-4, 10)
     frames = transport_frames(tables, traj)
     assert len(frames) == len(traj.states) == 11
-    assert max(FrameField(iota=iota).orthogonality_defect() for iota in frames) <= 1e-13
+    eye = np.eye(7)[:, :, None, None]
+    gram_defects = [np.max(np.abs(np.einsum("ma...,mb...->ab...", io, io) - eye)) for io in frames]
+    assert max(gram_defects) <= 1e-13
 
 
 def test_transported_frame_is_the_identity_without_divergence(tables, grid16):
@@ -191,7 +192,7 @@ def test_transported_frame_is_the_identity_without_divergence(tables, grid16):
     frames = transport_frames(tables, run(cfg).fx)
     assert len(frames) == 4
     for iota in frames:
-        assert np.array_equal(iota, identity_frame(grid16).iota)
+        assert np.array_equal(iota, identity_frame(grid16))
 
 
 def test_transported_frame_is_second_order_in_the_snapshot_spacing(tables):
@@ -251,6 +252,29 @@ def test_reaction_diffusion_requires_three_snapshots(tables, grid16):
     assert len(traj.states) == 2
     with pytest.raises(ValueError):
         reaction_diffusion_residual(tables, traj)
+    # a direct-route trajectory stores 3-forms, not the fx states the residuals read
+    direct = run(replace(cfg, scheme="direct", t_end=1.6e-3, snapshot_every=1)).direct
+    assert direct.states is None and len(direct.sorted_phis) == 9
+    for residual in (reaction_diffusion_residual, torsion_evolution_residual):
+        with pytest.raises(ValueError, match="have 0"):
+            residual(tables, direct)
+
+
+def test_reaction_diffusion_transports_only_the_snapshots_it_reads(tables, monkeypatch):
+    traj = residual_run(16, 2e-4, 8)
+    full = transport_frames(tables, traj)
+    handed = []
+
+    def counting(tables, head, beta=0.5):
+        handed.append(len(head.states))
+        return transport_frames(tables, head, beta)
+
+    monkeypatch.setattr(connection, "transport_frames", counting)
+    resid = reaction_diffusion_residual(tables, traj, index=4)
+    assert handed == [4 + 2]
+    # the frames over the whole trajectory give the same bytes
+    monkeypatch.setattr(connection, "transport_frames", lambda tables, head: full)
+    assert resid.tobytes() == reaction_diffusion_residual(tables, traj, index=4).tobytes()
 
 
 def test_torsion_free_run_residuals_vanish(tables, grid16):
